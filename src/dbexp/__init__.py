@@ -14,8 +14,8 @@ from .bounds import (
     bound_estimate_2r_borrowed,
     bound_estimate_greg,
     bound_estimate_ht,
+    build_bound,
     cluster_bound,
-    coef_2r_for_bound,
     compare_bounds,
     interval_from_bound,
     iterative_bound,

@@ -8,6 +8,21 @@ import numpy as np
 PINV_RCOND = 1e-12
 
 
+def _svd_cut(a: np.ndarray, scale: float | None):
+    """SVD of ``a`` with the mask of singular values above the package cutoff."""
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    cutoff = PINV_RCOND * max(s[0] if s.size else 0.0, scale or 0.0)
+    return u, s, vt, s > cutoff
+
+
+def _pinv_flagged(a: np.ndarray, scale: float | None) -> tuple[np.ndarray, bool]:
+    """Pseudo-inverse of ``a`` and whether it was rank deficient at the cutoff."""
+    u, s, vt, keep = _svd_cut(a, scale)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vt.T * inv) @ u.T, bool((~keep).any())
+
+
 def pinv(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package-wide singular value cutoff.
 
@@ -16,13 +31,7 @@ def pinv(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     structure annihilates): singular values below ``PINV_RCOND * scale`` are
     float residue, not signal, and are dropped rather than inverted.
     """
-    a = np.asarray(a, dtype=float)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = PINV_RCOND * max(s[0] if s.size else 0.0, scale or 0.0)
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return _pinv_flagged(a, scale)[0]
 
 
 def pinv_solve(
@@ -34,17 +43,31 @@ def pinv_solve(
     rank deficient at the cutoff (duplicated columns, empty arm, ...).
     ``scale`` has the same role as in :func:`pinv`.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = PINV_RCOND * max(s[0] if s.size else 0.0, scale or 0.0)
-    keep = s > cutoff
+    u, s, vt, keep = _svd_cut(a, scale)
     ub = u[:, keep].T @ b
     if b.ndim == 1:
         x = vt[keep].T @ (ub / s[keep])
     else:
         x = vt[keep].T @ (ub / s[keep][:, None])
     return x, bool((~keep).any())
+
+
+def normal_system(
+    x: np.ndarray, core: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The system ``(X'MX) b = X'M v`` for a layout ``X`` and a square core ``M``.
+
+    Returns ``X'M``, ``X'MX``, the pseudo-inverse of ``X'MX`` and its
+    rank-deficiency flag.  The cutoff is anchored at ``||X||^2 ||M||``, the
+    pre-cancellation magnitude: the normal matrix can be exactly zero in exact
+    arithmetic when ``M`` annihilates the layout's columns.
+    """
+    xm = x.T @ core
+    normal = xm @ x
+    anchor = float(np.linalg.norm(x)) ** 2 * float(np.linalg.norm(core))
+    ginv, deficient = _pinv_flagged(normal, anchor)
+    return xm, normal, ginv, deficient
 
 
 def product_scale(left: np.ndarray, right: np.ndarray) -> float:
@@ -66,18 +89,6 @@ def min_max_eig(a: np.ndarray) -> tuple[float, float]:
     if vals.size == 0:
         return 0.0, 0.0
     return float(vals[0]), float(vals[-1])
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    lo, hi = min_max_eig(a)
-    return max(abs(lo), abs(hi))
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-8) -> bool:
-    """Certify positive semidefiniteness up to ``-tol * spectral norm``."""
-    lo, hi = min_max_eig(a)
-    scale = max(abs(lo), abs(hi), 1.0)
-    return lo >= -tol * scale
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:

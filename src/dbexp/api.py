@@ -15,18 +15,14 @@ import numpy as np
 from . import bounds as _bounds
 from . import covariates as _cov
 from . import estimators as _est
-from .design import Design, design_matrix, enumerate_assignments, support_size
+from .design import Design, cluster_level_design, in_support
 from .estimators import AssignmentRealization, ObservedOutcomes
 
 POINT_ESTIMATORS = ("ht", "ols", "wls_pi", "three_ht", "two_r", "tyranny", "ols_cluster_totals")
 BOUND_CHOICES = (
     "none",
-    "as",
-    "iterative",
-    "cluster",
-    "borrowed-as",
-    "borrowed-iterative",
-    "borrowed-cluster",
+    *_bounds.BOUND_METHODS,
+    *(f"borrowed-{method}" for method in _bounds.BOUND_METHODS),
 )
 
 
@@ -131,17 +127,11 @@ class AteEstimator:
         return self
 
     def _warn_if_impossible(self, z) -> None:
-        size = support_size(self.design)
-        if size is None or size > 100_000:
-            return
-        target = tuple(int(v) for v in z)
-        for realization, prob in enumerate_assignments(self.design):
-            if realization.as_tuple() == target and prob > 0:
-                return
-        warnings.warn(
-            "the realized assignment has probability ~0 under the declared design",
-            stacklevel=2,
-        )
+        if not in_support(self.design, z):
+            warnings.warn(
+                "the realized assignment has probability ~0 under the declared design",
+                stacklevel=2,
+            )
 
     def _build_spec(self, covariates, cluster_ids):
         if self.estimator == "ht":
@@ -181,26 +171,9 @@ class AteEstimator:
 
     def _bound_matrix(self, method: str):
         if self.spec_ is not None and self.spec_.level == "cluster":
-            from .design import cluster_level_design
-
             sys_design, _ = cluster_level_design(self.design)
-            dmat = design_matrix(sys_design)
-            cluster_ids = np.arange(sys_design.n)
-        else:
-            dmat = design_matrix(self.design)
-            cluster_ids = None
-        if method == "as":
-            return _bounds.as_bound(dmat)
-        if method == "iterative":
-            return _bounds.iterative_bound(dmat)
-        if method == "cluster":
-            if cluster_ids is None:
-                prov = self.design.provenance
-                if getattr(prov, "kind", None) != "cluster":
-                    raise ValueError("the cluster bound needs a cluster-randomized design")
-                cluster_ids = prov.params["cluster_ids"]
-            return _bounds.cluster_bound(dmat, cluster_ids)
-        raise ValueError(method)  # pragma: no cover
+            return _bounds.build_bound(method, sys_design, cluster_ids=np.arange(sys_design.n))
+        return _bounds.build_bound(method, self.design)
 
     def _bound_estimate(self, spec, observed, coefficient):
         if self.bound == "none":

@@ -17,15 +17,18 @@ import numpy as np
 
 from ._linalg import min_max_eig, psd_project, sym_eigvals, symmetrize
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, _cluster_index, cluster_level_design
+from .design import Design, DesignMatrix, _cluster_index, cluster_level_design, design_matrix
 from .estimators import (
+    AdjustmentCache,
     CoefficientEstimate,
     ObservedOutcomes,
     _system,
-    coef_wls_pi,
+    coef_2r,
 )
 
 PSD_TOL = 1e-8
+
+BOUND_METHODS = ("as", "iterative", "cluster")
 
 
 class BoundConvergenceError(RuntimeError):
@@ -169,6 +172,28 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
     return _certify(values, dmat, "cluster")
 
 
+def build_bound(
+    name: str, design: Design, *, cluster_ids=None, max_iters: int = 500
+) -> BoundMatrix:
+    """Construct the bound named ``as``, ``iterative`` or ``cluster`` for a design.
+
+    The cluster bound takes its cluster ids from ``cluster_ids`` or, when
+    that is None, from the provenance of a cluster-randomized design.
+    """
+    if name not in BOUND_METHODS:
+        raise ValueError(f"unknown bound method {name!r}; choose from {', '.join(BOUND_METHODS)}")
+    if name == "cluster" and cluster_ids is None:
+        if design.kind != "cluster":
+            raise ValueError("the cluster bound needs a cluster-randomized design")
+        cluster_ids = design.provenance.params["cluster_ids"]
+    dmat = design_matrix(design)
+    if name == "as":
+        return as_bound(dmat)
+    if name == "iterative":
+        return iterative_bound(dmat, max_iters=max_iters)
+    return cluster_bound(dmat, cluster_ids)
+
+
 @dataclass(frozen=True)
 class BoundComparison:
     """PSD-order comparison of two bounds, with sharp-null fallback and heuristics.
@@ -233,13 +258,15 @@ def _weighted_bound_matrix(bound: BoundMatrix, design: Design) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundCache:
-    """Write-once (bound, design[, layout]) precomputation for replication loops."""
+    """Write-once (bound, design[, layout]) precomputation for replication loops.
+
+    ``adjustment`` is the layout's normal system over the bound matrix, which
+    the bound-targeting two-stage coefficient reuses.
+    """
 
     bound: BoundMatrix
     weighted: np.ndarray
-    xd: np.ndarray | None = None
-    xdx: np.ndarray | None = None
-    xdx_pinv: np.ndarray | None = None
+    adjustment: AdjustmentCache | None = None
 
     @classmethod
     def build(cls, bound: BoundMatrix, design: Design, spec: CovariateSpec | None = None):
@@ -247,14 +274,8 @@ class BoundCache:
         if spec is not None and spec.level == "cluster":
             sys_design = cluster_level_design(design)[0]
         weighted = _weighted_bound_matrix(bound, sys_design)
-        if spec is None:
-            return cls(bound=bound, weighted=weighted)
-        from ._linalg import pinv
-
-        xd = spec.matrix.T @ bound.values
-        xdx = xd @ spec.matrix
-        anchor = float(np.linalg.norm(spec.matrix)) ** 2 * float(np.linalg.norm(bound.values))
-        return cls(bound=bound, weighted=weighted, xd=xd, xdx=xdx, xdx_pinv=pinv(xdx, scale=anchor))
+        adjustment = None if spec is None else AdjustmentCache.over(spec, bound.values)
+        return cls(bound=bound, weighted=weighted, adjustment=adjustment)
 
 
 def _observed_quadratic(
@@ -302,35 +323,6 @@ def bound_estimate_greg(
     return _observed_quadratic(weighted, residual, sys_obs.indicator(), divisor)
 
 
-def coef_2r_for_bound(
-    bound: BoundMatrix,
-    spec: CovariateSpec,
-    observed: ObservedOutcomes,
-    design: Design,
-    cache: BoundCache | None = None,
-) -> CoefficientEstimate:
-    """Two-stage coefficient targeting the bound-minimizing value.
-
-    Identical recursion to the two-stage optimal coefficient with the bound
-    matrix standing in for the covariance structure.
-    """
-    sys_obs, sys_design, _ = _system(observed, design, spec, None)
-    w = sys_obs.indicator() / sys_design.marginals
-    if cache is not None and cache.xd is not None:
-        xd, xdx, xdx_pinv = cache.xd, cache.xdx, cache.xdx_pinv
-    else:
-        from ._linalg import pinv
-
-        xd = spec.matrix.T @ bound.values
-        xdx = xd @ spec.matrix
-        anchor = float(np.linalg.norm(spec.matrix)) ** 2 * float(np.linalg.norm(bound.values))
-        xdx_pinv = pinv(xdx, scale=anchor)
-    b_wls = coef_wls_pi(spec, sys_obs, sys_design).values
-    b3 = xdx_pinv @ (xd @ (sys_obs.stacked() * w))
-    drift = xd @ (spec.matrix * w[:, None]) - xdx
-    return CoefficientEstimate(b3 - xdx_pinv @ (drift @ b_wls), "two_r")
-
-
 def bound_estimate_2r_borrowed(
     bound: BoundMatrix,
     design: Design,
@@ -342,13 +334,16 @@ def bound_estimate_2r_borrowed(
     """Borrowed bound estimate for the two-stage estimator.
 
     Estimates the bound-minimizing coefficient by the two-stage recursion run
-    on the bound matrix itself, then plugs its residuals into the bound
-    estimator.  The minimized bound still dominates the variance at the
-    optimal coefficient, so pairing this with the two-stage point estimate
-    keeps intervals conservative while typically much narrower than the
-    plug-in alternative.
+    with the bound matrix standing in for the covariance structure, then
+    plugs its residuals into the bound estimator.  The minimized bound still
+    dominates the variance at the optimal coefficient, so pairing this with
+    the two-stage point estimate keeps intervals conservative while typically
+    much narrower than the plug-in alternative.
     """
-    coefficient = coef_2r_for_bound(bound, spec, observed, design, cache=cache)
+    adjustment = cache.adjustment if cache is not None else None
+    if adjustment is None:
+        adjustment = AdjustmentCache.over(spec, bound.values)
+    coefficient = coef_2r(spec, observed, design, cache=adjustment)
     return bound_estimate_greg(bound, design, observed, spec, coefficient, divisor, cache=cache)
 
 

@@ -15,7 +15,13 @@ import click
 import numpy as np
 
 from .api import AteEstimator, BOUND_CHOICES, POINT_ESTIMATORS
-from .bounds import BoundConvergenceError, as_bound, cluster_bound, iterative_bound, precision_test
+from .bounds import (
+    BOUND_METHODS,
+    BoundConvergenceError,
+    build_bound,
+    compare_bounds,
+    precision_test,
+)
 from .covariates import spec_common_slopes, spec_separate_slopes, zero_center
 from .dataio import (
     CsvFormatError,
@@ -142,10 +148,9 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
 @click.option("--spec-sets", default=None, help="comma list from 1,2,3,4")
 @click.option("--estimators", "estimator_csv", default=None,
               help=f"comma list from {','.join(ESTIMATOR_NAMES)}")
-@click.option("--threads", type=int, default=None)
 @click.option("--out-dir", default="dbexp-sim", show_default=True)
 def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed, noise,
-             spec_sets, estimator_csv, threads, out_dir):
+             spec_sets, estimator_csv, out_dir):
     """Run the cluster-randomized replication study and write its reports."""
 
     def body():
@@ -168,7 +173,6 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             "estimators": None if estimator_csv is None else tuple(
                 v.strip() for v in estimator_csv.split(",") if v.strip()
             ),
-            "threads": threads,
         }
         resolved = dict(file_config)
         for key, value in flags.items():
@@ -189,7 +193,6 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
                 "replications": config.replications, "seed": config.seed,
                 "noise_interpretation": config.noise_interpretation,
                 "spec_sets": list(config.spec_sets), "estimators": list(config.estimators),
-                "threads": config.threads,
             },
             "calibration_r2": calibration_r2(result.population),
             "failures": int(result.failures.sum()),
@@ -213,25 +216,10 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
     """Construct variance bounds for a design and compare their tightness."""
 
     def body():
-        from .bounds import compare_bounds
-
         table = read_experiment_csv(data_path) if data_path else None
         design = parse_design_descriptor(descriptor, table)
-        dmat = design_matrix(design)
         names = [v.strip() for v in methods.split(",") if v.strip()]
-        built = {}
-        for name in names:
-            if name == "as":
-                built[name] = as_bound(dmat)
-            elif name == "iterative":
-                built[name] = iterative_bound(dmat, max_iters=max_iters)
-            elif name == "cluster":
-                prov = design.provenance
-                if getattr(prov, "kind", None) != "cluster":
-                    raise ValueError("the cluster bound needs a cluster design")
-                built[name] = cluster_bound(dmat, prov.params["cluster_ids"])
-            else:
-                raise ValueError(f"unknown bound method {name!r}")
+        built = {name: build_bound(name, design, max_iters=max_iters) for name in names}
         rows = []
         for a in names:
             for b in names:
@@ -268,8 +256,7 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
 @click.option("--coefficient", "coef_path", required=True, type=click.Path(),
               help="fixed coefficient vector (JSON array or one value per line)")
 @click.option("--spec", default="II", type=click.Choice(["I", "II"]), show_default=True)
-@click.option("--bound", default="as", type=click.Choice(["as", "iterative", "cluster"]),
-              show_default=True)
+@click.option("--bound", default="as", type=click.Choice(BOUND_METHODS), show_default=True)
 @click.option("--out-dir", default="dbexp-precision", show_default=True)
 def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
     """Test whether a pre-registered fixed adjustment improves precision."""
@@ -284,17 +271,9 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
             raise ValueError(
                 f"coefficient has {b_f.shape[0]} entries but the layout has {layout.n_columns} columns"
             )
-        dmat = design_matrix(design)
-        if bound == "as":
-            bound_matrix = as_bound(dmat)
-        elif bound == "iterative":
-            bound_matrix = iterative_bound(dmat)
-        else:
-            prov = design.provenance
-            if getattr(prov, "kind", None) != "cluster":
-                raise ValueError("the cluster bound needs a cluster design")
-            bound_matrix = cluster_bound(dmat, prov.params["cluster_ids"])
+        bound_matrix = build_bound(bound, design)
         observed = ObservedOutcomes(table.outcome, AssignmentRealization(table.treatment))
+        dmat = design_matrix(design)
         result = precision_test(design, dmat, observed, layout, b_f, bound_matrix)
         os.makedirs(out_dir, exist_ok=True)
         report = {

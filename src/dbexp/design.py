@@ -455,6 +455,27 @@ def support_size(design: Design) -> int | None:
     return None
 
 
+def in_support(design: Design, z) -> bool:
+    """Whether assignment ``z`` has positive probability under the design.
+
+    Monte-Carlo designs carry no support and always pass; Bernoulli designs
+    give every assignment positive probability.
+    """
+    z = np.asarray(z)
+    prov = design.provenance
+    if isinstance(prov, EnumeratedProvenance):
+        rows = (prov.assignments == z).all(axis=1)
+        return bool((prov.probabilities[rows] > 0).any())
+    if not isinstance(prov, AnalyticProvenance) or prov.kind == "bernoulli":
+        return True
+    if prov.kind == "complete":
+        return int(z.sum()) == prov.params["n1"]
+    _, index = _cluster_index(prov.params["cluster_ids"])
+    z_cluster = np.zeros(prov.params["m"], dtype=z.dtype)
+    z_cluster[index] = z
+    return bool(np.array_equal(z_cluster[index], z)) and int(z_cluster.sum()) == prov.params["m1"]
+
+
 def enumerate_assignments(
     design: Design, cap: int = DEFAULT_SUPPORT_CAP
 ) -> list[tuple[AssignmentRealization, float]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pinv, pinv_solve, product_scale
+from ._linalg import normal_system, pinv_solve, product_scale
 from .covariates import CovariateSpec
 from .design import (
     AssignmentRealization,
@@ -276,16 +276,20 @@ def fixed_coef_variance(
 # -- coefficient estimators ----------------------------------------------------
 
 
+def _wls(spec: CovariateSpec, observed: ObservedOutcomes, w: np.ndarray, method: str):
+    """Weighted least squares X'diag(w)X b = X'diag(w)y on the signed layout."""
+    weighted = spec.matrix * w[:, None]
+    normal = spec.matrix.T @ weighted
+    rhs = spec.matrix.T @ (observed.stacked() * w)
+    b, deficient = pinv_solve(normal, rhs, scale=product_scale(spec.matrix, weighted))
+    return CoefficientEstimate(b, method, rank_deficient=deficient)
+
+
 def coef_ols(spec: CovariateSpec, observed: ObservedOutcomes) -> CoefficientEstimate:
     """Least squares on the observed rows of the signed layout."""
     observed, _, _ = _system(observed, None, spec, None)
-    indicator = observed.indicator()
-    rows = spec.matrix * indicator[:, None]
-    normal = rows.T @ spec.matrix  # X'RX; R idempotent so X'RX == (RX)'(RX)
-    rhs = spec.matrix.T @ (observed.stacked() * indicator)
     method = "ols_cluster_totals" if spec.level == "cluster" else "ols"
-    b, deficient = pinv_solve(normal, rhs, scale=product_scale(rows, spec.matrix))
-    return CoefficientEstimate(b, method, rank_deficient=deficient)
+    return _wls(spec, observed, observed.indicator(), method)
 
 
 def coef_wls_pi(
@@ -293,20 +297,19 @@ def coef_wls_pi(
 ) -> CoefficientEstimate:
     """Weighted least squares with reciprocal assignment-probability weights."""
     observed, design, _ = _system(observed, design, spec, None)
-    w = observed.indicator() / design.marginals
-    weighted = spec.matrix * w[:, None]
-    normal = spec.matrix.T @ weighted
-    rhs = spec.matrix.T @ (observed.stacked() * w)
-    b, deficient = pinv_solve(normal, rhs, scale=product_scale(spec.matrix, weighted))
-    return CoefficientEstimate(b, "wls_pi", rank_deficient=deficient)
+    return _wls(spec, observed, observed.indicator() / design.marginals, "wls_pi")
 
 
 @dataclass(frozen=True)
 class AdjustmentCache:
-    """Write-once (design, layout) precomputation shared across replications."""
+    """Write-once (layout, core) normal system shared across replications.
+
+    The core is the design's covariance structure for the optimal-coefficient
+    estimators, or a bound matrix for the bound-targeting two-stage
+    coefficient (see :class:`dbexp.bounds.BoundCache`).
+    """
 
     spec: CovariateSpec
-    dmat: DesignMatrix
     xdx: np.ndarray
     xdx_pinv: np.ndarray
     xd: np.ndarray
@@ -314,14 +317,12 @@ class AdjustmentCache:
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":
         sys_design = cluster_level_design(design)[0] if spec.level == "cluster" else design
-        dmat = design_matrix(sys_design)
-        xd = spec.matrix.T @ dmat.values
-        xdx = xd @ spec.matrix
-        # anchor the cutoff to the pre-cancellation magnitudes: the normal
-        # matrix can be exactly zero in exact arithmetic
-        anchor = float(np.linalg.norm(spec.matrix)) ** 2 * float(np.linalg.norm(dmat.values))
-        xdx_pinv = pinv(xdx, scale=anchor)
-        return cls(spec=spec, dmat=dmat, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd)
+        return cls.over(spec, design_matrix(sys_design).values)
+
+    @classmethod
+    def over(cls, spec: CovariateSpec, core: np.ndarray) -> "AdjustmentCache":
+        xd, xdx, xdx_pinv, _ = normal_system(spec.matrix, core)
+        return cls(spec=spec, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd)
 
 
 def _cache_for(spec: CovariateSpec, design: Design, cache: AdjustmentCache | None):
@@ -387,11 +388,7 @@ def coef_tyranny(
         raise ValueError("the minority-weighted estimator is defined for common-slopes layouts")
     sys_obs, sys_design, _ = _system(observed, design, spec, None)
     w = sys_obs.indicator() * (1.0 / sys_design.marginals - 1.0)
-    weighted = spec.matrix * w[:, None]
-    normal = spec.matrix.T @ weighted
-    rhs = spec.matrix.T @ (sys_obs.stacked() * w)
-    b, deficient = pinv_solve(normal, rhs, scale=product_scale(spec.matrix, weighted))
-    return CoefficientEstimate(b, "tyranny", rank_deficient=deficient)
+    return _wls(spec, sys_obs, w, "tyranny")
 
 
 def coef_ols_cluster_totals(

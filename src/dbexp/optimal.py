@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pinv, pinv_solve
+from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import Design, DesignMatrix, StackedOutcomes, _cluster_index
 
@@ -39,17 +39,22 @@ PINV_FLOOR = 1e-12
 
 
 def _solve_normal(core, matrix, target, what: str):
-    """Solve (X' core X) b = X' core target with a cutoff anchored to the
-    factors entering the product (cancellation can zero the product exactly)."""
-    xd = matrix.T @ core
-    normal = xd @ matrix
+    """Solve (X' core X) b = X' core target through the shared normal system
+    and check its first-order condition."""
+    xd, normal, ginv, deficient = normal_system(matrix, core)
     rhs = xd @ target
-    mnorm = float(np.linalg.norm(matrix))
-    cnorm = float(np.linalg.norm(core))
-    b, deficient = pinv_solve(normal, rhs, scale=mnorm * cnorm * mnorm)
-    floor = mnorm * cnorm * max(float(np.linalg.norm(target)), 1.0)
-    _check_foc(normal, rhs, b, what, floor=floor)
+    b = ginv @ rhs
+    _check_foc(normal, rhs, b, what, floor=_foc_floor(matrix, core, target))
     return b, deficient
+
+
+def _foc_floor(matrix, core, target) -> float:
+    # the scale below which a first-order residual is float residue
+    return (
+        float(np.linalg.norm(matrix))
+        * float(np.linalg.norm(core))
+        * max(float(np.linalg.norm(target)), 1.0)
+    )
 
 
 def b_opt(spec: CovariateSpec, dmat: DesignMatrix, outcomes: StackedOutcomes) -> OptimalCoefficient:
@@ -75,14 +80,10 @@ def b_opt_family(
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n_columns,):
         raise ValueError("family parameter must have one entry per layout column")
-    xd = spec.matrix.T @ dmat.values
-    normal = xd @ spec.matrix
+    xd, normal, ginv, _ = normal_system(spec.matrix, dmat.values)
     rhs = xd @ outcomes.values
-    mnorm = float(np.linalg.norm(spec.matrix))
-    cnorm = float(np.linalg.norm(dmat.values))
-    ginv = pinv(normal, scale=mnorm * cnorm * mnorm)
     b = ginv @ rhs + (np.eye(spec.n_columns) - ginv @ normal) @ z
-    floor = mnorm * cnorm * max(float(np.linalg.norm(outcomes.values)), 1.0)
+    floor = _foc_floor(spec.matrix, dmat.values, outcomes.values)
     _check_foc(normal, rhs, b, "optimal-family coefficient", floor=floor)
     return OptimalCoefficient(b, "true_variance", "family member")
 
@@ -119,21 +120,13 @@ def b_sep(
         xt = spec.x  # already [sizes | totals]
     else:
         xt = np.hstack([np.ones((r, 1)), spec.x])
-    d00 = dmat.block(0, 0)
-    d11 = dmat.block(1, 1)
-    xtd0 = xt.T @ d00
-    xtd1 = xt.T @ d11
-    anchor0 = float(np.linalg.norm(xt)) ** 2 * float(np.linalg.norm(d00))
-    anchor1 = float(np.linalg.norm(xt)) ** 2 * float(np.linalg.norm(d11))
-    b0, _ = pinv_solve(xtd0 @ xt, xtd0 @ outcomes.control, scale=anchor0)
-    b1, _ = pinv_solve(xtd1 @ xt, xtd1 @ outcomes.treated, scale=anchor1)
-    b = np.concatenate([b0, b1])
+    arms = []
+    for block, y in ((dmat.block(0, 0), outcomes.control), (dmat.block(1, 1), outcomes.treated)):
+        xtd, _, ginv, _ = normal_system(xt, block)
+        arms.append(ginv @ (xtd @ y))
+    b = np.concatenate(arms)
     xd = spec.matrix.T @ dmat.values
-    floor = (
-        float(np.linalg.norm(spec.matrix))
-        * float(np.linalg.norm(dmat.values))
-        * max(float(np.linalg.norm(outcomes.values)), 1.0)
-    )
+    floor = _foc_floor(spec.matrix, dmat.values, outcomes.values)
     _check_foc(xd @ spec.matrix, xd @ outcomes.values, b, "separated coefficient", floor=floor)
     return OptimalCoefficient(b, "true_variance", "arm-separated solution")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ class SimConfig:
     noise_interpretation: str = "variance"  # second parameter of N(0, 5)
     spec_sets: tuple[int, ...] = COVARIATE_SET_IDS
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
-    threads: int = 1
 
     def __post_init__(self):
         if self.noise_interpretation not in ("variance", "sd"):
@@ -157,9 +155,7 @@ class SimResult:
 class _SetWorkspace:
     spec: CovariateSpec
     cache: AdjustmentCache
-    spec_cluster: CovariateSpec
     cluster_matrix: np.ndarray  # 2m x l, cluster-total layout
-    xbar_matrix: np.ndarray | None = None
 
 
 def _prepare_sets(config: SimConfig, population: Population, design: Design):
@@ -173,9 +169,7 @@ def _prepare_sets(config: SimConfig, population: Population, design: Design):
             spec = spec_separate_slopes(x)
             spec_c = spec_cluster(x, population.cluster_ids, "II")
         cache = AdjustmentCache.build(spec, design)
-        workspaces[set_id] = _SetWorkspace(
-            spec=spec, cache=cache, spec_cluster=spec_c, cluster_matrix=spec_c.matrix
-        )
+        workspaces[set_id] = _SetWorkspace(spec=spec, cache=cache, cluster_matrix=spec_c.matrix)
     return workspaces
 
 
@@ -186,8 +180,11 @@ def _replication_rng(seed: int, replication: int) -> np.random.Generator:
 
 
 def run_simulation(config: SimConfig, population: Population | None = None) -> SimResult:
-    """Run the replication study; deterministic given the seed and independent
-    of the thread count."""
+    """Run the replication study; deterministic given the seed.
+
+    A replication whose linear algebra fails is counted in ``failures`` and
+    left out of the metrics; any other error propagates.
+    """
     if population is None:
         population = build_population(config)
     m1 = config.m1
@@ -214,7 +211,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
 
     need_wls = {"wls_ols", "two_r"} & set(est_names)
 
-    def one_replication(r: int) -> None:
+    for r in range(config.replications):
         rng = _replication_rng(config.seed, r)
         picked = np.zeros(m, dtype=bool)
         picked[rng.permutation(m)[:m1]] = True
@@ -263,15 +260,8 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
                     else:  # pragma: no cover
                         raise ValueError(name)
                     estimates[r, e_pos, s_pos] = point
-                except Exception:
+                except np.linalg.LinAlgError:
                     failures[e_pos, s_pos] += 1
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(one_replication, range(config.replications)))
-    else:
-        for r in range(config.replications):
-            one_replication(r)
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
     return SimResult(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dbexp import (
     make_bernoulli,
     make_cluster,
     make_complete,
+    make_from_sampler,
     spec_II,
     zero_center,
 )
@@ -109,6 +112,30 @@ def test_fit_warns_on_impossible_assignment():
     outcome = np.ones(4)
     with pytest.warns(UserWarning, match="probability ~0"):
         AteEstimator(design, estimator="ht", bound="none").fit(outcome, [1, 1, 1, 0])
+
+    enumerated = make_from_sampler(
+        [((1, 0, 1, 0), 0.5), ((0, 1, 0, 1), 0.5)], 4, mode="enumerate"
+    )
+    # (design, assignment outside its support, assignment inside it)
+    cases = [
+        (make_complete(30, 15), [1] * 14 + [0] * 16, [1] * 15 + [0] * 15),
+        (make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2), [1, 0, 1, 1, 0, 0, 0, 0],
+         [1, 1, 0, 0, 1, 1, 0, 0]),
+        (enumerated, [1, 1, 0, 0], [0, 1, 0, 1]),
+    ]
+    for design, impossible, possible in cases:
+        model = AteEstimator(design, estimator="ht", bound="none")
+        with pytest.warns(UserWarning, match="probability ~0"):
+            model.fit(np.ones(design.n), impossible)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.fit(np.ones(design.n), possible)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        AteEstimator(make_bernoulli([0.2, 0.5, 0.7]), estimator="ht", bound="none").fit(
+            np.ones(3), [1, 1, 1]
+        )
 
 
 def test_validation_helpers():

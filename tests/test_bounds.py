@@ -5,8 +5,10 @@ import pytest
 
 from dbexp import (
     AssignmentRealization,
+    BoundCache,
     BoundConvergenceError,
     BoundMatrix,
+    CoefficientEstimate,
     DesignMatrix,
     ObservedOutcomes,
     StackedOutcomes,
@@ -15,9 +17,11 @@ from dbexp import (
     bound_estimate_2r_borrowed,
     bound_estimate_greg,
     bound_estimate_ht,
+    build_bound,
     cluster_bound,
     coef_2r,
     coef_fixed,
+    coef_wls_pi,
     compare_bounds,
     design_matrix,
     draw,
@@ -32,7 +36,8 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments
-from dbexp._linalg import sym_eigvals
+from dbexp._linalg import pinv, sym_eigvals
+from dbexp.estimators import _system
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
 
@@ -284,6 +289,48 @@ def test_borrowed_estimate_reduces_to_plugin_when_bound_is_the_structure():
         degenerate, design, obs, spec, coef_2r(spec, obs, design)
     )
     assert borrowed == pytest.approx(direct, abs=1e-10)
+
+
+def _coef_2r_for_bound_reference(bound, spec, observed, design):
+    """The two-stage recursion written out over the bound matrix."""
+    sys_obs, sys_design, _ = _system(observed, design, spec, None)
+    w = sys_obs.indicator() / sys_design.marginals
+    xd = spec.matrix.T @ bound.values
+    xdx = xd @ spec.matrix
+    anchor = float(np.linalg.norm(spec.matrix)) ** 2 * float(np.linalg.norm(bound.values))
+    xdx_pinv = pinv(xdx, scale=anchor)
+    b_wls = coef_wls_pi(spec, sys_obs, sys_design).values
+    b3 = xdx_pinv @ (xd @ (sys_obs.stacked() * w))
+    drift = xd @ (spec.matrix * w[:, None]) - xdx
+    return CoefficientEstimate(b3 - xdx_pinv @ (drift @ b_wls), "two_r")
+
+
+@pytest.mark.parametrize(
+    "design, methods",
+    [
+        (make_complete(6, 3), ("as", "iterative")),
+        (make_bernoulli([0.3, 0.5, 0.6, 0.4, 0.7]), ("as", "iterative")),
+        (_cluster_design(), ("as", "iterative", "cluster")),
+    ],
+)
+def test_borrowed_estimate_matches_the_written_out_recursion(design, methods):
+    rng = np.random.default_rng(11)
+    spec = spec_II(zero_center(rng.standard_normal((design.n, 1))))
+    outcomes = StackedOutcomes.from_arms(*rng.standard_normal((2, design.n)))
+    for method in methods:
+        bound = build_bound(method, design)
+        cache = BoundCache.build(bound, design, spec)
+        for seed in range(4):
+            obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
+            reference = bound_estimate_greg(
+                bound, design, obs, spec, _coef_2r_for_bound_reference(bound, spec, obs, design)
+            )
+            assert bound_estimate_2r_borrowed(bound, design, obs, spec) == pytest.approx(
+                reference, abs=1e-12
+            )
+            assert bound_estimate_2r_borrowed(
+                bound, design, obs, spec, cache=cache
+            ) == pytest.approx(reference, abs=1e-12)
 
 
 def test_bound_cache_matches_direct_evaluation():

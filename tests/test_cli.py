@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dbexp import AteEstimator, build_bound, make_complete
 from dbexp.cli import main
 
 TOY_TWO_UNIT = "outcome,treatment\n1,1\n2,0\n"
@@ -234,6 +235,31 @@ def test_precision_test_length_mismatch_exits_2(runner, tmp_path):
          "--coefficient", coef, "--out-dir", str(tmp_path / "x")],
     )
     assert result.exit_code == 2
+
+
+def test_bound_name_errors_exit_2_with_the_library_message(runner, tmp_path):
+    design = make_complete(4, 2)
+    data = _write(tmp_path / "p.csv", PRECISION_CSV)
+    coef = _write(tmp_path / "b0.json", "[0, 0, 0, 0]\n")
+    result = runner.invoke(
+        main,
+        ["precision-test", "--data", data, "--design", "complete:n1=2", "--coefficient", coef,
+         "--bound", "cluster", "--out-dir", str(tmp_path / "p")],
+    )
+    with pytest.raises(ValueError) as not_cluster:
+        AteEstimator(design, estimator="ht", bound="cluster").fit(np.ones(4), [1, 1, 0, 0])
+    assert result.exit_code == 2
+    assert f"error: {not_cluster.value}" in result.output
+
+    result = runner.invoke(
+        main,
+        ["bounds-compare", "--design", "complete:n1=2,n=4", "--methods", "as,bogus",
+         "--out-dir", str(tmp_path / "b")],
+    )
+    with pytest.raises(ValueError) as unknown:
+        build_bound("bogus", design)
+    assert result.exit_code == 2
+    assert f"error: {unknown.value}" in result.output
 
 
 def test_estimate_rerun_byte_identical(runner, tmp_path):

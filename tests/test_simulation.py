@@ -64,8 +64,16 @@ def test_simulation_metrics_decomposition_and_determinism():
         assert row.mse == pytest.approx(row.bias_sq + row.se_sq, abs=1e-10)
     again = run_simulation(SimConfig(**TINY))
     np.testing.assert_array_equal(result.estimates, again.estimates)
-    threaded = run_simulation(SimConfig(**{**TINY, "threads": 3}))
-    np.testing.assert_array_equal(result.estimates, threaded.estimates)
+
+
+def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
+    def broken_solver(*args, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr("dbexp.simulation.pinv_solve", broken_solver)
+    config = SimConfig(**{**TINY, "replications": 2, "estimators": ("ols_cluster_totals",)})
+    with pytest.raises(RuntimeError, match="broken solver"):
+        run_simulation(config)
 
 
 def test_simulation_tiny_bias_profile():
