@@ -4,7 +4,11 @@ The true variance quadratic is never identified (a unit's two potential
 outcomes are never co-observed), so inference runs through bound matrices:
 replacements for the covariance structure that (a) dominate it in the PSD
 order and (b) vanish at every jointly unobservable pair.  Both properties are
-certified numerically at construction.
+certified at construction.  Dominance is proved in closed form where the added
+term is PSD by construction: the AS bound adds the signless Laplacian of the
+unobservable-pair graph, the cluster bound a Gram matrix.  The iterative bound,
+and the PSD-order comparison of two bounds, are decided numerically by a dense
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -79,14 +83,21 @@ class BoundMatrix:
         return float(v @ self.values @ v)
 
 
-def _certify(values: np.ndarray, dmat: DesignMatrix, method: str, **kw) -> BoundMatrix:
-    diff = values - dmat.values
-    lo, hi = min_max_eig(diff)
-    scale = max(abs(lo), abs(hi), 1.0)
-    if lo < -PSD_TOL * scale:
-        raise ValueError(
-            f"candidate {method!r} matrix is not a bound: difference has eigenvalue {lo:g}"
-        )
+def _certify(
+    values: np.ndarray, dmat: DesignMatrix, method: str, added_psd: bool = False, **kw
+) -> BoundMatrix:
+    """Certify that ``values`` dominates ``dmat`` and record whether it is identified.
+
+    ``added_psd`` is the caller's closed-form proof that ``values - dmat.values``
+    is PSD; without it the difference is eigendecomposed.
+    """
+    if not added_psd:
+        lo, hi = min_max_eig(values - dmat.values)
+        scale = max(abs(lo), abs(hi), 1.0)
+        if lo < -PSD_TOL * scale:
+            raise ValueError(
+                f"candidate {method!r} matrix is not a bound: difference has eigenvalue {lo:g}"
+            )
     mask = dmat.mask
     identified = bool(np.abs(values[mask]).max(initial=0.0) < 1e-12)
     if not identified:
@@ -104,12 +115,17 @@ def _certify(values: np.ndarray, dmat: DesignMatrix, method: str, **kw) -> Bound
 def as_bound(dmat: DesignMatrix) -> BoundMatrix:
     """Universal bound: add the unobservable-pair indicator plus matching diagonal mass.
 
-    The added matrix is diagonally dominant by construction, hence PSD, so the
-    result bounds the variance for any identified design.
+    When the mask is a graph's adjacency matrix (symmetric, empty diagonal),
+    the added matrix is its signless Laplacian diag(deg) + A, whose quadratic
+    form is the sum over edges of (v_i + v_j)^2, hence PSD: the result bounds
+    the variance for any identified design.  Any other mask is certified
+    numerically.
     """
-    mask = dmat.mask.astype(float)
-    values = dmat.values + mask + np.diag(mask.sum(axis=1))
-    return _certify(values, dmat, "as")
+    mask = dmat.mask
+    is_graph = not mask.diagonal().any() and np.array_equal(mask, mask.T)
+    maskf = mask.astype(float)
+    values = dmat.values + maskf + np.diag(maskf.sum(axis=1))
+    return _certify(values, dmat, "as", added_psd=is_graph)
 
 
 def iterative_bound(
@@ -167,9 +183,17 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
     # on same-cluster pairs; anything else is not a cluster design.
     if not np.array_equal(dmat.block(0, 1) == -1.0, same):
         raise ValueError("design is not complete randomization of these clusters")
+    # The added term is the Gram matrix [E; E][E; E]' of the stacked cluster
+    # membership matrix E (same = EE'), hence PSD.
     block = same.astype(float)
     values = dmat.values + np.block([[block, block], [block, block]])
-    return _certify(values, dmat, "cluster")
+    return _certify(values, dmat, "cluster", added_psd=True)
+
+
+def check_bound_method(name: str) -> None:
+    """Raise ValueError unless ``name`` is one of ``BOUND_METHODS``."""
+    if name not in BOUND_METHODS:
+        raise ValueError(f"unknown bound method {name!r}; choose from {', '.join(BOUND_METHODS)}")
 
 
 def build_bound(
@@ -180,8 +204,7 @@ def build_bound(
     The cluster bound takes its cluster ids from ``cluster_ids`` or, when
     that is None, from the provenance of a cluster-randomized design.
     """
-    if name not in BOUND_METHODS:
-        raise ValueError(f"unknown bound method {name!r}; choose from {', '.join(BOUND_METHODS)}")
+    check_bound_method(name)
     if name == "cluster" and cluster_ids is None:
         if design.kind != "cluster":
             raise ValueError("the cluster bound needs a cluster-randomized design")

@@ -19,6 +19,7 @@ from .bounds import (
     BOUND_METHODS,
     BoundConvergenceError,
     build_bound,
+    check_bound_method,
     compare_bounds,
     precision_test,
 )
@@ -216,9 +217,11 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
     """Construct variance bounds for a design and compare their tightness."""
 
     def body():
+        names = [v.strip() for v in methods.split(",") if v.strip()]
+        for name in names:
+            check_bound_method(name)
         table = read_experiment_csv(data_path) if data_path else None
         design = parse_design_descriptor(descriptor, table)
-        names = [v.strip() for v in methods.split(",") if v.strip()]
         built = {name: build_bound(name, design, max_iters=max_iters) for name in names}
         rows = []
         for a in names:

@@ -203,10 +203,31 @@ class Design:
 
     @cached_property
     def _design_matrix(self) -> DesignMatrix:
+        """The covariance structure D, certified PSD.
+
+        For complete and cluster designs (complete being n singleton
+        clusters), D = (K_s - K_d) (x) S + K_d (x) J, where S = EE' is the
+        same-cluster indicator of the n x m cluster membership matrix E,
+        J = 11', and K_s, K_d are the 2 x 2 arm matrices of a same-cluster and
+        a different-cluster pair.  So D = B C B' with B = I_2 (x) E of full
+        column rank and C = (K_s - K_d) (x) I_m + K_d (x) J_m.  By Sylvester's
+        law of inertia D is PSD iff C is, and C's spectrum is that of
+        K_s - K_d on the complement of the ones vector plus that of
+        K_s - K_d + m K_d on it.  Bernoulli designs make D block-diagonal
+        with one 2 x 2 block per unit.  Either way the certificate is a
+        handful of closed-form 2 x 2 eigenproblems, used once ``values`` is
+        checked in O(n^2) to have that structure; any other design, or an
+        analytic one whose joint does not match its provenance, is certified
+        by a dense eigendecomposition.
+        """
         outer = np.outer(self.marginals, self.marginals)
         values = (self.joint - outer) / outer
         mask = self.joint == 0.0
-        lo, hi = min_max_eig(values)
+        spectrum = _closed_form_spectrum(self, values)
+        if spectrum is None:
+            lo, hi = min_max_eig(values)
+        else:
+            lo, hi = float(spectrum.min()), float(spectrum.max())
         if lo < -1e-8 * max(abs(lo), abs(hi), 1.0):
             raise DesignError(f"derived covariance structure is not PSD (min eigenvalue {lo:g})")
         return DesignMatrix(values=values, mask=mask, n=self.n)
@@ -252,6 +273,78 @@ def _validate_joint(n: int, joint: np.ndarray, marginals: np.ndarray) -> None:
 def design_matrix(design: Design) -> DesignMatrix:
     """Derive (and cache) the design's weighted-indicator covariance matrix."""
     return design._design_matrix
+
+
+def _arm_kernel(joint: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """(p_ab - pi_a pi_b) / (pi_a pi_b) over the two arms; ``pi`` is (2,) or (2, n)."""
+    outer = pi[:, None] * pi[None, :]
+    return (joint - outer) / outer
+
+
+def _eig2(k: np.ndarray) -> np.ndarray:
+    """Both eigenvalues of each symmetric 2 x 2 matrix ``k[:, :, ...]``."""
+    mid = (k[0, 0] + k[1, 1]) / 2.0
+    rad = np.hypot((k[0, 0] - k[1, 1]) / 2.0, k[0, 1])
+    return np.concatenate([np.ravel(mid - rad), np.ravel(mid + rad)])
+
+
+def _has_structure(values: np.ndarray, same: np.ndarray, k_same, k_diff) -> bool:
+    """Whether block (a, b) of ``values`` is k_same[a, b] on ``same`` pairs, else k_diff[a, b]."""
+    n = same.shape[0]
+    tol = 1e-12 * max(1.0, float(np.abs(k_same).max()), float(np.abs(k_diff).max()))
+    for a in range(2):
+        for b in range(2):
+            block = values[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            expected = np.where(same, k_same[a, b], k_diff[a, b])
+            if not np.abs(block - expected).max() <= tol:
+                return False
+    return True
+
+
+def _closed_form_spectrum(design: Design, values: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues that certify an analytic design's D, or None without that structure.
+
+    Exactly D's spectrum for complete, Bernoulli and equal-size cluster
+    designs; for unequal cluster sizes, C's spectrum scaled by the mean
+    cluster size n / m, which has D's inertia (see ``Design._design_matrix``).
+    """
+    prov = design.provenance
+    if not isinstance(prov, AnalyticProvenance):
+        return None
+    n = design.n
+    if prov.kind == "bernoulli":
+        pi1 = np.asarray(prov.params.get("pi1"), dtype=float)
+        if pi1.shape != (n,):
+            return None
+        pi = np.stack([1.0 - pi1, pi1])
+        # a unit's own joint is diag(pi0_i, pi1_i); distinct units are independent
+        k_same = _arm_kernel(pi[:, None] * np.eye(2)[:, :, None], pi)
+        if not _has_structure(values, np.eye(n, dtype=bool), k_same, np.zeros((2, 2))):
+            return None
+        return _eig2(k_same)
+    if prov.kind == "complete":
+        index, m1 = np.arange(n), prov.params.get("n1")
+    elif prov.kind == "cluster":
+        ids, m1 = prov.params.get("cluster_ids"), prov.params.get("m1")
+        if ids is None or np.shape(ids) != (n,):
+            return None
+        index = _cluster_index(ids)[1]
+    else:
+        return None
+    m = int(index.max()) + 1
+    if m1 is None or not 1 <= m1 <= m - 1:
+        return None
+    m0 = m - m1
+    pi = np.array([m0 / m, m1 / m])
+    k_same = _arm_kernel(np.diag(pi), pi)
+    pairs = np.array([[m0 * (m0 - 1), m0 * m1], [m0 * m1, m1 * (m1 - 1)]]) / (m * (m - 1))
+    k_diff = _arm_kernel(pairs, pi)
+    if not _has_structure(values, index[:, None] == index[None, :], k_same, k_diff):
+        return None
+    spectrum = [_eig2(k_same - k_diff), _eig2(k_same - k_diff + m * k_diff)]
+    if n > m:
+        spectrum.append(np.zeros(1))  # D vanishes on the complement of B's range
+    return np.concatenate(spectrum) * (n / m)
 
 
 def _assemble_joint(n: int, p00: np.ndarray, p10: np.ndarray, p11: np.ndarray) -> np.ndarray:

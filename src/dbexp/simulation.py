@@ -179,6 +179,12 @@ def _replication_rng(seed: int, replication: int) -> np.random.Generator:
     )
 
 
+def _wls_coefficient(xmat: np.ndarray, w: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Inverse-probability-weighted least squares, shared by ``wls_ols`` and ``two_r``."""
+    b_wls, _ = pinv_solve(xmat.T @ (xmat * w[:, None]), xmat.T @ wy)
+    return b_wls
+
+
 def run_simulation(config: SimConfig, population: Population | None = None) -> SimResult:
     """Run the replication study; deterministic given the seed.
 
@@ -235,10 +241,14 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
             htx = xmat.T @ (w - 1.0) / n
             b_wls = None
             if need_wls:
-                normal = xmat.T @ (xmat * w[:, None])
-                rhs = xmat.T @ wy
-                b_wls, _ = pinv_solve(normal, rhs)
+                try:
+                    b_wls = _wls_coefficient(xmat, w, wy)
+                except np.linalg.LinAlgError:
+                    pass  # counted below against each estimator that needs it
             for e_pos, name in enumerate(est_names):
+                if name in need_wls and b_wls is None:
+                    failures[e_pos, s_pos] += 1
+                    continue
                 try:
                     if name == "wls_ols":
                         point = ht - float(htx @ b_wls)

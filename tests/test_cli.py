@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dbexp.bounds
 from dbexp import AteEstimator, build_bound, make_complete
 from dbexp.cli import main
 
@@ -237,7 +238,7 @@ def test_precision_test_length_mismatch_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_bound_name_errors_exit_2_with_the_library_message(runner, tmp_path):
+def test_bound_name_errors_exit_2_with_the_library_message(runner, tmp_path, monkeypatch):
     design = make_complete(4, 2)
     data = _write(tmp_path / "p.csv", PRECISION_CSV)
     coef = _write(tmp_path / "b0.json", "[0, 0, 0, 0]\n")
@@ -251,11 +252,23 @@ def test_bound_name_errors_exit_2_with_the_library_message(runner, tmp_path):
     assert result.exit_code == 2
     assert f"error: {not_cluster.value}" in result.output
 
+    # every name is checked before any bound is built or certified
+    work = []
+    for target, original in [
+        ("dbexp.bounds.design_matrix", dbexp.bounds.design_matrix),
+        ("numpy.linalg.eigvalsh", np.linalg.eigvalsh),
+    ]:
+        def counted(*args, _target=target, _original=original, **kwargs):
+            work.append(_target)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(target, counted)
     result = runner.invoke(
         main,
         ["bounds-compare", "--design", "complete:n1=2,n=4", "--methods", "as,bogus",
          "--out-dir", str(tmp_path / "b")],
     )
+    assert work == []
     with pytest.raises(ValueError) as unknown:
         build_bound("bogus", design)
     assert result.exit_code == 2

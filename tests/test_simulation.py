@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from dbexp import simulation
 from dbexp import (
     SimConfig,
     build_population,
@@ -74,6 +75,31 @@ def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
     config = SimConfig(**{**TINY, "replications": 2, "estimators": ("ols_cluster_totals",)})
     with pytest.raises(RuntimeError, match="broken solver"):
         run_simulation(config)
+
+
+def test_simulation_counts_a_failed_wls_solve_against_its_two_estimators(monkeypatch):
+    config = SimConfig(**{**TINY, "replications": 3, "spec_sets": (1, 2)})
+    expected = run_simulation(config)
+    wls_coefficient = simulation._wls_coefficient
+    calls = []
+
+    def singular_once(*args):
+        calls.append(args)
+        if len(calls) == 2:  # replication 0, covariate set 2
+            raise np.linalg.LinAlgError("singular")
+        return wls_coefficient(*args)
+
+    monkeypatch.setattr("dbexp.simulation._wls_coefficient", singular_once)
+    result = run_simulation(config)
+    names = list(config.estimators)
+    hit = [names.index("wls_ols"), names.index("two_r")]
+    failures = np.zeros_like(result.failures)
+    failures[hit, 1] = 1
+    np.testing.assert_array_equal(result.failures, failures)
+    assert np.isnan(result.estimates[0, hit, 1]).all()
+    lost = np.zeros(result.estimates.shape, dtype=bool)
+    lost[0, hit, 1] = True
+    np.testing.assert_array_equal(result.estimates[~lost], expected.estimates[~lost])
 
 
 def test_simulation_tiny_bias_profile():
