@@ -9,10 +9,11 @@ PINV_RCOND = 1e-12
 
 
 def _svd_cut(a: np.ndarray, scale: float | None):
-    """SVD of ``a`` with the mask of singular values above the package cutoff."""
+    """SVD of ``a``, or of each matrix of a stack ``(..., l, l)``, with the mask
+    of singular values above the package cutoff (per matrix)."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    cutoff = PINV_RCOND * max(s[0] if s.size else 0.0, scale or 0.0)
-    return u, s, vt, s > cutoff
+    top = s.max(axis=-1, keepdims=True, initial=0.0)
+    return u, s, vt, s > PINV_RCOND * np.maximum(top, scale or 0.0)
 
 
 def _pinv_flagged(a: np.ndarray, scale: float | None) -> tuple[np.ndarray, bool]:
@@ -26,31 +27,32 @@ def _pinv_flagged(a: np.ndarray, scale: float | None) -> tuple[np.ndarray, bool]
 def pinv(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package-wide singular value cutoff.
 
-    ``scale`` anchors the cutoff when the matrix is a product that is zero in
-    exact arithmetic (e.g. a normal matrix over directions a covariance
-    structure annihilates): singular values below ``PINV_RCOND * scale`` are
-    float residue, not signal, and are dropped rather than inverted.
+    ``scale`` anchors the cutoff when the matrix is a product that can be zero
+    in exact arithmetic although its factors are not (``X'MX`` over directions
+    a covariance structure ``M`` annihilates, see :func:`normal_system`):
+    singular values below ``PINV_RCOND * scale`` are float residue, not
+    signal, and are dropped rather than inverted.
     """
     return _pinv_flagged(a, scale)[0]
 
 
-def pinv_solve(
-    a: np.ndarray, b: np.ndarray, scale: float | None = None
-) -> tuple[np.ndarray, bool]:
-    """Solve ``a @ x = b`` in the least-squares sense via an SVD pseudo-inverse.
+def pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Minimum-norm least-squares solution of ``a @ x = b`` via an SVD.
 
-    Returns the minimum-norm solution and a flag that is True when ``a`` was
-    rank deficient at the cutoff (duplicated columns, empty arm, ...).
-    ``scale`` has the same role as in :func:`pinv`.
+    ``a`` is one ``(l, l)`` matrix with ``b`` of shape ``(l,)``, or a stack
+    ``(..., l, l)`` with right-hand sides ``(..., l)``; a single matrix is a
+    stack of one.  Each matrix is cut at ``PINV_RCOND`` times its own largest
+    singular value, with no anchor: the solver serves normal matrices
+    ``X'diag(w)X`` with ``w >= 0``, sums of PSD rank-one terms whose largest
+    singular value is their own scale, so they cannot cancel to float residue.
+    Returns the solutions and the rank-deficiency flags (a bool for one
+    matrix, a bool array for a stack).
     """
-    b = np.asarray(b, dtype=float)
-    u, s, vt, keep = _svd_cut(a, scale)
-    ub = u[:, keep].T @ b
-    if b.ndim == 1:
-        x = vt[keep].T @ (ub / s[keep])
-    else:
-        x = vt[keep].T @ (ub / s[keep][:, None])
-    return x, bool((~keep).any())
+    u, s, vt, keep = _svd_cut(a, None)
+    ub = (np.asarray(b, dtype=float)[..., None, :] @ u)[..., 0, :]
+    x = (np.divide(ub, s, out=np.zeros_like(s), where=keep)[..., None, :] @ vt)[..., 0, :]
+    deficient = ~keep.all(axis=-1)
+    return x, (bool(deficient) if deficient.ndim == 0 else deficient)
 
 
 def normal_system(
@@ -68,11 +70,6 @@ def normal_system(
     anchor = float(np.linalg.norm(x)) ** 2 * float(np.linalg.norm(core))
     ginv, deficient = _pinv_flagged(normal, anchor)
     return xm, normal, ginv, deficient
-
-
-def product_scale(left: np.ndarray, right: np.ndarray) -> float:
-    """Frobenius upper bound on the norm of ``left @ right`` (cutoff anchor)."""
-    return float(np.linalg.norm(left) * np.linalg.norm(right))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

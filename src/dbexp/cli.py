@@ -197,6 +197,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             },
             "calibration_r2": calibration_r2(result.population),
             "failures": int(result.failures.sum()),
+            "rank_deficient": result.rank_deficient,
         })
         for key, path in paths.items():
             click.echo(f"{key}: {path}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import normal_system, pinv_solve, product_scale
+from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
     AssignmentRealization,
@@ -75,10 +75,7 @@ class ObservedOutcomes:
     def stacked(self) -> np.ndarray:
         """Length-2n observed stacked vector: -y at realized control slots,
         +y at realized treatment slots, zeros elsewhere."""
-        z = self.realization.assignment
-        top = np.where(z == 0, -self.outcomes, 0.0)
-        bottom = np.where(z == 1, self.outcomes, 0.0)
-        return np.concatenate([top, bottom])
+        return _signed_stack(self.realization.assignment == 1, self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -113,22 +110,13 @@ def coef_fixed(values, spec: CovariateSpec | None = None) -> CoefficientEstimate
 # -- system resolution --------------------------------------------------------
 
 
-def _check_cluster_match(spec: CovariateSpec, index: np.ndarray) -> None:
-    _, spec_index = _cluster_index(spec.cluster_ids)
-    if spec_index.shape != index.shape or not np.array_equal(spec_index, index):
-        raise ValueError("layout and design disagree about cluster membership")
-
-
 def _collapse_observed(observed: ObservedOutcomes, index: np.ndarray, m: int) -> ObservedOutcomes:
-    z = observed.realization.assignment
-    z_cluster = np.full(m, -1, dtype=np.int64)
-    for g in range(m):
-        members = z[index == g]
-        if members.min() != members.max():
-            raise ValueError(f"assignment varies within cluster {g}: not a cluster design")
-        z_cluster[g] = members[0]
+    treated = np.bincount(index, weights=observed.realization.assignment, minlength=m)
+    varying = np.flatnonzero((treated > 0) & (treated < np.bincount(index, minlength=m)))
+    if varying.size:
+        raise ValueError(f"assignment varies within cluster {varying[0]}: not a cluster design")
     totals = np.bincount(index, weights=observed.outcomes, minlength=m)
-    return ObservedOutcomes(totals, AssignmentRealization(z_cluster))
+    return ObservedOutcomes(totals, AssignmentRealization((treated > 0).astype(np.int8)))
 
 
 def _system(
@@ -139,18 +127,13 @@ def _system(
 ):
     """Return (observed, design, divisor) at the level the layout expects."""
     if spec is not None and spec.level == "cluster":
-        if observed.n == spec.rows_per_arm:
-            # already collapsed by the caller
-            sys_obs = observed
-            sys_design = design
-        else:
+        if observed.n != spec.rows_per_arm:  # not yet collapsed by the caller
             _, index = _cluster_index(spec.cluster_ids)
             if observed.n != index.shape[0]:
                 raise ValueError("observed data does not match the layout's cluster ids")
-            _check_cluster_match(spec, index)
-            sys_obs = _collapse_observed(observed, index, spec.rows_per_arm)
-            sys_design = cluster_level_design(design)[0] if design is not None else None
-        return sys_obs, sys_design, divisor or spec.divisor
+            observed = _collapse_observed(observed, index, spec.rows_per_arm)
+            design = cluster_level_design(design)[0] if design is not None else None
+        return observed, design, divisor or spec.divisor
     if design is not None and observed.n != design.n:
         raise ValueError("observed data and design sizes disagree")
     if spec is not None and observed.n != spec.rows_per_arm:
@@ -168,14 +151,71 @@ def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
     return StackedOutcomes.from_arms(y0, y1)
 
 
+# -- estimator arithmetic -----------------------------------------------------
+# One implementation of each estimator on stacked-layout arrays: weights ``w``
+# and weighted signed outcomes ``wy`` of shape (2r,) for one realization or
+# (R, 2r) for R of them, giving one result per realization.  The public
+# functions below call them for one realization and the simulation for blocks
+# of replications.  Products are taken row by row (``_rows``), so a result does
+# not depend on the block it was computed in.
+
+
+def _signed_stack(treated: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-y at realized control slots, +y at realized treatment slots, else 0."""
+    return np.concatenate([np.where(treated, 0.0, -y), np.where(treated, y, 0.0)], axis=-1)
+
+
+def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` as one-row products, rounded alike whatever the number of rows."""
+    return (a.reshape(-1, 1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[-1:])
+
+
+def _ht(wy: np.ndarray, divisor: int) -> np.ndarray:
+    """Inverse-probability (Horvitz-Thompson) estimate(s)."""
+    return _rows(wy, np.ones((wy.shape[-1], 1)))[..., 0] / divisor
+
+
+def _adjustment(x: np.ndarray, w: np.ndarray, divisor: int) -> np.ndarray:
+    """Zero-mean adjustment-term vector(s) ``(w - 1) @ X / divisor``."""
+    return _rows(w - 1.0, x) / divisor
+
+
+def _conjugate(ht: np.ndarray, adjustment: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Regression estimate(s): HT minus the adjustment term at coefficient(s) ``b``."""
+    return ht - (adjustment * b).sum(axis=-1)
+
+
+def _gram(left: np.ndarray, w: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left' diag(w) right``: linear in ``w``, so a stack of weights needs one
+    product with the row-wise outer products and no (R, rows, l) temporary."""
+    outer = (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
+    return _rows(w, outer).reshape(w.shape[:-1] + (left.shape[1], right.shape[1]))
+
+
+def _wls(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
+    """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s) and
+    rank-deficiency flag(s).  With ``w >= 0`` the cutoff is relative,
+    ``PINV_RCOND`` times each normal matrix's largest singular value."""
+    return pinv_solve(_gram(x, w, x), _rows(wy, x))
+
+
+def _three_ht(cache: "AdjustmentCache", wy: np.ndarray) -> np.ndarray:
+    """Unbiased optimal-coefficient estimate(s)."""
+    return _rows(_rows(wy, cache.xd.T), cache.xdx_pinv.T)
+
+
+def _two_r(cache: "AdjustmentCache", w: np.ndarray, b3: np.ndarray, b_wls: np.ndarray):
+    """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit."""
+    drift = _gram(cache.xd.T, w, cache.spec.matrix) - cache.xdx
+    return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
+
+
 # -- point estimators ----------------------------------------------------------
 
 
 def ht_ate(observed: ObservedOutcomes, design: Design, divisor: int | None = None) -> float:
     """Inverse-probability (Horvitz-Thompson) estimate of the average effect."""
-    observed, design, divisor = _system(observed, design, None, divisor)
-    weighted = observed.stacked() * observed.indicator() / design.marginals
-    return float(weighted.sum() / divisor)
+    return greg(observed, design, divisor=divisor).point
 
 
 def ht_cov_means(
@@ -187,8 +227,7 @@ def ht_cov_means(
     """Zero-mean adjustment-term vector: weighted minus full covariate sums."""
     dummy = ObservedOutcomes(np.zeros(realization.n), realization)
     dummy, design, divisor = _system(dummy, design, spec, divisor)
-    weights = dummy.indicator() / design.marginals - 1.0
-    return spec.matrix.T @ weights / divisor
+    return _adjustment(spec.matrix, dummy.indicator() / design.marginals, divisor)
 
 
 def greg(
@@ -202,16 +241,16 @@ def greg(
     sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
     indicator = sys_obs.indicator()
     stacked = sys_obs.stacked()
-    ht = float((stacked * indicator / sys_design.marginals).sum() / divisor)
+    w = indicator / sys_design.marginals
+    ht = _ht(stacked * w, divisor)
     if coefficient is None:
-        return AteEstimate(ht, None, stacked, indicator.astype(bool), divisor)
+        return AteEstimate(float(ht), None, stacked, indicator.astype(bool), divisor)
     if spec is None:
         raise ValueError("a coefficient needs a covariate layout")
     b = coefficient.values
     if b.shape != (spec.n_columns,):
         raise ValueError("coefficient length must match the layout's column count")
-    htx = spec.matrix.T @ (indicator / sys_design.marginals - 1.0) / divisor
-    point = ht - float(htx @ b)
+    point = float(_conjugate(ht, _adjustment(spec.matrix, w, divisor), b))
     residuals = (stacked - spec.matrix @ b) * indicator
     return AteEstimate(point, coefficient, residuals, indicator.astype(bool), divisor)
 
@@ -230,20 +269,16 @@ def greg_forms(
     covered by the intercept-contrast identity.
     """
     sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
-    indicator = sys_obs.indicator()
     stacked = sys_obs.stacked()
-    w = indicator / sys_design.marginals
+    w = sys_obs.indicator() / sys_design.marginals
     b = coefficient.values
     fitted = spec.matrix @ b
-    form_a = float((stacked * w - fitted * w + fitted).sum() / divisor)
-    ht = float((stacked * w).sum() / divisor)
-    htx = spec.matrix.T @ (w - 1.0) / divisor
-    form_b = ht - float(htx @ b)
+    ht = _ht(stacked * w, divisor)
     weighted_residual_term = float(((stacked - fitted) * w).sum() / divisor)
     mean_fit_term = float(fitted.sum() / divisor)
     return {
-        "form_a": form_a,
-        "form_b": form_b,
+        "form_a": float((stacked * w - fitted * w + fitted).sum() / divisor),
+        "form_b": float(_conjugate(ht, _adjustment(spec.matrix, w, divisor), b)),
         "form_c": weighted_residual_term + mean_fit_term,
         "weighted_residual_term": weighted_residual_term,
         "mean_fit_term": mean_fit_term,
@@ -276,12 +311,8 @@ def fixed_coef_variance(
 # -- coefficient estimators ----------------------------------------------------
 
 
-def _wls(spec: CovariateSpec, observed: ObservedOutcomes, w: np.ndarray, method: str):
-    """Weighted least squares X'diag(w)X b = X'diag(w)y on the signed layout."""
-    weighted = spec.matrix * w[:, None]
-    normal = spec.matrix.T @ weighted
-    rhs = spec.matrix.T @ (observed.stacked() * w)
-    b, deficient = pinv_solve(normal, rhs, scale=product_scale(spec.matrix, weighted))
+def _weighted_fit(spec: CovariateSpec, observed: ObservedOutcomes, w: np.ndarray, method: str):
+    b, deficient = _wls(spec.matrix, w, observed.stacked() * w)
     return CoefficientEstimate(b, method, rank_deficient=deficient)
 
 
@@ -289,7 +320,7 @@ def coef_ols(spec: CovariateSpec, observed: ObservedOutcomes) -> CoefficientEsti
     """Least squares on the observed rows of the signed layout."""
     observed, _, _ = _system(observed, None, spec, None)
     method = "ols_cluster_totals" if spec.level == "cluster" else "ols"
-    return _wls(spec, observed, observed.indicator(), method)
+    return _weighted_fit(spec, observed, observed.indicator(), method)
 
 
 def coef_wls_pi(
@@ -297,7 +328,7 @@ def coef_wls_pi(
 ) -> CoefficientEstimate:
     """Weighted least squares with reciprocal assignment-probability weights."""
     observed, design, _ = _system(observed, design, spec, None)
-    return _wls(spec, observed, observed.indicator() / design.marginals, "wls_pi")
+    return _weighted_fit(spec, observed, observed.indicator() / design.marginals, "wls_pi")
 
 
 @dataclass(frozen=True)
@@ -348,8 +379,7 @@ def coef_3ht(
     cache = _cache_for(spec, design, cache)
     sys_obs, sys_design, _ = _system(observed, design, spec, None)
     w = sys_obs.indicator() / sys_design.marginals
-    b = cache.xdx_pinv @ (cache.xd @ (sys_obs.stacked() * w))
-    return CoefficientEstimate(b, "three_ht")
+    return CoefficientEstimate(_three_ht(cache, sys_obs.stacked() * w), "three_ht")
 
 
 def coef_2r(
@@ -368,11 +398,9 @@ def coef_2r(
     cache = _cache_for(spec, design, cache)
     sys_obs, sys_design, _ = _system(observed, design, spec, None)
     w = sys_obs.indicator() / sys_design.marginals
-    b_wls = coef_wls_pi(spec, sys_obs, sys_design).values
-    b3 = cache.xdx_pinv @ (cache.xd @ (sys_obs.stacked() * w))
-    drift = cache.xd @ (spec.matrix * w[:, None]) - cache.xdx
-    b = b3 - cache.xdx_pinv @ (drift @ b_wls)
-    return CoefficientEstimate(b, "two_r")
+    wy = sys_obs.stacked() * w
+    b_wls, _ = _wls(spec.matrix, w, wy)
+    return CoefficientEstimate(_two_r(cache, w, _three_ht(cache, wy), b_wls), "two_r")
 
 
 def coef_tyranny(
@@ -388,7 +416,7 @@ def coef_tyranny(
         raise ValueError("the minority-weighted estimator is defined for common-slopes layouts")
     sys_obs, sys_design, _ = _system(observed, design, spec, None)
     w = sys_obs.indicator() * (1.0 / sys_design.marginals - 1.0)
-    return _wls(spec, sys_obs, w, "tyranny")
+    return _weighted_fit(spec, sys_obs, w, "tyranny")
 
 
 def coef_ols_cluster_totals(

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import normal_system, pinv_solve
+from ._linalg import normal_system
 from .covariates import CovariateSpec
 from .design import Design, DesignMatrix, StackedOutcomes, _cluster_index
+from .estimators import _wls
 
 FOC_RTOL = 1e-8
 
@@ -146,19 +147,9 @@ def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes) -> StackedOutco
 POPULATION_METHODS = ("ols_II", "tyranny_I", "tyranny_II", "ols_cluster_II", "tyranny_cluster")
 
 
-def _pop_var(x: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc / x.shape[0]
-
-
-def _pop_cov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=0)
-    return xc.T @ (y - y.mean()) / x.shape[0]
-
-
 def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    s, _ = pinv_solve(_pop_var(x), _pop_cov(x, y))
-    return s
+    """Least-squares slopes of ``y`` on ``x`` with an intercept."""
+    return _wls(x - x.mean(axis=0), np.ones(x.shape[0]), y - y.mean())[0]
 
 
 def b_population(

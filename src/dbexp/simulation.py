@@ -4,6 +4,10 @@ A single skewed-cluster-size population is generated once and held fixed; the
 only randomness across replications is the cluster assignment.  The sharp
 null holds by construction, so every estimator targets an effect of zero and
 mean squared error decomposes into squared bias plus variance.
+
+The study has no estimator code of its own: it draws the replications in
+fixed blocks and runs the library's HT, WLS, 3HT, 2R and cluster-total code
+(:mod:`dbexp.estimators`) over each block, one stacked solve per fit.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import pinv_solve
-from .covariates import CovariateSpec, spec_cluster, spec_separate_slopes
-from .design import Design, StackedOutcomes, make_cluster
-from .estimators import AdjustmentCache
+from . import estimators as _est
+from .covariates import spec_cluster, spec_separate_slopes
+from .design import Design, StackedOutcomes, cluster_level_design, make_cluster
 
 ESTIMATOR_NAMES = ("wls_ols", "three_ht", "two_r", "ols_cluster_totals")
 BENCHMARK = "wls_ols"
@@ -123,11 +126,9 @@ def covariate_set(population: Population, set_id: int) -> np.ndarray:
 def calibration_r2(population: Population) -> float:
     """R-squared of outcomes on the full covariate set (noise-scale diagnostic)."""
     y0 = population.outcomes.control
-    design = np.column_stack(
-        [np.ones(population.n), covariate_set(population, 4)]
-    )
-    beta, *_ = np.linalg.lstsq(design, y0, rcond=None)
-    resid = y0 - design @ beta
+    x = np.column_stack([np.ones(population.n), covariate_set(population, 4)])
+    beta, _ = _est._wls(x, np.ones(population.n), y0)
+    resid = y0 - x @ beta
     return 1.0 - float(resid.var() / y0.var())
 
 
@@ -148,17 +149,16 @@ class SimResult:
     design: Design
     estimates: np.ndarray  # (replications, estimators, spec_sets)
     failures: np.ndarray  # failure counts, same trailing shape
+    # "estimator/set" -> replications whose least-squares fit was rank deficient
+    rank_deficient: dict[str, int]
     metrics: tuple[MetricsRow, ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class _SetWorkspace:
-    spec: CovariateSpec
-    cache: AdjustmentCache
-    cluster_matrix: np.ndarray  # 2m x l, cluster-total layout
+_BLOCK = 200  # replications per stacked solve; larger blocks raise peak memory
 
 
 def _prepare_sets(config: SimConfig, population: Population, design: Design):
+    """Per covariate set: the unit layout, its adjustment cache, the cluster-total layout."""
     workspaces = {}
     for set_id in config.spec_sets:
         x = covariate_set(population, set_id)
@@ -168,8 +168,7 @@ def _prepare_sets(config: SimConfig, population: Population, design: Design):
             warnings.simplefilter("ignore")
             spec = spec_separate_slopes(x)
             spec_c = spec_cluster(x, population.cluster_ids, "II")
-        cache = AdjustmentCache.build(spec, design)
-        workspaces[set_id] = _SetWorkspace(spec=spec, cache=cache, cluster_matrix=spec_c.matrix)
+        workspaces[set_id] = (spec.matrix, _est.AdjustmentCache.build(spec, design), spec_c.matrix)
     return workspaces
 
 
@@ -179,17 +178,39 @@ def _replication_rng(seed: int, replication: int) -> np.random.Generator:
     )
 
 
-def _wls_coefficient(xmat: np.ndarray, w: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Inverse-probability-weighted least squares, shared by ``wls_ols`` and ``two_r``."""
-    b_wls, _ = pinv_solve(xmat.T @ (xmat * w[:, None]), xmat.T @ wy)
-    return b_wls
+def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
+    """(R, m) treated-cluster flags, one row per replication index."""
+    picked = np.zeros((len(replications), m), dtype=bool)
+    for row, r in enumerate(replications):
+        picked[row, _replication_rng(seed, r).permutation(m)[:m1]] = True
+    return picked
+
+
+def _observe(treated: np.ndarray, outcomes: StackedOutcomes, marginals: np.ndarray):
+    """Indicators, weights and signed observed outcomes, one row per replication."""
+    indicator = np.concatenate([~treated, treated], axis=1).astype(float)
+    y = np.where(treated, outcomes.treated, outcomes.control)
+    return indicator, indicator / marginals, _est._signed_stack(treated, y)
+
+
+def _fit_block(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
+    """Stacked least-squares fits with rank-deficiency and failure flags; a block
+    whose stacked solve fails is re-solved one replication at a time (NaN rows)."""
+    try:
+        return (*_est._wls(x, w, wy), np.zeros(len(w), dtype=bool))
+    except np.linalg.LinAlgError:
+        if len(w) == 1:
+            return np.full((1, x.shape[1]), np.nan), np.zeros(1, bool), np.ones(1, bool)
+    fits = [_fit_block(x, w[i : i + 1], wy[i : i + 1]) for i in range(len(w))]
+    return tuple(np.concatenate(parts) for parts in zip(*fits))
 
 
 def run_simulation(config: SimConfig, population: Population | None = None) -> SimResult:
     """Run the replication study; deterministic given the seed.
 
-    A replication whose linear algebra fails is counted in ``failures`` and
-    left out of the metrics; any other error propagates.
+    A replication whose least-squares fit fails is counted in ``failures``
+    against each estimator that needs the fit and left out of the metrics;
+    any other error propagates.
     """
     if population is None:
         population = build_population(config)
@@ -197,91 +218,52 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     if not 1 <= m1 <= population.m - 1:
         raise ValueError("treated cluster count must leave both arms non-empty")
     design = make_cluster(population.cluster_ids, m1)
+    cluster_design, idx = cluster_level_design(design)
     workspaces = _prepare_sets(config, population, design)
 
-    n = population.n
-    m = population.m
-    idx = population.cluster_index
-    marginals = design.marginals
-    pi1 = m1 / m
-    y0 = population.outcomes.control
-    y1 = population.outcomes.treated
-    y0c = np.bincount(idx, weights=y0, minlength=m)
-    y1c = np.bincount(idx, weights=y1, minlength=m)
+    n, m = population.n, population.m
+    totals = _est.stack_clusters(population.outcomes, population.cluster_ids)
 
     est_names = list(config.estimators)
     set_ids = list(config.spec_sets)
     shape = (config.replications, len(est_names), len(set_ids))
     estimates = np.full(shape, np.nan)
     failures = np.zeros(shape[1:], dtype=np.int64)
+    rank_deficient = {}
 
-    need_wls = {"wls_ols", "two_r"} & set(est_names)
-
-    for r in range(config.replications):
-        rng = _replication_rng(config.seed, r)
-        picked = np.zeros(m, dtype=bool)
-        picked[rng.permutation(m)[:m1]] = True
-        z = picked[idx]
-        y_obs = np.where(z, y1, y0)
-        indicator = np.concatenate([(~z).astype(float), z.astype(float)])
-        w = indicator / marginals
-        stacked = np.concatenate([np.where(z, 0.0, -y_obs), np.where(z, y_obs, 0.0)])
-        ht = float((stacked * w).sum() / n)
+    for start in range(0, config.replications, _BLOCK):
+        block = range(start, min(start + _BLOCK, config.replications))
+        picked = _treated_clusters(config.seed, m, m1, block)
+        z = picked.take(idx, axis=1)  # C order: a row is rounded as it would be alone
+        _, w, stacked = _observe(z, population.outcomes, design.marginals)
+        indicator_c, w_c, stacked_c = _observe(picked, totals, cluster_design.marginals)
         wy = stacked * w
-        # cluster-level system for the totals estimator
-        zc = picked.astype(float)
-        yc_obs = np.where(picked, y1c, y0c)
-        stacked_c = np.concatenate([np.where(picked, 0.0, -yc_obs), np.where(picked, yc_obs, 0.0)])
-        indicator_c = np.concatenate([1.0 - zc, zc])
-        wc = indicator_c / np.concatenate([np.full(m, 1 - pi1), np.full(m, pi1)])
-
+        ht, ht_c = _est._ht(wy, n), _est._ht(stacked_c * w_c, n)
         for s_pos, set_id in enumerate(set_ids):
-            ws = workspaces[set_id]
-            xmat = ws.spec.matrix
-            htx = xmat.T @ (w - 1.0) / n
-            b_wls = None
-            if need_wls:
-                try:
-                    b_wls = _wls_coefficient(xmat, w, wy)
-                except np.linalg.LinAlgError:
-                    pass  # counted below against each estimator that needs it
+            x, cache, x_c = workspaces[set_id]
+            adjustment = _est._adjustment(x, w, n)
+            b3 = _est._three_ht(cache, wy)
+            b_wls, *flags = _fit_block(x, w, wy)
+            b2 = _est._two_r(cache, w, b3, b_wls)
+            b_c, *flags_c = _fit_block(x_c, indicator_c, stacked_c * indicator_c)
+            point_c = _est._conjugate(ht_c, _est._adjustment(x_c, w_c, n), b_c)
+            # name -> (estimates, rank-deficient flags, failure flags)
+            fits = {
+                "wls_ols": (_est._conjugate(ht, adjustment, b_wls), *flags),
+                "three_ht": (_est._conjugate(ht, adjustment, b3), None, np.zeros(len(block), bool)),
+                "two_r": (_est._conjugate(ht, adjustment, b2), *flags),
+                "ols_cluster_totals": (point_c, *flags_c),
+            }
             for e_pos, name in enumerate(est_names):
-                if name in need_wls and b_wls is None:
-                    failures[e_pos, s_pos] += 1
-                    continue
-                try:
-                    if name == "wls_ols":
-                        point = ht - float(htx @ b_wls)
-                    elif name == "three_ht":
-                        b3 = ws.cache.xdx_pinv @ (ws.cache.xd @ wy)
-                        point = ht - float(htx @ b3)
-                    elif name == "two_r":
-                        b3 = ws.cache.xdx_pinv @ (ws.cache.xd @ wy)
-                        drift = ws.cache.xd @ (xmat * w[:, None]) - ws.cache.xdx
-                        b2 = b3 - ws.cache.xdx_pinv @ (drift @ b_wls)
-                        point = ht - float(htx @ b2)
-                    elif name == "ols_cluster_totals":
-                        cm = ws.cluster_matrix
-                        rows = cm * indicator_c[:, None]
-                        bc, _ = pinv_solve(rows.T @ cm, cm.T @ (stacked_c * indicator_c))
-                        htc = float((stacked_c * wc).sum() / n)
-                        htxc = cm.T @ (wc - 1.0) / n
-                        point = htc - float(htxc @ bc)
-                    else:  # pragma: no cover
-                        raise ValueError(name)
-                    estimates[r, e_pos, s_pos] = point
-                except np.linalg.LinAlgError:
-                    failures[e_pos, s_pos] += 1
+                point, flagged, failed = fits[name]
+                estimates[block.start : block.stop, e_pos, s_pos] = point
+                failures[e_pos, s_pos] += failed.sum()
+                if flagged is not None:  # a least-squares fit per replication
+                    key = f"{name}/{set_id}"
+                    rank_deficient[key] = rank_deficient.get(key, 0) + int(flagged.sum())
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
-    return SimResult(
-        config=config,
-        population=population,
-        design=design,
-        estimates=estimates,
-        failures=failures,
-        metrics=metrics,
-    )
+    return SimResult(config, population, design, estimates, failures, rank_deficient, metrics)
 
 
 def _aggregate(config, population, estimates, est_names, set_ids):

@@ -120,6 +120,27 @@ def test_simulate_smoke_and_flag_precedence(runner, tmp_path):
     assert n_rows == 10 * 4 * 4
 
 
+def test_simulate_manifest_reports_rank_deficient_solves(runner, tmp_path):
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main,
+        ["simulate", "--n-units", "60", "--n-clusters", "12", "--m1", "5",
+         "--replications", "200", "--seed", "42", "--out-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    params = json.loads(open(out / "manifest.json").read())["params"]
+    assert params["failures"] == 0
+    deficient = params["rank_deficient"]
+    assert set(deficient) == {
+        f"{name}/{set_id}"
+        for name in ("wls_ols", "two_r", "ols_cluster_totals")
+        for set_id in (1, 2, 3, 4)
+    }
+    # the cluster totals of the cluster-mean column duplicate those of x
+    assert deficient["ols_cluster_totals/2"] == 200
+    assert deficient["wls_ols/1"] == 0
+
+
 def test_simulate_invalid_config_exits_2(runner, tmp_path):
     result = runner.invoke(
         main, ["simulate", "--replications", "0", "--out-dir", str(tmp_path / "x")]

@@ -32,6 +32,7 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments, enumeration_vector_mean
+from dbexp._linalg import pinv_solve
 
 
 def _observe(outcomes, z):
@@ -172,6 +173,25 @@ def test_coef_ols_rank_deficiency_flagged():
     coef = coef_ols(spec, obs)
     assert coef.rank_deficient
     assert np.isfinite(coef.values).all()
+
+
+def test_stacked_pinv_solve_matches_single_solves():
+    rng = np.random.default_rng(5)
+    a = np.empty((3, 4, 4))
+    for k in range(3):
+        f = rng.standard_normal((6, 4))
+        if k == 1:
+            f[:, 3] = f[:, 0] + f[:, 1]  # rank 3
+        a[k] = f.T @ f
+    b = rng.standard_normal((3, 4))
+    x, flags = pinv_solve(a, b)
+    assert flags.tolist() == [False, True, False]
+    for k in range(3):
+        single, flag = pinv_solve(a[k], b[k])
+        assert isinstance(flag, bool) and flag == flags[k]
+        np.testing.assert_allclose(x[k], single, rtol=1e-14, atol=1e-14)
+    # the rank-deficient system gets the minimum-norm solution
+    np.testing.assert_allclose(x[1], np.linalg.pinv(a[1], rcond=1e-12) @ b[1], rtol=1e-10)
 
 
 def test_coef_wls_pi_identities():

@@ -1,16 +1,27 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from dbexp import simulation
+from dbexp import estimators, simulation
 from dbexp import (
+    AdjustmentCache,
+    AssignmentRealization,
+    ObservedOutcomes,
     SimConfig,
     build_population,
     calibration_r2,
+    coef_2r,
+    coef_3ht,
+    coef_ols_cluster_totals,
+    coef_wls_pi,
     covariate_set,
     emit_report,
+    greg,
     run_simulation,
+    spec_cluster,
+    spec_separate_slopes,
 )
 
 TABLE_1 = {8: 13, 9: 41, 10: 21, 11: 10, 12: 6, 13: 3, 14: 3, 16: 2, 22: 1}
@@ -67,11 +78,61 @@ def test_simulation_metrics_decomposition_and_determinism():
     np.testing.assert_array_equal(result.estimates, again.estimates)
 
 
+def _library_estimates(result, set_id, replications):
+    """Single-fit library estimates, (replications, estimators), for one covariate set."""
+    config, pop, design = result.config, result.population, result.design
+    x = covariate_set(pop, set_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # uncentered cluster means and sizes
+        spec = spec_separate_slopes(x)
+        spec_c = spec_cluster(x, pop.cluster_ids, "II")
+    cache = AdjustmentCache.build(spec, design)
+    picked = simulation._treated_clusters(config.seed, pop.m, config.m1, replications)
+    out = []
+    for treated in picked:
+        z = treated[pop.cluster_index].astype(np.int64)
+        obs = ObservedOutcomes.from_schedule(pop.outcomes, AssignmentRealization(z))
+        fits = {
+            "wls_ols": (spec, coef_wls_pi(spec, obs, design)),
+            "three_ht": (spec, coef_3ht(spec, obs, design, cache)),
+            "two_r": (spec, coef_2r(spec, obs, design, cache)),
+            "ols_cluster_totals": (spec_c, coef_ols_cluster_totals(spec_c, obs)),
+        }
+        out.append([greg(obs, design, *fits[name]).point for name in config.estimators])
+    return np.array(out)
+
+
+def test_simulation_runs_the_library_estimators():
+    result = run_simulation(SimConfig(**TINY))
+    replications = range(result.config.replications)
+    for s_pos, set_id in enumerate(result.config.spec_sets):
+        np.testing.assert_allclose(
+            result.estimates[:, :, s_pos],
+            _library_estimates(result, set_id, replications),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
+
+def test_simulation_cluster_totals_use_the_library_cutoff():
+    # covariate set 4's cluster-total normal matrix is singular (the totals of
+    # the cluster-mean column duplicate those of x), so the estimate depends
+    # on where the pseudo-inverse cuts; replication 932 is one where the
+    # relative and the norm-anchored cutoffs disagree
+    config = SimConfig(seed=0, replications=933, spec_sets=(4,),
+                       estimators=("ols_cluster_totals",))
+    result = run_simulation(config)
+    estimate = result.estimates[932, 0, 0]
+    assert estimate == pytest.approx(-1.3916382738209403, abs=1e-6)
+    library = _library_estimates(result, 4, [932])[0, 0]
+    assert library == pytest.approx(estimate, abs=1e-6)
+
+
 def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
     def broken_solver(*args, **kwargs):
         raise RuntimeError("broken solver")
 
-    monkeypatch.setattr("dbexp.simulation.pinv_solve", broken_solver)
+    monkeypatch.setattr("dbexp.estimators._wls", broken_solver)
     config = SimConfig(**{**TINY, "replications": 2, "estimators": ("ols_cluster_totals",)})
     with pytest.raises(RuntimeError, match="broken solver"):
         run_simulation(config)
@@ -80,16 +141,21 @@ def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
 def test_simulation_counts_a_failed_wls_solve_against_its_two_estimators(monkeypatch):
     config = SimConfig(**{**TINY, "replications": 3, "spec_sets": (1, 2)})
     expected = run_simulation(config)
-    wls_coefficient = simulation._wls_coefficient
-    calls = []
+    wls = estimators._wls
+    singles = []
 
-    def singular_once(*args):
-        calls.append(args)
-        if len(calls) == 2:  # replication 0, covariate set 2
-            raise np.linalg.LinAlgError("singular")
-        return wls_coefficient(*args)
+    def singular_at_replication_0_of_set_2(x, w, wy):
+        # the unit-level layout of covariate set 2: two covariates with
+        # separate slopes and intercepts, 6 columns
+        if x.shape == (2 * config.n_units, 6):
+            if len(w) > 1:  # the stacked solve of the block fails ...
+                raise np.linalg.LinAlgError("singular")
+            singles.append(w)
+            if len(singles) == 1:  # ... and so does replication 0 on its own
+                raise np.linalg.LinAlgError("singular")
+        return wls(x, w, wy)
 
-    monkeypatch.setattr("dbexp.simulation._wls_coefficient", singular_once)
+    monkeypatch.setattr("dbexp.estimators._wls", singular_at_replication_0_of_set_2)
     result = run_simulation(config)
     names = list(config.estimators)
     hit = [names.index("wls_ols"), names.index("two_r")]
