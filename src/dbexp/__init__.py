@@ -54,9 +54,12 @@ from .design import (
 from .estimators import (
     AdjustmentCache,
     AteEstimate,
+    BatchPoints,
     CoefficientEstimate,
     ObservedOutcomes,
+    batch_points,
     coef_2r,
+    coef_by_name,
     coef_3ht,
     coef_fixed,
     coef_ols,

@@ -18,7 +18,7 @@ from . import estimators as _est
 from .design import Design, cluster_level_design, in_support
 from .estimators import AssignmentRealization, ObservedOutcomes
 
-POINT_ESTIMATORS = ("ht", "ols", "wls_pi", "three_ht", "two_r", "tyranny", "ols_cluster_totals")
+POINT_ESTIMATORS = ("ht", *_est.COEFFICIENT_METHODS[1:])
 BOUND_CHOICES = (
     "none",
     *_bounds.BOUND_METHODS,
@@ -109,7 +109,9 @@ class AteEstimator:
         observed = ObservedOutcomes(outcome, AssignmentRealization(z))
 
         spec = self._build_spec(covariates, cluster_ids)
-        coefficient = self._coefficient(spec, observed)
+        coefficient = None if spec is None else _est.coef_by_name(
+            self.estimator, spec, observed, self.design
+        )
         estimate = _est.greg(observed, self.design, spec, coefficient)
         self.ate_ = estimate.point
         self.coefficient_ = coefficient
@@ -150,24 +152,6 @@ class AteEstimator:
         if self.spec == "II":
             return _cov.spec_separate_slopes(x)
         raise ValueError(f"unknown spec {self.spec!r}")
-
-    def _coefficient(self, spec, observed):
-        name = self.estimator
-        if name == "ht":
-            return None
-        if name == "ols":
-            return _est.coef_ols(spec, observed)
-        if name == "wls_pi":
-            return _est.coef_wls_pi(spec, observed, self.design)
-        if name == "three_ht":
-            return _est.coef_3ht(spec, observed, self.design)
-        if name == "two_r":
-            return _est.coef_2r(spec, observed, self.design)
-        if name == "tyranny":
-            return _est.coef_tyranny(spec, observed, self.design)
-        if name == "ols_cluster_totals":
-            return _est.coef_ols_cluster_totals(spec, observed)
-        raise ValueError(name)  # pragma: no cover
 
     def _bound_matrix(self, method: str):
         if self.spec_ is not None and self.spec_.level == "cluster":

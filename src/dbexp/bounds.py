@@ -308,52 +308,35 @@ def _observed_quadratic(
     return float(masked @ weighted @ masked) / divisor**2
 
 
-def bound_estimate_ht(
-    bound: BoundMatrix,
-    design: Design,
-    observed: ObservedOutcomes,
-    divisor: int | None = None,
-    cache: BoundCache | None = None,
-) -> float:
+def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
+                      cache: BoundCache | None = None) -> float:
     """Unbiased estimate of the bound quadratic from one realization.
 
     Each observed product is weighted by its reciprocal joint observation
     probability.  Individual draws can come out negative; only the mean is
     pinned to the bound.
     """
-    observed, design, divisor = _system(observed, design, None, divisor)
+    observed, design, divisor = _system(observed, design, None)
     weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, design)
     return _observed_quadratic(weighted, observed.stacked(), observed.indicator(), divisor)
 
 
-def bound_estimate_greg(
-    bound: BoundMatrix,
-    design: Design,
-    observed: ObservedOutcomes,
-    spec: CovariateSpec,
-    coefficient: CoefficientEstimate,
-    divisor: int | None = None,
-    cache: BoundCache | None = None,
-) -> float:
+def bound_estimate_greg(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
+                        spec: CovariateSpec, coefficient: CoefficientEstimate,
+                        cache: BoundCache | None = None) -> float:
     """Plug-in bound estimate for a regression estimator: residuals replace outcomes.
 
     Exactly unbiased for the bound at a fixed coefficient; with an estimated
     coefficient it is a plug-in without an exactness guarantee.
     """
-    sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
+    sys_obs, sys_design, divisor = _system(observed, design, spec)
     weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, sys_design)
     residual = sys_obs.stacked() - spec.matrix @ coefficient.values
     return _observed_quadratic(weighted, residual, sys_obs.indicator(), divisor)
 
 
-def bound_estimate_2r_borrowed(
-    bound: BoundMatrix,
-    design: Design,
-    observed: ObservedOutcomes,
-    spec: CovariateSpec,
-    divisor: int | None = None,
-    cache: BoundCache | None = None,
-) -> float:
+def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
+                               spec: CovariateSpec, cache: BoundCache | None = None) -> float:
     """Borrowed bound estimate for the two-stage estimator.
 
     Estimates the bound-minimizing coefficient by the two-stage recursion run
@@ -367,7 +350,7 @@ def bound_estimate_2r_borrowed(
     if adjustment is None:
         adjustment = AdjustmentCache.over(spec, bound.values)
     coefficient = coef_2r(spec, observed, design, cache=adjustment)
-    return bound_estimate_greg(bound, design, observed, spec, coefficient, divisor, cache=cache)
+    return bound_estimate_greg(bound, design, observed, spec, coefficient, cache=cache)
 
 
 # -- post-hoc precision test ---------------------------------------------------
@@ -393,15 +376,8 @@ class PrecisionTestResult:
     scaled_threshold: float
 
 
-def precision_test(
-    design: Design,
-    dmat: DesignMatrix,
-    observed: ObservedOutcomes,
-    spec: CovariateSpec,
-    b_f,
-    bound: BoundMatrix,
-    divisor: int | None = None,
-) -> PrecisionTestResult:
+def precision_test(design: Design, dmat: DesignMatrix, observed: ObservedOutcomes,
+                   spec: CovariateSpec, b_f, bound: BoundMatrix) -> PrecisionTestResult:
     """Test whether adjusting by the fixed coefficient ``b_f`` reduces variance.
 
     The variance difference decomposes into an identified part (estimable by
@@ -411,7 +387,7 @@ def precision_test(
     diagnostic, not a licence to pick adjustments after the fact.
     """
     b_f = np.asarray(b_f, dtype=float)
-    sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
+    sys_obs, sys_design, divisor = _system(observed, design, spec)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
     fitted = spec.matrix @ b_f

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -231,6 +230,19 @@ class Design:
         if lo < -1e-8 * max(abs(lo), abs(hi), 1.0):
             raise DesignError(f"derived covariance structure is not PSD (min eigenvalue {lo:g})")
         return DesignMatrix(values=values, mask=mask, n=self.n)
+
+    @cached_property
+    def _cluster_level(self) -> tuple["Design", np.ndarray]:
+        """See :func:`cluster_level_design`."""
+        prov = self.provenance
+        if not (isinstance(prov, AnalyticProvenance) and prov.kind == "cluster"):
+            raise DesignError("cluster-level collapse requires a cluster-randomized design")
+        unique, index = _cluster_index(prov.params["cluster_ids"])
+        index.flags.writeable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            collapsed = make_complete(unique.shape[0], prov.params["m1"])
+        return collapsed, index
 
     def to_json(self) -> str:
         return json.dumps(design_to_dict(self))
@@ -455,14 +467,17 @@ def make_from_sampler(
         if draws <= 0:
             raise DesignError("monte_carlo mode needs a positive number of draws")
         rng = np.random.default_rng(seed)
-        counts: Counter = Counter()
-        for _ in range(draws):
+        stack = np.empty((draws, n))
+        for row in stack:
             z = np.asarray(sampler(rng))
-            if z.shape != (n,) or not np.isin(z, (0, 1)).all():
+            if z.shape != (n,):
                 raise DesignError("sampler must yield 0/1 vectors of length n")
-            counts[tuple(int(v) for v in z)] += 1
-        support = np.array(sorted(counts), dtype=np.int8)
-        probs = np.array([counts[tuple(row)] for row in support], dtype=float) / draws
+            row[:] = z
+        if not np.isin(stack, (0, 1)).all():
+            raise DesignError("sampler must yield 0/1 vectors of length n")
+        # unique rows in lexicographic order, the order of the sorted tuples
+        support, counts = np.unique(stack.astype(np.int8), axis=0, return_counts=True)
+        probs = counts / draws
         joint = _joint_from_support(support, probs)
         # Accumulation over indicator outer products keeps the estimate
         # symmetric and consistent by construction; record the (zero)
@@ -617,16 +632,10 @@ def enumerate_assignments(
 def cluster_level_design(design: Design) -> tuple[Design, np.ndarray]:
     """Collapse a cluster design to its m-cluster complete-randomization design.
 
-    Returns the cluster-level design and the unit -> cluster position index.
+    Returns the cluster-level design and the read-only unit -> cluster position
+    index, both built once per design.
     """
-    prov = design.provenance
-    if not (isinstance(prov, AnalyticProvenance) and prov.kind == "cluster"):
-        raise DesignError("cluster-level collapse requires a cluster-randomized design")
-    unique, index = _cluster_index(prov.params["cluster_ids"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        collapsed = make_complete(unique.shape[0], prov.params["m1"])
-    return collapsed, index
+    return design._cluster_level
 
 
 # -- serialization ------------------------------------------------------------

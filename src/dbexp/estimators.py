@@ -5,6 +5,13 @@ through the same identity: the inverse-probability point estimate minus the
 covariate adjustment term.  Cluster-total layouts run through identical code
 on the collapsed m-cluster system while keeping the individual count as the
 divisor.
+
+One table, ``_METHODS``, says which weights each coefficient method fits with
+and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
+:func:`batch_points` runs it over a stack of assignments in blocks, for several
+methods and layouts at once, re-solving a failed fit one realization at a
+time.  :func:`coef_by_name` and the ``coef_*`` functions run the same code on
+a stack of one.
 """
 
 from __future__ import annotations
@@ -110,37 +117,32 @@ def coef_fixed(values, spec: CovariateSpec | None = None) -> CoefficientEstimate
 # -- system resolution --------------------------------------------------------
 
 
-def _collapse_observed(observed: ObservedOutcomes, index: np.ndarray, m: int) -> ObservedOutcomes:
-    treated = np.bincount(index, weights=observed.realization.assignment, minlength=m)
-    varying = np.flatnonzero((treated > 0) & (treated < np.bincount(index, minlength=m)))
+def _collapse(treated: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Cluster-level (R, m) assignments of a unit-level (R, n) 0/1 stack."""
+    picked = treated.take(np.unique(index, return_index=True)[1], axis=1)
+    varying = index[(treated != picked.take(index, axis=1)).any(axis=0)]
     if varying.size:
-        raise ValueError(f"assignment varies within cluster {varying[0]}: not a cluster design")
-    totals = np.bincount(index, weights=observed.outcomes, minlength=m)
-    return ObservedOutcomes(totals, AssignmentRealization((treated > 0).astype(np.int8)))
+        raise ValueError(f"assignment varies within cluster {varying.min()}: not a cluster design")
+    return picked
 
 
-def _system(
-    observed: ObservedOutcomes,
-    design: Design | None,
-    spec: CovariateSpec | None,
-    divisor: int | None,
-):
+def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
     """Return (observed, design, divisor) at the level the layout expects."""
     if spec is not None and spec.level == "cluster":
         if observed.n != spec.rows_per_arm:  # not yet collapsed by the caller
             _, index = _cluster_index(spec.cluster_ids)
             if observed.n != index.shape[0]:
                 raise ValueError("observed data does not match the layout's cluster ids")
-            observed = _collapse_observed(observed, index, spec.rows_per_arm)
+            treated = _collapse(observed.realization.assignment[None], index)[0]
+            totals = np.bincount(index, weights=observed.outcomes, minlength=spec.rows_per_arm)
+            observed = ObservedOutcomes(totals, AssignmentRealization(treated))
             design = cluster_level_design(design)[0] if design is not None else None
-        return observed, design, divisor or spec.divisor
+        return observed, design, spec.divisor
     if design is not None and observed.n != design.n:
         raise ValueError("observed data and design sizes disagree")
     if spec is not None and observed.n != spec.rows_per_arm:
         raise ValueError("observed data and layout sizes disagree")
-    if divisor is None:
-        divisor = spec.divisor if (spec is not None and spec.divisor) else observed.n
-    return observed, design, divisor
+    return observed, design, spec.divisor if spec is not None and spec.divisor else observed.n
 
 
 def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
@@ -154,10 +156,9 @@ def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
 # -- estimator arithmetic -----------------------------------------------------
 # One implementation of each estimator on stacked-layout arrays: weights ``w``
 # and weighted signed outcomes ``wy`` of shape (2r,) for one realization or
-# (R, 2r) for R of them, giving one result per realization.  The public
-# functions below call them for one realization and the simulation for blocks
-# of replications.  Products are taken row by row (``_rows``), so a result does
-# not depend on the block it was computed in.
+# (R, 2r) for R of them, giving one result per realization.  Products are
+# taken row by row (``_rows``), so a result does not depend on the block it
+# was computed in.
 
 
 def _signed_stack(treated: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -210,35 +211,101 @@ def _two_r(cache: "AdjustmentCache", w: np.ndarray, b3: np.ndarray, b_wls: np.nd
     return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
 
 
+# -- the method table -----------------------------------------------------------
+
+# method -> (weights of its least-squares fit on the observed rows, or None;
+# whether it runs 3HT).  A method with both stages is 2R: 3HT corrected at the fit.
+_METHODS = {
+    "ols": ("indicator", False),
+    "wls_pi": ("inverse", False),
+    "three_ht": (None, True),
+    "two_r": ("inverse", True),
+    "tyranny": ("minority", False),
+    "ols_cluster_totals": ("indicator", False),
+}
+
+
+def _check_method(method: str, spec: CovariateSpec) -> None:
+    if method not in _METHODS:  # including "fixed", which is given, not estimated
+        raise ValueError(f"{method!r} is not an estimated coefficient method")
+    if method == "tyranny" and spec.kind != "I":
+        raise ValueError("the minority-weighted estimator is defined for common-slopes layouts")
+    if method == "ols_cluster_totals" and spec.level != "cluster":
+        raise ValueError("cluster-totals estimation needs a cluster-level layout")
+
+
+class _Realizations:
+    """R realizations at the layouts' level: (R, 2r) observation indicators,
+    signed outcomes and, given the marginals, inverse-probability weights
+    ``w`` and weighted outcomes ``wy``."""
+
+    def __init__(self, treated: np.ndarray, y: np.ndarray, marginals: np.ndarray | None):
+        treated = treated == 1
+        self.indicator = np.concatenate([~treated, treated], axis=1).astype(float)
+        self.stacked = _signed_stack(treated, y)
+        self.marginals = marginals
+        if marginals is not None:
+            self.w = self.indicator / marginals
+            self.wy = self.stacked * self.w
+
+    def fit_inputs(self, weights: str):
+        """Fit weights 1, 1/pi or 1/pi - 1 on the observed rows, and the weighted outcomes."""
+        if weights == "inverse":
+            return self.w, self.wy
+        w = self.indicator
+        if weights == "minority":
+            w = w * (1.0 / self.marginals - 1.0)
+        return w, self.stacked * w
+
+
+def _fit(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
+    """Stacked ``_wls`` fits with rank-deficiency and failure flags; a stack
+    whose solve raises ``LinAlgError`` is re-solved one realization at a time,
+    and one that fails alone gets NaN coefficients."""
+    try:
+        return (*_wls(x, w, wy), np.zeros(len(w), dtype=bool))
+    except np.linalg.LinAlgError:
+        if len(w) == 1:
+            return np.full((1, x.shape[1]), np.nan), np.zeros(1, bool), np.ones(1, bool)
+    fits = [_fit(x, w[i : i + 1], wy[i : i + 1]) for i in range(len(w))]
+    return tuple(np.concatenate(parts) for parts in zip(*fits))
+
+
+def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> dict:
+    """``method -> (b, rank_deficient, failed)`` stacks on one layout.  Each
+    fit weighting and 3HT runs once, and 2R reuses both; 3HT has no fit, so
+    its flags are False."""
+    kinds = dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0])
+    fits = {kind: _fit(spec.matrix, *obs.fit_inputs(kind)) for kind in kinds}
+    b3 = _three_ht(cache, obs.wy) if any(_METHODS[m][1] for m in methods) else None
+    unflagged = np.zeros(len(obs.stacked), dtype=bool)
+    out = {}
+    for method in methods:
+        kind, runs_3ht = _METHODS[method]
+        b, deficient, failed = fits[kind] if kind else (b3, unflagged, unflagged)
+        out[method] = (_two_r(cache, obs.w, b3, b) if kind and runs_3ht else b, deficient, failed)
+    return out
+
+
 # -- point estimators ----------------------------------------------------------
 
 
-def ht_ate(observed: ObservedOutcomes, design: Design, divisor: int | None = None) -> float:
+def ht_ate(observed: ObservedOutcomes, design: Design) -> float:
     """Inverse-probability (Horvitz-Thompson) estimate of the average effect."""
-    return greg(observed, design, divisor=divisor).point
+    return greg(observed, design).point
 
 
-def ht_cov_means(
-    spec: CovariateSpec,
-    realization: AssignmentRealization,
-    design: Design,
-    divisor: int | None = None,
-) -> np.ndarray:
+def ht_cov_means(spec: CovariateSpec, realization: AssignmentRealization, design: Design):
     """Zero-mean adjustment-term vector: weighted minus full covariate sums."""
     dummy = ObservedOutcomes(np.zeros(realization.n), realization)
-    dummy, design, divisor = _system(dummy, design, spec, divisor)
+    dummy, design, divisor = _system(dummy, design, spec)
     return _adjustment(spec.matrix, dummy.indicator() / design.marginals, divisor)
 
 
-def greg(
-    observed: ObservedOutcomes,
-    design: Design,
-    spec: CovariateSpec | None = None,
-    coefficient: CoefficientEstimate | None = None,
-    divisor: int | None = None,
-) -> AteEstimate:
+def greg(observed: ObservedOutcomes, design: Design, spec: CovariateSpec | None = None,
+         coefficient: CoefficientEstimate | None = None) -> AteEstimate:
     """Generalized regression estimate: point = HT - (adjustment term) @ b."""
-    sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
+    sys_obs, sys_design, divisor = _system(observed, design, spec)
     indicator = sys_obs.indicator()
     stacked = sys_obs.stacked()
     w = indicator / sys_design.marginals
@@ -255,20 +322,15 @@ def greg(
     return AteEstimate(point, coefficient, residuals, indicator.astype(bool), divisor)
 
 
-def greg_forms(
-    observed: ObservedOutcomes,
-    design: Design,
-    spec: CovariateSpec,
-    coefficient: CoefficientEstimate,
-    divisor: int | None = None,
-) -> dict:
+def greg_forms(observed: ObservedOutcomes, design: Design, spec: CovariateSpec,
+               coefficient: CoefficientEstimate) -> dict:
     """All three algebraic forms of the regression estimate, for cross-checks.
 
     ``weighted_residual_term`` is the inverse-probability mean of observed
     residuals; it vanishes exactly in the estimator/design/layout combinations
     covered by the intercept-contrast identity.
     """
-    sys_obs, sys_design, divisor = _system(observed, design, spec, divisor)
+    sys_obs, sys_design, divisor = _system(observed, design, spec)
     stacked = sys_obs.stacked()
     w = sys_obs.indicator() / sys_design.marginals
     b = coefficient.values
@@ -285,13 +347,7 @@ def greg_forms(
     }
 
 
-def fixed_coef_variance(
-    outcomes: StackedOutcomes,
-    spec: CovariateSpec,
-    b,
-    dmat: DesignMatrix,
-    divisor: int | None = None,
-) -> float:
+def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat: DesignMatrix):
     """Exact variance of the fixed-coefficient estimator: u' M u / divisor**2.
 
     Requires the full potential-outcome schedule, so this is an oracle or
@@ -302,33 +358,79 @@ def fixed_coef_variance(
         outcomes = stack_clusters(outcomes, spec.cluster_ids)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
-    if divisor is None:
-        divisor = spec.divisor or outcomes.n
+    divisor = spec.divisor or outcomes.n
     u = outcomes.values - spec.matrix @ b
     return float(u @ dmat.values @ u) / divisor**2
 
 
+# -- stacks of assignments -------------------------------------------------------
+
+_BLOCK = 200  # realizations per stacked solve; larger blocks raise peak memory
+
+
+@dataclass(frozen=True)
+class BatchPoints:
+    """Results of :func:`batch_points`, each of shape (R, methods, layouts).  ``rank_deficient``
+    flags a method's least-squares fit (3HT has none); ``failed`` marks a fit that raised
+    ``LinAlgError`` even when solved alone, whose point is NaN."""
+
+    points: np.ndarray
+    rank_deficient: np.ndarray
+    failed: np.ndarray
+
+
+def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, methods) -> BatchPoints:
+    """Point estimates of coefficient methods over a stack of assignments.
+
+    ``treated`` is an (R, n) 0/1 stack of unit-level assignments, revealed
+    against the full schedule ``outcomes``; ``specs`` are layouts of one level
+    (unit, or cluster with shared cluster ids); ``methods`` are names from
+    :data:`COEFFICIENT_METHODS` other than ``fixed``.  Each point equals
+    :func:`greg` at the method's ``coef_*`` coefficient for that assignment alone.
+    """
+    specs, methods = tuple(specs), tuple(methods)
+    z = np.asarray(treated)  # np.isin would take 60 MB on the simulation's stack
+    if z.ndim != 2 or z.shape[1] != design.n or not ((z == 0) | (z == 1)).all():
+        raise ValueError(f"treated must be an (R, {design.n}) stack of 0/1 assignments")
+    z = z.astype(bool, copy=False)
+    if outcomes.n != design.n:
+        raise ValueError("outcome schedule and design sizes disagree")
+    if len({spec.level for spec in specs}) > 1:
+        raise ValueError("the layouts of one call must share one level")
+    for spec in specs:
+        for method in methods:
+            _check_method(method, spec)
+    sys_design, index = design, None
+    if specs and specs[0].level == "cluster":
+        ids = specs[0].cluster_ids
+        if any(not np.array_equal(spec.cluster_ids, ids) for spec in specs):
+            raise ValueError("the cluster-level layouts of one call must share their cluster ids")
+        _, index = _cluster_index(ids)
+        sys_design = cluster_level_design(design)[0]
+        outcomes = stack_clusters(outcomes, ids)
+    if any(spec.rows_per_arm != sys_design.n for spec in specs):
+        raise ValueError("layout and design sizes disagree")
+    runs_3ht = any(_METHODS[m][1] for m in methods)
+    caches = [AdjustmentCache.build(spec, design) if runs_3ht else None for spec in specs]
+    divisors = [spec.divisor or design.n for spec in specs]
+
+    shape = (z.shape[0], len(methods), len(specs))
+    points, rank_deficient, failed = np.empty(shape), np.zeros(shape, bool), np.zeros(shape, bool)
+    for start in range(0, z.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        t = z[rows] if index is None else _collapse(z[rows], index)
+        obs = _Realizations(t, np.where(t, outcomes.treated, outcomes.control), sys_design.marginals)
+        ht = {divisor: _ht(obs.wy, divisor) for divisor in dict.fromkeys(divisors)}
+        for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
+            adjustment = _adjustment(spec.matrix, obs.w, divisor)
+            fits = _coefficients(methods, spec, cache, obs)
+            for m, method in enumerate(methods):
+                b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
+                points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
+    return BatchPoints(points, rank_deficient, failed)
+
+
 # -- coefficient estimators ----------------------------------------------------
-
-
-def _weighted_fit(spec: CovariateSpec, observed: ObservedOutcomes, w: np.ndarray, method: str):
-    b, deficient = _wls(spec.matrix, w, observed.stacked() * w)
-    return CoefficientEstimate(b, method, rank_deficient=deficient)
-
-
-def coef_ols(spec: CovariateSpec, observed: ObservedOutcomes) -> CoefficientEstimate:
-    """Least squares on the observed rows of the signed layout."""
-    observed, _, _ = _system(observed, None, spec, None)
-    method = "ols_cluster_totals" if spec.level == "cluster" else "ols"
-    return _weighted_fit(spec, observed, observed.indicator(), method)
-
-
-def coef_wls_pi(
-    spec: CovariateSpec, observed: ObservedOutcomes, design: Design
-) -> CoefficientEstimate:
-    """Weighted least squares with reciprocal assignment-probability weights."""
-    observed, design, _ = _system(observed, design, spec, None)
-    return _weighted_fit(spec, observed, observed.indicator() / design.marginals, "wls_pi")
 
 
 @dataclass(frozen=True)
@@ -337,13 +439,15 @@ class AdjustmentCache:
 
     The core is the design's covariance structure for the optimal-coefficient
     estimators, or a bound matrix for the bound-targeting two-stage
-    coefficient (see :class:`dbexp.bounds.BoundCache`).
+    coefficient (see :class:`dbexp.bounds.BoundCache`).  ``rank_deficient``
+    says whether ``X'(core)X`` was deficient at the anchored cutoff.
     """
 
     spec: CovariateSpec
     xdx: np.ndarray
     xdx_pinv: np.ndarray
     xd: np.ndarray
+    rank_deficient: bool
 
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":
@@ -352,80 +456,82 @@ class AdjustmentCache:
 
     @classmethod
     def over(cls, spec: CovariateSpec, core: np.ndarray) -> "AdjustmentCache":
-        xd, xdx, xdx_pinv, _ = normal_system(spec.matrix, core)
-        return cls(spec=spec, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd)
+        xd, xdx, xdx_pinv, deficient = normal_system(spec.matrix, core)
+        return cls(spec=spec, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd, rank_deficient=deficient)
 
 
-def _cache_for(spec: CovariateSpec, design: Design, cache: AdjustmentCache | None):
-    if cache is None:
-        return AdjustmentCache.build(spec, design)
-    if cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix):
+def coef_by_name(method: str, spec: CovariateSpec, observed: ObservedOutcomes,
+                 design: Design | None = None, cache: AdjustmentCache | None = None):
+    """The coefficient of ``method`` (any but ``fixed``) for one realization: the
+    method table on a stack of one.  ``ols`` and ``ols_cluster_totals`` need no
+    design; ``cache`` serves 3HT and 2R.  A fit that fails raises ``LinAlgError``."""
+    _check_method(method, spec)
+    kind, runs_3ht = _METHODS[method]
+    if design is None and (runs_3ht or kind != "indicator"):
+        raise ValueError(f"the {method} coefficient needs the design")
+    if not runs_3ht:
+        cache = None
+    elif cache is None:
+        cache = AdjustmentCache.build(spec, design)
+    elif cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix):
         raise ValueError("cache was built for a different layout")
-    return cache
+    sys_obs, sys_design, _ = _system(observed, design, spec)
+    marginals = None if sys_design is None else sys_design.marginals
+    obs = _Realizations(sys_obs.realization.assignment[None], sys_obs.outcomes[None], marginals)
+    b, deficient, failed = _coefficients((method,), spec, cache, obs)[method]
+    if failed[0]:
+        raise np.linalg.LinAlgError(f"the least-squares fit of the {method} coefficient failed")
+    if method == "ols" and spec.level == "cluster":
+        method = "ols_cluster_totals"
+    return CoefficientEstimate(b[0], method, rank_deficient=bool(deficient[0]))
 
 
-def coef_3ht(
-    spec: CovariateSpec,
-    observed: ObservedOutcomes,
-    design: Design,
-    cache: AdjustmentCache | None = None,
-) -> CoefficientEstimate:
+def coef_ols(spec: CovariateSpec, observed: ObservedOutcomes) -> CoefficientEstimate:
+    """Least squares on the observed rows of the signed layout."""
+    return coef_by_name("ols", spec, observed)
+
+
+def coef_wls_pi(spec: CovariateSpec, observed: ObservedOutcomes, design: Design):
+    """Weighted least squares with reciprocal assignment-probability weights."""
+    return coef_by_name("wls_pi", spec, observed, design)
+
+
+def coef_3ht(spec: CovariateSpec, observed: ObservedOutcomes, design: Design,
+             cache: AdjustmentCache | None = None) -> CoefficientEstimate:
     """Unbiased optimal-coefficient estimator built from weighted indicators.
 
     Its mean over the design equals the variance-minimizing coefficient, but
     it inherits inverse-probability imprecision; prefer the two-stage
     estimator for point estimation.
     """
-    cache = _cache_for(spec, design, cache)
-    sys_obs, sys_design, _ = _system(observed, design, spec, None)
-    w = sys_obs.indicator() / sys_design.marginals
-    return CoefficientEstimate(_three_ht(cache, sys_obs.stacked() * w), "three_ht")
+    return coef_by_name("three_ht", spec, observed, design, cache)
 
 
-def coef_2r(
-    spec: CovariateSpec,
-    observed: ObservedOutcomes,
-    design: Design,
-    cache: AdjustmentCache | None = None,
-) -> CoefficientEstimate:
+def coef_2r(spec: CovariateSpec, observed: ObservedOutcomes, design: Design,
+            cache: AdjustmentCache | None = None) -> CoefficientEstimate:
     """Two-stage optimal coefficient: regression-adjust the unbiased estimator.
 
     The first stage is reciprocal-probability weighted least squares; the
     second stage removes its estimated deviation using the same adjustment
     principle, which restores location/scale invariance of the conjugate
-    point estimate.
+    point estimate.  ``rank_deficient`` is the first stage's flag.
     """
-    cache = _cache_for(spec, design, cache)
-    sys_obs, sys_design, _ = _system(observed, design, spec, None)
-    w = sys_obs.indicator() / sys_design.marginals
-    wy = sys_obs.stacked() * w
-    b_wls, _ = _wls(spec.matrix, w, wy)
-    return CoefficientEstimate(_two_r(cache, w, _three_ht(cache, wy), b_wls), "two_r")
+    return coef_by_name("two_r", spec, observed, design, cache)
 
 
-def coef_tyranny(
-    spec: CovariateSpec, observed: ObservedOutcomes, design: Design
-) -> CoefficientEstimate:
+def coef_tyranny(spec: CovariateSpec, observed: ObservedOutcomes, design: Design):
     """Minority-weighted common-slopes estimator.
 
     Weighted least squares with (1/pi - 1) weights on observed rows; in the
     population limit each arm's slope is weighted by the other arm's share,
     so the smaller arm dominates.
     """
-    if spec.kind != "I":
-        raise ValueError("the minority-weighted estimator is defined for common-slopes layouts")
-    sys_obs, sys_design, _ = _system(observed, design, spec, None)
-    w = sys_obs.indicator() * (1.0 / sys_design.marginals - 1.0)
-    return _weighted_fit(spec, sys_obs, w, "tyranny")
+    return coef_by_name("tyranny", spec, observed, design)
 
 
-def coef_ols_cluster_totals(
-    spec: CovariateSpec, observed: ObservedOutcomes
-) -> CoefficientEstimate:
+def coef_ols_cluster_totals(spec: CovariateSpec, observed: ObservedOutcomes):
     """Least squares on cluster totals (cluster-level layouts only)."""
-    if spec.level != "cluster":
-        raise ValueError("cluster-totals estimation needs a cluster-level layout")
-    return coef_ols(spec, observed)
+    return coef_by_name("ols_cluster_totals", spec, observed)
 
 
 def intercept_contrast(coefficient: CoefficientEstimate, spec: CovariateSpec) -> float:

@@ -5,9 +5,10 @@ only randomness across replications is the cluster assignment.  The sharp
 null holds by construction, so every estimator targets an effect of zero and
 mean squared error decomposes into squared bias plus variance.
 
-The study has no estimator code of its own: it draws the replications in
-fixed blocks and runs the library's HT, WLS, 3HT, 2R and cluster-total code
-(:mod:`dbexp.estimators`) over each block, one stacked solve per fit.
+The study has no estimator code of its own: it draws every replication's
+assignment and makes two :func:`dbexp.estimators.batch_points` calls, one for
+the separate-slopes layouts of the covariate sets and one for their
+cluster-total layouts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import estimators as _est
 from .covariates import spec_cluster, spec_separate_slopes
-from .design import Design, StackedOutcomes, cluster_level_design, make_cluster
+from .design import Design, StackedOutcomes, make_cluster
+from .estimators import batch_points
 
 ESTIMATOR_NAMES = ("wls_ols", "three_ht", "two_r", "ols_cluster_totals")
 BENCHMARK = "wls_ols"
@@ -154,22 +156,8 @@ class SimResult:
     metrics: tuple[MetricsRow, ...] = field(default=())
 
 
-_BLOCK = 200  # replications per stacked solve; larger blocks raise peak memory
-
-
-def _prepare_sets(config: SimConfig, population: Population, design: Design):
-    """Per covariate set: the unit layout, its adjustment cache, the cluster-total layout."""
-    workspaces = {}
-    for set_id in config.spec_sets:
-        x = covariate_set(population, set_id)
-        with warnings.catch_warnings():
-            # cluster means and sizes are deliberately left uncentered; the
-            # point estimates are invariant to covariate centering
-            warnings.simplefilter("ignore")
-            spec = spec_separate_slopes(x)
-            spec_c = spec_cluster(x, population.cluster_ids, "II")
-        workspaces[set_id] = (spec.matrix, _est.AdjustmentCache.build(spec, design), spec_c.matrix)
-    return workspaces
+# the study's WLS benchmark is the library's reciprocal-probability weighted fit
+_METHOD = {"wls_ols": "wls_pi"}
 
 
 def _replication_rng(seed: int, replication: int) -> np.random.Generator:
@@ -186,25 +174,6 @@ def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
     return picked
 
 
-def _observe(treated: np.ndarray, outcomes: StackedOutcomes, marginals: np.ndarray):
-    """Indicators, weights and signed observed outcomes, one row per replication."""
-    indicator = np.concatenate([~treated, treated], axis=1).astype(float)
-    y = np.where(treated, outcomes.treated, outcomes.control)
-    return indicator, indicator / marginals, _est._signed_stack(treated, y)
-
-
-def _fit_block(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
-    """Stacked least-squares fits with rank-deficiency and failure flags; a block
-    whose stacked solve fails is re-solved one replication at a time (NaN rows)."""
-    try:
-        return (*_est._wls(x, w, wy), np.zeros(len(w), dtype=bool))
-    except np.linalg.LinAlgError:
-        if len(w) == 1:
-            return np.full((1, x.shape[1]), np.nan), np.zeros(1, bool), np.ones(1, bool)
-    fits = [_fit_block(x, w[i : i + 1], wy[i : i + 1]) for i in range(len(w))]
-    return tuple(np.concatenate(parts) for parts in zip(*fits))
-
-
 def run_simulation(config: SimConfig, population: Population | None = None) -> SimResult:
     """Run the replication study; deterministic given the seed.
 
@@ -218,49 +187,38 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     if not 1 <= m1 <= population.m - 1:
         raise ValueError("treated cluster count must leave both arms non-empty")
     design = make_cluster(population.cluster_ids, m1)
-    cluster_design, idx = cluster_level_design(design)
-    workspaces = _prepare_sets(config, population, design)
-
-    n, m = population.n, population.m
-    totals = _est.stack_clusters(population.outcomes, population.cluster_ids)
+    picked = _treated_clusters(config.seed, population.m, m1, range(config.replications))
+    treated = picked.take(population.cluster_index, axis=1)
 
     est_names = list(config.estimators)
     set_ids = list(config.spec_sets)
     shape = (config.replications, len(est_names), len(set_ids))
     estimates = np.full(shape, np.nan)
     failures = np.zeros(shape[1:], dtype=np.int64)
-    rank_deficient = {}
-
-    for start in range(0, config.replications, _BLOCK):
-        block = range(start, min(start + _BLOCK, config.replications))
-        picked = _treated_clusters(config.seed, m, m1, block)
-        z = picked.take(idx, axis=1)  # C order: a row is rounded as it would be alone
-        _, w, stacked = _observe(z, population.outcomes, design.marginals)
-        indicator_c, w_c, stacked_c = _observe(picked, totals, cluster_design.marginals)
-        wy = stacked * w
-        ht, ht_c = _est._ht(wy, n), _est._ht(stacked_c * w_c, n)
-        for s_pos, set_id in enumerate(set_ids):
-            x, cache, x_c = workspaces[set_id]
-            adjustment = _est._adjustment(x, w, n)
-            b3 = _est._three_ht(cache, wy)
-            b_wls, *flags = _fit_block(x, w, wy)
-            b2 = _est._two_r(cache, w, b3, b_wls)
-            b_c, *flags_c = _fit_block(x_c, indicator_c, stacked_c * indicator_c)
-            point_c = _est._conjugate(ht_c, _est._adjustment(x_c, w_c, n), b_c)
-            # name -> (estimates, rank-deficient flags, failure flags)
-            fits = {
-                "wls_ols": (_est._conjugate(ht, adjustment, b_wls), *flags),
-                "three_ht": (_est._conjugate(ht, adjustment, b3), None, np.zeros(len(block), bool)),
-                "two_r": (_est._conjugate(ht, adjustment, b2), *flags),
-                "ols_cluster_totals": (point_c, *flags_c),
-            }
-            for e_pos, name in enumerate(est_names):
-                point, flagged, failed = fits[name]
-                estimates[block.start : block.stop, e_pos, s_pos] = point
-                failures[e_pos, s_pos] += failed.sum()
-                if flagged is not None:  # a least-squares fit per replication
-                    key = f"{name}/{set_id}"
-                    rank_deficient[key] = rank_deficient.get(key, 0) + int(flagged.sum())
+    deficient = np.zeros(shape[1:], dtype=np.int64)
+    for cluster_level in (False, True):
+        chosen = [e for e, name in enumerate(est_names)
+                  if (name == "ols_cluster_totals") == cluster_level]
+        if not chosen or not set_ids:
+            continue
+        with warnings.catch_warnings():
+            # cluster means and sizes are deliberately left uncentered; the
+            # point estimates are invariant to covariate centering
+            warnings.simplefilter("ignore")
+            x_sets = [covariate_set(population, set_id) for set_id in set_ids]
+            specs = [spec_cluster(x, population.cluster_ids) if cluster_level
+                     else spec_separate_slopes(x) for x in x_sets]
+        methods = [_METHOD.get(est_names[e], est_names[e]) for e in chosen]
+        batch = batch_points(design, population.outcomes, treated, specs, methods)
+        estimates[:, chosen] = batch.points
+        failures[chosen] = batch.failed.sum(axis=0)
+        deficient[chosen] = batch.rank_deficient.sum(axis=0)
+    rank_deficient = {  # the estimators with a least-squares fit per replication
+        f"{name}/{set_id}": int(deficient[e_pos, s_pos])
+        for s_pos, set_id in enumerate(set_ids)
+        for e_pos, name in enumerate(est_names)
+        if name != "three_ht"
+    }
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
     return SimResult(config, population, design, estimates, failures, rank_deficient, metrics)

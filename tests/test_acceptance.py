@@ -22,6 +22,7 @@ from dbexp import (
     b_opt,
     b_opt_family,
     b_population,
+    batch_points,
     bound_estimate_2r_borrowed,
     bound_estimate_greg,
     bound_estimate_ht,
@@ -448,10 +449,8 @@ def test_c10_empirical_asymptotics():
             b_population("ols_II", x, outcomes, design).values,
             design_matrix(design),
         )
-        points = np.empty(reps)
-        for r in range(reps):
-            obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 10_000 + r))
-            points[r] = greg(obs, design, spec, coef_ols(spec, obs)).point
+        treated = np.array([draw(design, 10_000 + r).assignment for r in range(reps)])
+        points = batch_points(design, outcomes, treated, [spec], ["ols"]).points[:, 0, 0]
         gaps[n] = abs(points.var() / target - 1.0)
         standardized = np.sort((points - points.mean()) / points.std())
         nd = NormalDist()

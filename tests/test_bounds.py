@@ -293,7 +293,7 @@ def test_borrowed_estimate_reduces_to_plugin_when_bound_is_the_structure():
 
 def _coef_2r_for_bound_reference(bound, spec, observed, design):
     """The two-stage recursion written out over the bound matrix."""
-    sys_obs, sys_design, _ = _system(observed, design, spec, None)
+    sys_obs, sys_design, _ = _system(observed, design, spec)
     w = sys_obs.indicator() / sys_design.marginals
     xd = spec.matrix.T @ bound.values
     xdx = xd @ spec.matrix

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from dbexp import (
     make_from_sampler,
 )
 from conftest import weighted_indicator_covariance
+from dbexp import design as design_module
+from dbexp.design import cluster_level_design
 
 
 def test_complete_2_1_design_matrix_blocks():
@@ -101,6 +104,23 @@ def test_cluster_rejects_degenerate_split():
         make_cluster([1, 1, 2, 2], 2)
 
 
+def test_cluster_level_design_is_built_once(monkeypatch):
+    calls = []
+    original = design_module.make_complete
+
+    def counting(n, n1):
+        calls.append((n, n1))
+        return original(n, n1)
+
+    monkeypatch.setattr(design_module, "make_complete", counting)
+    design = make_cluster([1, 1, 2, 2, 3, 3, 4], 2)
+    first, second = cluster_level_design(design), cluster_level_design(design)
+    assert first[0] is second[0] and first[1] is second[1]
+    assert calls == [(4, 2)]
+    assert not first[1].flags.writeable
+    np.testing.assert_array_equal(first[1], [0, 0, 1, 1, 2, 2, 3])
+
+
 def test_sampler_enumerate_matches_complete():
     support = [(np.array([1, 0]), 0.5), (np.array([0, 1]), 0.5)]
     design = make_from_sampler(iter(support), 2, mode="enumerate")
@@ -117,6 +137,27 @@ def test_sampler_monte_carlo_approximates_complete():
     exact = make_complete(4, 2)
     assert np.abs(estimated.joint - exact.joint).max() < 0.01
     assert estimated.provenance.max_adjustment == 0.0
+
+
+def test_sampler_monte_carlo_counts_match_sorted_tuples():
+    def sampler(rng):
+        return (rng.random(5) < 0.4).astype(np.int64)
+
+    design = make_from_sampler(sampler, 5, draws=3000, seed=11, mode="monte_carlo")
+    rng = np.random.default_rng(11)
+    counts = Counter(tuple(int(v) for v in sampler(rng)) for _ in range(3000))
+    support = np.array(sorted(counts), dtype=np.int8)
+    probs = np.array([counts[tuple(row)] for row in support], dtype=float) / 3000
+    z = support.astype(float)
+    indicators = np.hstack([1.0 - z, z])
+    joint = indicators.T @ (indicators * probs[:, None])
+    np.testing.assert_array_equal(design.joint, np.clip((joint + joint.T) / 2.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.array([0, 1, 2]), np.array([0.0, 0.5, 1.0]), np.array([0, 1])])
+def test_sampler_rejects_draws_that_are_not_0_1_vectors_of_length_n(bad):
+    with pytest.raises(DesignError, match="sampler must yield 0/1 vectors of length n"):
+        make_from_sampler(lambda rng: bad, 3, draws=10, seed=0, mode="monte_carlo")
 
 
 def test_sampler_constant_assignment_is_unidentified():

@@ -4,11 +4,13 @@ import pytest
 from dbexp import (
     AdjustmentCache,
     AssignmentRealization,
+    batch_points,
     ObservedOutcomes,
     StackedOutcomes,
     add_invprop_column,
     coef_2r,
     coef_3ht,
+    coef_by_name,
     coef_fixed,
     coef_ols,
     coef_ols_cluster_totals,
@@ -425,3 +427,93 @@ def test_intercept_contrast_positions_and_errors():
     custom = CovariateSpec(np.zeros((6, 2)), "custom", ("a", "b"))
     with pytest.raises(ValueError):
         intercept_contrast(coef_fixed([1.0, 2.0], custom), custom)
+
+
+def test_adjustment_cache_keeps_the_design_side_rank_flag():
+    x = zero_center(np.array([0.3, -1.2, 0.8, 2.0, -0.4, 0.5]))[:, None]
+    with pytest.warns(UserWarning):
+        clustered = make_cluster([1, 1, 2, 2, 3, 3], 1)
+    # D annihilates the arm intercepts of the complete and cluster designs
+    assert AdjustmentCache.build(spec_II(x), make_complete(6, 3)).rank_deficient
+    assert AdjustmentCache.build(spec_II(x), clustered).rank_deficient
+    bernoulli = make_bernoulli([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    assert not AdjustmentCache.build(spec_II(x), bernoulli).rank_deficient
+
+
+BATCH_IDS = np.array([1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6])
+SINGLE = {
+    "ols": lambda spec, obs, design, cache: coef_ols(spec, obs),
+    "wls_pi": lambda spec, obs, design, cache: coef_wls_pi(spec, obs, design),
+    "three_ht": lambda spec, obs, design, cache: coef_3ht(spec, obs, design, cache),
+    "two_r": lambda spec, obs, design, cache: coef_2r(spec, obs, design, cache),
+    "tyranny": lambda spec, obs, design, cache: coef_tyranny(spec, obs, design),
+    "ols_cluster_totals": lambda spec, obs, design, cache: coef_ols_cluster_totals(spec, obs),
+}
+
+
+def _batch_case(kind):
+    rng = np.random.default_rng(31)
+    n = 12
+    x = zero_center(rng.standard_normal((n, 2)))
+    y0 = x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+    outcomes = StackedOutcomes.from_arms(y0, y0 + 1.0 + x[:, 0])
+    if kind == "cluster":  # the cluster-total layouts
+        design = make_cluster(BATCH_IDS, 3)
+        layouts = (spec_cluster(x, BATCH_IDS, "II"), spec_cluster(x, BATCH_IDS, "I"))
+        methods = ("ols_cluster_totals", "ols", "wls_pi", "three_ht", "two_r")
+    else:
+        design = make_complete(n, 5)
+        if kind == "bernoulli":
+            design = make_bernoulli(rng.uniform(0.2, 0.8, n))
+        layouts = (spec_II(x), spec_I(x))
+        methods = ("ols", "wls_pi", "three_ht", "two_r")
+    return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",))]
+
+
+@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster"])
+def test_batch_points_equal_single_realization_estimates(kind):
+    design, outcomes, calls = _batch_case(kind)
+    # 450 draws: the stack crosses a block boundary
+    treated = np.array([draw(design, 500 + r).assignment for r in range(450)])
+    for specs, methods in calls:
+        batch = batch_points(design, outcomes, treated, specs, methods)
+        assert batch.points.shape == (450, len(methods), len(specs))
+        assert not batch.failed.any()
+        caches = [AdjustmentCache.build(spec, design) for spec in specs]
+        for r, z in enumerate(treated):
+            obs = _observe(outcomes, z)
+            for m, method in enumerate(methods):
+                for s, (spec, cache) in enumerate(zip(specs, caches)):
+                    coef = SINGLE[method](spec, obs, design, cache)
+                    assert batch.points[r, m, s] == greg(obs, design, spec, coef).point
+                    assert batch.rank_deficient[r, m, s] == coef.rank_deficient
+        if kind == "cluster" and "ols" in methods:  # 3 rows, 4 columns per arm
+            assert batch.rank_deficient[:, methods.index("ols_cluster_totals"), 0].all()
+
+
+def test_batch_points_rejects_bad_input():
+    design, outcomes, calls = _batch_case("cluster")
+    specs, methods = calls[0]
+    treated = np.array([draw(design, r).assignment for r in range(3)])
+    unit_spec = spec_II(np.zeros((12, 1)))
+    bad = treated.copy()
+    bad[0, 0] = 2
+    with pytest.raises(ValueError, match="0/1"):
+        batch_points(design, outcomes, bad, specs, methods)
+    with pytest.raises(ValueError, match="0/1"):
+        batch_points(design, outcomes, treated[:, :-1], specs, methods)
+    with pytest.raises(ValueError, match="one level"):
+        batch_points(design, outcomes, treated, [unit_spec, specs[0]], ["ols"])
+    for name in ("fixed", "bogus"):
+        with pytest.raises(ValueError, match=f"'{name}' is not an estimated coefficient method"):
+            batch_points(design, outcomes, treated, specs, [name])
+    with pytest.raises(ValueError, match="not an estimated coefficient method"):
+        coef_by_name("fixed", specs[0], _observe(outcomes, treated[0]), design)
+    # units 0 and 1 share cluster 0; a stack of one and one realization alone
+    # fail alike
+    split = treated[:1].copy()
+    split[0, :2] = [0, 1]
+    with pytest.raises(ValueError, match="assignment varies within cluster 0"):
+        batch_points(design, outcomes, split, specs, ["ols_cluster_totals"])
+    with pytest.raises(ValueError, match="assignment varies within cluster 0"):
+        coef_ols_cluster_totals(specs[0], _observe(outcomes, split[0]))
