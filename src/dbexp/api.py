@@ -8,6 +8,7 @@ Follows the scikit-learn conventions (constructor stores parameters verbatim,
 from __future__ import annotations
 
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -99,6 +100,8 @@ class AteEstimator:
             raise ValueError(f"unknown bound {self.bound!r}")
         if self.bound.startswith("borrowed") and self.estimator != "two_r":
             raise ValueError("borrowed bounds pair with the two-stage estimator only")
+        if not 0.0 < self.z < math.inf:
+            raise ValueError(f"z must be a positive finite normal quantile, got {self.z!r}")
 
         z = check_treatment(treated)
         outcome = np.asarray(outcome, dtype=float)

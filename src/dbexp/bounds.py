@@ -31,6 +31,8 @@ from .estimators import (
 )
 
 PSD_TOL = 1e-8
+#: Relative min-eigenvalue tolerance at which the iterative bound has converged.
+ITERATIVE_TOL = 1e-10
 
 BOUND_METHODS = ("as", "iterative", "cluster")
 
@@ -128,9 +130,7 @@ def as_bound(dmat: DesignMatrix) -> BoundMatrix:
     return _certify(values, dmat, "as", added_psd=is_graph)
 
 
-def iterative_bound(
-    dmat: DesignMatrix, max_iters: int = 500, tol: float = 1e-10
-) -> BoundMatrix:
+def iterative_bound(dmat: DesignMatrix, max_iters: int = 500) -> BoundMatrix:
     """Alternating projections between the PSD cone and the mask constraint.
 
     Starts from the unobservable-pair indicator; alternately projects onto the
@@ -139,6 +139,8 @@ def iterative_bound(
     covariance structure is an identified bound.  Convergence is not
     guaranteed; failures raise with the min-eigenvalue trace attached.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     mask = dmat.mask
     maskf = mask.astype(float)
     t = maskf.copy()
@@ -148,7 +150,7 @@ def iterative_bound(
         lo = float(vals[0])
         trace.append(lo)
         scale = max(abs(lo), abs(float(vals[-1])), 1.0)
-        if lo >= -tol * scale:
+        if lo >= -ITERATIVE_TOL * scale:
             t[mask] = 1.0  # exact, not just converged
             values = dmat.values + t
             return _certify(
@@ -301,6 +303,14 @@ class BoundCache:
         return cls(bound=bound, weighted=weighted, adjustment=adjustment)
 
 
+def _check_bound_inputs(bound: BoundMatrix, n: int, cache: BoundCache | None) -> None:
+    """Raise unless ``cache`` was built for ``bound`` and the bound has ``n`` units per arm."""
+    if cache is not None and cache.bound is not bound:
+        raise ValueError("the bound cache was built for a different bound")
+    if bound.n != n:
+        raise ValueError(f"the bound has {bound.n} units per arm but the design has {n}")
+
+
 def _observed_quadratic(
     weighted: np.ndarray, vector: np.ndarray, indicator: np.ndarray, divisor: int
 ) -> float:
@@ -317,6 +327,7 @@ def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutc
     pinned to the bound.
     """
     observed, design, divisor = _system(observed, design, None)
+    _check_bound_inputs(bound, design.n, cache)
     weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, design)
     return _observed_quadratic(weighted, observed.stacked(), observed.indicator(), divisor)
 
@@ -330,6 +341,7 @@ def bound_estimate_greg(bound: BoundMatrix, design: Design, observed: ObservedOu
     coefficient it is a plug-in without an exactness guarantee.
     """
     sys_obs, sys_design, divisor = _system(observed, design, spec)
+    _check_bound_inputs(bound, sys_design.n, cache)
     weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, sys_design)
     residual = sys_obs.stacked() - spec.matrix @ coefficient.values
     return _observed_quadratic(weighted, residual, sys_obs.indicator(), divisor)
@@ -346,6 +358,7 @@ def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: Obs
     the two-stage point estimate keeps intervals conservative while typically
     much narrower than the plug-in alternative.
     """
+    _check_bound_inputs(bound, spec.rows_per_arm, cache)
     adjustment = cache.adjustment if cache is not None else None
     if adjustment is None:
         adjustment = AdjustmentCache.over(spec, bound.values)

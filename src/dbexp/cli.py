@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
-import numpy as np
 
 from .api import AteEstimator, BOUND_CHOICES, POINT_ESTIMATORS
 from .bounds import (
@@ -34,14 +34,7 @@ from .dataio import (
 )
 from .design import DesignError, UnidentifiedDesignError, design_matrix
 from .estimators import AssignmentRealization, ObservedOutcomes
-from .simulation import (
-    COVARIATE_SET_IDS,
-    ESTIMATOR_NAMES,
-    SimConfig,
-    calibration_r2,
-    emit_report,
-    run_simulation,
-)
+from .simulation import ESTIMATOR_NAMES, SimConfig, calibration_r2, emit_report, run_simulation
 
 EXIT_INPUT = 2
 EXIT_UNIDENTIFIED = 3
@@ -189,12 +182,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
         write_manifest(out_dir, "simulate", {
             "config_file": file_config,
             "flags": {k: v for k, v in flags.items() if v is not None},
-            "resolved": {
-                "n_units": config.n_units, "n_clusters": config.n_clusters, "m1": config.m1,
-                "replications": config.replications, "seed": config.seed,
-                "noise_interpretation": config.noise_interpretation,
-                "spec_sets": list(config.spec_sets), "estimators": list(config.estimators),
-            },
+            "resolved": asdict(config),
             "calibration_r2": calibration_r2(result.population),
             "failures": int(result.failures.sum()),
             "rank_deficient": result.rank_deficient,
@@ -218,7 +206,11 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
     """Construct variance bounds for a design and compare their tightness."""
 
     def body():
-        names = [v.strip() for v in methods.split(",") if v.strip()]
+        names = list(dict.fromkeys(v.strip() for v in methods.split(",") if v.strip()))
+        if not names:
+            raise ValueError(
+                f"--methods names no bound method; choose from {', '.join(BOUND_METHODS)}"
+            )
         for name in names:
             check_bound_method(name)
         table = read_experiment_csv(data_path) if data_path else None
@@ -281,15 +273,7 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
         result = precision_test(design, dmat, observed, layout, b_f, bound_matrix)
         os.makedirs(out_dir, exist_ok=True)
         report = {
-            "statistic": result.statistic,
-            "threshold": result.threshold,
-            "se": result.se,
-            "z_score": result.z_score,
-            "p_value": result.p_value,
-            "degenerate": result.degenerate,
-            "se_truncated": result.se_truncated,
-            "scaled_statistic": result.scaled_statistic,
-            "scaled_threshold": result.scaled_threshold,
+            **asdict(result),
             "caveat": (
                 "retrospective diagnostic only: the coefficient must be fixed "
                 "before outcomes are seen (pre-analysis plan), never chosen after the fact"

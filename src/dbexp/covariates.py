@@ -10,7 +10,7 @@ while still targeting the individual-level average effect.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -206,13 +206,4 @@ def add_invprop_column(spec: CovariateSpec, design: Design) -> CovariateSpec:
     raw = 1.0 / design.marginals
     col = np.concatenate([raw[:n] - raw[:n].mean(), raw[n:] - raw[n:].mean()])
     matrix = np.hstack([spec.matrix, col[:, None]])
-    return CovariateSpec(
-        matrix,
-        spec.kind,
-        spec.labels + ("inv_propensity",),
-        level=spec.level,
-        divisor=spec.divisor,
-        cluster_ids=spec.cluster_ids,
-        intercept_cols=spec.intercept_cols,
-        x=spec.x,
-    )
+    return replace(spec, matrix=matrix, labels=spec.labels + ("inv_propensity",))

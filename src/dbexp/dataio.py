@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -112,11 +113,14 @@ def _parse_float(cell: str, row_number: int, column: str) -> float:
     if not text:
         raise CsvFormatError("empty numeric field", row=row_number, column=column)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CsvFormatError(
             f"could not parse {cell!r} as a number", row=row_number, column=column
         ) from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"{cell!r} is not a finite number", row=row_number, column=column)
+    return value
 
 
 # -- design descriptors --------------------------------------------------------

@@ -192,14 +192,6 @@ class Design:
     def kind(self) -> str:
         return self.provenance.kind
 
-    @property
-    def prob_treated(self) -> np.ndarray:
-        return self.marginals[self.n :]
-
-    @property
-    def prob_control(self) -> np.ndarray:
-        return self.marginals[: self.n]
-
     @cached_property
     def _design_matrix(self) -> DesignMatrix:
         """The covariance structure D, certified PSD.
@@ -234,15 +226,11 @@ class Design:
     @cached_property
     def _cluster_level(self) -> tuple["Design", np.ndarray]:
         """See :func:`cluster_level_design`."""
-        prov = self.provenance
-        if not (isinstance(prov, AnalyticProvenance) and prov.kind == "cluster"):
+        if self.kind != "cluster":
             raise DesignError("cluster-level collapse requires a cluster-randomized design")
-        unique, index = _cluster_index(prov.params["cluster_ids"])
+        index, m, m1 = _groups(self)
         index.flags.writeable = False
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            collapsed = make_complete(unique.shape[0], prov.params["m1"])
-        return collapsed, index
+        return make_complete(m, m1), index
 
     def to_json(self) -> str:
         return json.dumps(design_to_dict(self))
@@ -334,22 +322,14 @@ def _closed_form_spectrum(design: Design, values: np.ndarray) -> np.ndarray | No
         if not _has_structure(values, np.eye(n, dtype=bool), k_same, np.zeros((2, 2))):
             return None
         return _eig2(k_same)
-    if prov.kind == "complete":
-        index, m1 = np.arange(n), prov.params.get("n1")
-    elif prov.kind == "cluster":
-        ids, m1 = prov.params.get("cluster_ids"), prov.params.get("m1")
-        if ids is None or np.shape(ids) != (n,):
-            return None
-        index = _cluster_index(ids)[1]
-    else:
+    groups = _groups(design)
+    if groups is None:
         return None
-    m = int(index.max()) + 1
-    if m1 is None or not 1 <= m1 <= m - 1:
+    index, m, m1 = groups
+    if index.shape != (n,) or not 1 <= m1 <= m - 1:
         return None
-    m0 = m - m1
-    pi = np.array([m0 / m, m1 / m])
+    pi, pairs = _group_pairs(m, m1)
     k_same = _arm_kernel(np.diag(pi), pi)
-    pairs = np.array([[m0 * (m0 - 1), m0 * m1], [m0 * m1, m1 * (m1 - 1)]]) / (m * (m - 1))
     k_diff = _arm_kernel(pairs, pi)
     if not _has_structure(values, index[:, None] == index[None, :], k_same, k_diff):
         return None
@@ -359,9 +339,40 @@ def _closed_form_spectrum(design: Design, values: np.ndarray) -> np.ndarray | No
     return np.concatenate(spectrum) * (n / m)
 
 
-def _assemble_joint(n: int, p00: np.ndarray, p10: np.ndarray, p11: np.ndarray) -> np.ndarray:
-    # p10[i, j] = P(i treated, j control); the (0,1) block is its transpose.
-    return np.block([[p00, p10.T], [p10, p11]])
+def _groups(design: Design) -> tuple[np.ndarray, int, int] | None:
+    """(unit -> group index, number of groups, number treated) of a complete or
+    cluster design, else None.  A complete design is n singleton groups."""
+    prov = design.provenance
+    if prov.kind == "complete":
+        return np.arange(design.n), design.n, prov.params["n1"]
+    if prov.kind == "cluster":
+        unique, index = _cluster_index(prov.params["cluster_ids"])
+        return index, unique.shape[0], prov.params["m1"]
+    return None
+
+
+def _group_pairs(m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arm marginals (2,) and the 2 x 2 arm joint of two different groups when
+    ``m1`` of ``m`` groups are treated completely at random."""
+    m0 = m - m1
+    pi = np.array([m0 / m, m1 / m])
+    pairs = np.array([[m0 * (m0 - 1), m0 * m1], [m0 * m1, m1 * (m1 - 1)]]) / (m * (m - 1))
+    return pi, pairs
+
+
+def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) -> Design:
+    """Complete randomization of ``m1`` groups; units inherit their group's arm."""
+    n, m = index.shape[0], int(index.max()) + 1
+    pi, pairs = _group_pairs(m, m1)
+    own = np.diag(pi)  # two units of one group always share its arm
+    same = index[:, None] == index[None, :]
+    joint = np.empty((2 * n, 2 * n))
+    for a in range(2):
+        for b in range(2):
+            block = joint[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            block[...] = pairs[a, b]
+            block[same] = own[a, b]
+    return Design(n, joint, np.repeat(pi, n), provenance)
 
 
 def make_complete(n: int, n1: int) -> Design:
@@ -370,18 +381,7 @@ def make_complete(n: int, n1: int) -> Design:
         raise DesignError("complete randomization needs at least 2 units")
     if not 1 <= n1 <= n - 1:
         raise UnidentifiedDesignError("number treated must satisfy 1 <= n1 <= n - 1")
-    n0 = n - n1
-    pi1 = n1 / n
-    pi0 = n0 / n
-    p11 = np.full((n, n), n1 * (n1 - 1) / (n * (n - 1)))
-    np.fill_diagonal(p11, pi1)
-    p00 = np.full((n, n), n0 * (n0 - 1) / (n * (n - 1)))
-    np.fill_diagonal(p00, pi0)
-    p10 = np.full((n, n), n1 * n0 / (n * (n - 1)))
-    np.fill_diagonal(p10, 0.0)
-    joint = _assemble_joint(n, p00, p10, p11)
-    marginals = np.concatenate([np.full(n, pi0), np.full(n, pi1)])
-    return Design(n, joint, marginals, AnalyticProvenance("complete", {"n1": n1}))
+    return _group_design(np.arange(n), n1, AnalyticProvenance("complete", {"n1": n1}))
 
 
 def make_bernoulli(pi1: Sequence[float]) -> Design:
@@ -397,9 +397,9 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
     np.fill_diagonal(p11, pi1)
     p00 = np.outer(pi0, pi0)
     np.fill_diagonal(p00, pi0)
-    p10 = np.outer(pi1, pi0)
+    p10 = np.outer(pi1, pi0)  # P(i treated, j control); the (0,1) block is its transpose
     np.fill_diagonal(p10, 0.0)
-    joint = _assemble_joint(n, p00, p10, p11)
+    joint = np.block([[p00, p10.T], [p10, p11]])
     marginals = np.concatenate([pi0, pi1])
     return Design(n, joint, marginals, AnalyticProvenance("bernoulli", {"pi1": pi1.copy()}))
 
@@ -422,7 +422,6 @@ def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
     """Complete randomization of whole clusters; units inherit their cluster's arm."""
     unique, index = _cluster_index(cluster_ids)
     m = unique.shape[0]
-    n = index.shape[0]
     if m < 2:
         raise DesignError("cluster randomization needs at least 2 clusters")
     if not 1 <= m1 <= m - 1:
@@ -433,15 +432,8 @@ def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
             "(identified cluster bound, cluster-level moments) need at least 2 per arm",
             stacklevel=2,
         )
-    m0 = m - m1
-    same = index[:, None] == index[None, :]
-    p11 = np.where(same, m1 / m, m1 * (m1 - 1) / (m * (m - 1)))
-    p00 = np.where(same, m0 / m, m0 * (m0 - 1) / (m * (m - 1)))
-    p10 = np.where(same, 0.0, m1 * m0 / (m * (m - 1)))
-    joint = _assemble_joint(n, p00, p10, p11)
-    marginals = np.concatenate([np.full(n, m0 / m), np.full(n, m1 / m)])
     params = {"cluster_ids": np.asarray(cluster_ids, dtype=np.int64), "m1": m1, "m": m}
-    return Design(n, joint, marginals, AnalyticProvenance("cluster", params))
+    return _group_design(index, m1, AnalyticProvenance("cluster", params))
 
 
 def make_from_sampler(
@@ -526,18 +518,14 @@ def draw(design: Design, seed: int) -> AssignmentRealization:
     """Sample one assignment from the design; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     prov = design.provenance
-    if isinstance(prov, AnalyticProvenance):
-        if prov.kind == "complete":
-            z = np.zeros(design.n, dtype=np.int8)
-            z[rng.permutation(design.n)[: prov.params["n1"]]] = 1
-        elif prov.kind == "bernoulli":
-            z = (rng.random(design.n) < prov.params["pi1"]).astype(np.int8)
-        elif prov.kind == "cluster":
-            unique, index = _cluster_index(prov.params["cluster_ids"])
-            picked = rng.permutation(unique.shape[0])[: prov.params["m1"]]
-            z = np.isin(index, picked).astype(np.int8)
-        else:  # pragma: no cover - constructors control the kinds
-            raise DesignError(f"unknown analytic kind {prov.kind!r}")
+    groups = _groups(design)
+    if groups is not None:
+        index, m, m1 = groups
+        z_group = np.zeros(m, dtype=np.int8)
+        z_group[rng.permutation(m)[:m1]] = 1
+        z = z_group[index]
+    elif prov.kind == "bernoulli":
+        z = (rng.random(design.n) < prov.params["pi1"]).astype(np.int8)
     elif isinstance(prov, EnumeratedProvenance):
         pick = rng.choice(prov.assignments.shape[0], p=prov.probabilities)
         z = prov.assignments[pick]
@@ -551,15 +539,14 @@ def draw(design: Design, seed: int) -> AssignmentRealization:
 def support_size(design: Design) -> int | None:
     """Exact support size when it is cheaply known, else None."""
     prov = design.provenance
+    groups = _groups(design)
+    if groups is not None:
+        _, m, m1 = groups
+        return comb(m, m1)
+    if prov.kind == "bernoulli":
+        return 2**design.n
     if isinstance(prov, EnumeratedProvenance):
         return prov.assignments.shape[0]
-    if isinstance(prov, AnalyticProvenance):
-        if prov.kind == "complete":
-            return comb(design.n, prov.params["n1"])
-        if prov.kind == "bernoulli":
-            return 2**design.n
-        if prov.kind == "cluster":
-            return comb(prov.params["m"], prov.params["m1"])
     return None
 
 
@@ -571,17 +558,16 @@ def in_support(design: Design, z) -> bool:
     """
     z = np.asarray(z)
     prov = design.provenance
+    groups = _groups(design)
+    if groups is not None:
+        index, m, m1 = groups
+        z_group = np.zeros(m, dtype=z.dtype)
+        z_group[index] = z
+        return bool(np.array_equal(z_group[index], z)) and int(z_group.sum()) == m1
     if isinstance(prov, EnumeratedProvenance):
         rows = (prov.assignments == z).all(axis=1)
         return bool((prov.probabilities[rows] > 0).any())
-    if not isinstance(prov, AnalyticProvenance) or prov.kind == "bernoulli":
-        return True
-    if prov.kind == "complete":
-        return int(z.sum()) == prov.params["n1"]
-    _, index = _cluster_index(prov.params["cluster_ids"])
-    z_cluster = np.zeros(prov.params["m"], dtype=z.dtype)
-    z_cluster[index] = z
-    return bool(np.array_equal(z_cluster[index], z)) and int(z_cluster.sum()) == prov.params["m1"]
+    return True
 
 
 def enumerate_assignments(
@@ -599,17 +585,13 @@ def enumerate_assignments(
         )
     prov = design.provenance
     out: list[tuple[AssignmentRealization, float]] = []
-    if isinstance(prov, EnumeratedProvenance):
-        for z, prob in zip(prov.assignments, prov.probabilities):
-            out.append((AssignmentRealization(z), float(prob)))
-        return out
-    if prov.kind == "complete":
-        n1 = prov.params["n1"]
-        prob = 1.0 / comb(design.n, n1)
-        for chosen in itertools.combinations(range(design.n), n1):
-            z = np.zeros(design.n, dtype=np.int8)
-            z[list(chosen)] = 1
-            out.append((AssignmentRealization(z), prob))
+    groups = _groups(design)
+    if groups is not None:
+        index, m, m1 = groups
+        for chosen in itertools.combinations(range(m), m1):
+            z_group = np.zeros(m, dtype=np.int8)
+            z_group[list(chosen)] = 1
+            out.append((AssignmentRealization(z_group[index]), 1.0 / size))
         return out
     if prov.kind == "bernoulli":
         pi1 = prov.params["pi1"]
@@ -618,15 +600,8 @@ def enumerate_assignments(
             prob = float(np.prod(np.where(z == 1, pi1, 1.0 - pi1)))
             out.append((AssignmentRealization(z), prob))
         return out
-    if prov.kind == "cluster":
-        unique, index = _cluster_index(prov.params["cluster_ids"])
-        m1 = prov.params["m1"]
-        prob = 1.0 / comb(unique.shape[0], m1)
-        for chosen in itertools.combinations(range(unique.shape[0]), m1):
-            z = np.isin(index, list(chosen)).astype(np.int8)
-            out.append((AssignmentRealization(z), prob))
-        return out
-    raise DesignError(f"unknown analytic kind {prov.kind!r}")  # pragma: no cover
+    pairs = zip(prov.assignments, prov.probabilities)
+    return [(AssignmentRealization(z), float(prob)) for z, prob in pairs]
 
 
 def cluster_level_design(design: Design) -> tuple[Design, np.ndarray]:

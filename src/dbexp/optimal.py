@@ -12,10 +12,11 @@ import numpy as np
 
 from ._linalg import normal_system
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, StackedOutcomes, _cluster_index
+from .design import Design, DesignMatrix, StackedOutcomes, _groups
 from .estimators import _wls
 
 FOC_RTOL = 1e-8
+PINV_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,12 @@ class OptimalCoefficient:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def _check_foc(normal, rhs, b, what: str, floor: float = 0.0) -> None:
+def _check_foc(normal, rhs, b, what: str, floor: float) -> None:
     # a numerically-zero right-hand side (the structure annihilates the
     # layout) satisfies the condition within float residue
     resid = float(np.linalg.norm(normal @ b - rhs))
     if resid > max(FOC_RTOL * float(np.linalg.norm(rhs)), PINV_FLOOR * floor):
         raise RuntimeError(f"{what}: first-order condition violated (residual {resid:g})")
-
-
-PINV_FLOOR = 1e-12
 
 
 def _solve_normal(core, matrix, target, what: str):
@@ -194,9 +192,7 @@ def b_population(
     if method in ("ols_cluster_II", "tyranny_cluster"):
         if kind != "cluster":
             raise ValueError(f"{method} is defined for cluster randomization")
-        params = design.provenance.params
-        _, index = _cluster_index(params["cluster_ids"])
-        m, m1 = params["m"], params["m1"]
+        index, m, m1 = _groups(design)
         m0 = m - m1
         xt = np.hstack([np.ones((n, 1)), x])
         totals = np.zeros((m, xt.shape[1]))

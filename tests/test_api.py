@@ -5,7 +5,6 @@ import pytest
 
 from dbexp import (
     AteEstimator,
-    StackedOutcomes,
     bound_estimate_greg,
     coef_wls_pi,
     design_matrix,

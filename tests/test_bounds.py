@@ -115,6 +115,13 @@ def test_iterative_bound_nonconvergence_raises_with_trace():
     assert len(err.value.trace) >= 1
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_iterative_bound_rejects_fewer_than_one_iteration(max_iters):
+    dmat = design_matrix(make_complete(4, 2))
+    with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+        iterative_bound(dmat, max_iters=max_iters)
+
+
 def test_cluster_bound_certified_and_sharp_null_exact():
     design = _cluster_design()
     dmat = design_matrix(design)
@@ -351,6 +358,28 @@ def test_bound_cache_matches_direct_evaluation():
     assert bound_estimate_ht(bound, design, obs) == pytest.approx(
         bound_estimate_ht(bound, design, obs, cache=BoundCache.build(bound, design)), abs=1e-12
     )
+
+
+def test_bound_estimates_reject_a_cache_or_bound_built_for_another_design():
+    design = make_complete(6, 3)
+    bound = as_bound(design_matrix(design))
+    other = as_bound(design_matrix(make_complete(6, 2)))
+    foreign = BoundCache.build(other, make_complete(6, 2))
+    rng = np.random.default_rng(4)
+    spec = spec_II(zero_center(rng.standard_normal((6, 1))))
+    outcomes = StackedOutcomes.from_arms(rng.standard_normal(6), rng.standard_normal(6))
+    obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 1))
+    coefficient = CoefficientEstimate(np.zeros(spec.n_columns), "fixed")
+    estimates = [
+        lambda b, cache: bound_estimate_ht(b, design, obs, cache=cache),
+        lambda b, cache: bound_estimate_greg(b, design, obs, spec, coefficient, cache=cache),
+        lambda b, cache: bound_estimate_2r_borrowed(b, design, obs, spec, cache=cache),
+    ]
+    for estimate in estimates:
+        with pytest.raises(ValueError, match="cache was built for a different bound"):
+            estimate(bound, foreign)
+        with pytest.raises(ValueError, match="the bound has 4 units per arm but the design has 6"):
+            estimate(as_bound(design_matrix(make_complete(4, 2))), None)
 
 
 def test_precision_test_degenerate_zero_coefficient():

@@ -325,3 +325,67 @@ def test_custom_design_descriptor(runner, tmp_path):
     assert result.exit_code == 0, result.output
     row = open(tmp_path / "out" / "estimates.csv").read().splitlines()[1]
     assert float(row.split(",")[2]) == pytest.approx(-1.0)
+
+
+def test_bounds_compare_max_iters_below_one_exits_2(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["bounds-compare", "--design", "complete:n1=2,n=4", "--methods", "iterative",
+         "--max-iters", "0", "--out-dir", str(tmp_path / "b")],
+    )
+    assert result.exit_code == 2
+    assert "error: max_iters must be at least 1, got 0" in result.output
+
+
+def test_bounds_compare_duplicate_methods_act_once(runner, tmp_path):
+    reports = []
+    for methods in ("as,as", "as"):
+        out = tmp_path / methods.replace(",", "_")
+        result = runner.invoke(
+            main,
+            ["bounds-compare", "--design", "complete:n1=2,n=4", "--methods", methods,
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        reports.append(open(out / "bounds_compare.csv").read())
+    assert reports[0] == reports[1]
+    assert len(reports[0].splitlines()) == 2  # header plus the self-comparison
+
+
+@pytest.mark.parametrize("methods", ["", ","])
+def test_bounds_compare_empty_methods_exit_2_before_reading_data(runner, tmp_path, methods):
+    result = runner.invoke(
+        main,
+        ["bounds-compare", "--design", "cluster:m1=2", "--data", str(tmp_path / "missing.csv"),
+         "--methods", methods, "--out-dir", str(tmp_path / "b")],
+    )
+    assert result.exit_code == 2
+    assert "error: --methods names no bound method; choose from as, iterative, cluster" in (
+        result.output
+    )
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("command", ["estimate", "precision-test"])
+def test_non_finite_csv_value_exits_2(runner, tmp_path, cell, command):
+    data = _write(tmp_path / "p.csv", PRECISION_CSV.replace("-0.5", cell))
+    coef = _write(tmp_path / "b.json", HELPFUL_B)
+    args = ["--data", data, "--design", "complete:n1=2", "--out-dir", str(tmp_path / "o")]
+    if command == "precision-test":
+        args += ["--coefficient", coef]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert f"error: '{cell}' is not a finite number (row 3, column 'x')" in result.output
+
+
+@pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
+def test_estimate_non_positive_or_non_finite_z_exits_2(runner, tmp_path, z):
+    data = _write(tmp_path / "p.csv", PRECISION_CSV)
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", "complete:n1=2", "--z", z,
+         "--out-dir", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 2
+    assert "error: z must be a positive finite normal quantile, got" in result.output

@@ -1,4 +1,6 @@
+import itertools
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,7 @@ from dbexp import (
 )
 from conftest import weighted_indicator_covariance
 from dbexp import design as design_module
-from dbexp.design import cluster_level_design
+from dbexp.design import cluster_level_design, in_support, support_size
 
 
 def test_complete_2_1_design_matrix_blocks():
@@ -92,9 +94,24 @@ def test_cluster_same_cluster_entries_and_enumeration():
 
 
 def test_singleton_clusters_reduce_to_complete():
-    cluster = make_cluster([1, 2, 3], 1)
-    complete = make_complete(3, 1)
-    np.testing.assert_allclose(cluster.joint, complete.joint, atol=1e-12)
+    for n, n1 in ((n, n1) for n in range(2, 9) for n1 in range(1, n)):
+        complete = make_complete(n, n1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # one unit in an arm warns for clusters
+            cluster = make_cluster(np.arange(n), n1)
+        np.testing.assert_array_equal(complete.joint, cluster.joint)
+        np.testing.assert_array_equal(complete.marginals, cluster.marginals)
+        np.testing.assert_array_equal(design_matrix(complete).values, design_matrix(cluster).values)
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                draw(complete, seed).assignment, draw(cluster, seed).assignment
+            )
+        assert support_size(complete) == support_size(cluster)
+        assert [(z.as_tuple(), p) for z, p in enumerate_assignments(complete)] == [
+            (z.as_tuple(), p) for z, p in enumerate_assignments(cluster)
+        ]
+        for z in itertools.product((0, 1), repeat=n):
+            assert in_support(complete, z) == in_support(cluster, z) == (sum(z) == n1)
 
 
 def test_cluster_rejects_degenerate_split():

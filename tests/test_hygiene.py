@@ -1,0 +1,54 @@
+"""Static checks over the library modules: no unused imports, no blanket excepts."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(
+    path
+    for path in (Path(__file__).resolve().parents[1] / "src" / "dbexp").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_scan_sees_the_library():
+    assert {path.name for path in MODULES} >= {"design.py", "cli.py", "bounds.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _is_blanket(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(
+        kind is None or (isinstance(kind, ast.Name) and kind.id in ("Exception", "BaseException"))
+        for kind in caught
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_blanket_except(path):
+    blanket = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ExceptHandler) and _is_blanket(node)
+    ]
+    assert not blanket, f"{path.name} has a bare or blanket except at lines {blanket}"
