@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .api import AteEstimator
 from .bounds import (
-    BoundCache,
     BoundComparison,
     BoundConvergenceError,
     BoundMatrix,

@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import covariates as _cov
 from . import estimators as _est
-from .design import Design, cluster_level_design, in_support
+from .design import Design, _zero_one, cluster_level_design, in_support
 from .estimators import AssignmentRealization, ObservedOutcomes
 
 POINT_ESTIMATORS = ("ht", *_est.COEFFICIENT_METHODS[1:])
@@ -29,7 +29,7 @@ BOUND_CHOICES = (
 
 def check_treatment(treated) -> np.ndarray:
     z = np.asarray(treated)
-    if z.ndim != 1 or not np.isin(z, (0, 1)).all():
+    if z.ndim != 1 or not _zero_one(z):
         raise ValueError("treatment must be a one-dimensional 0/1 vector")
     return z.astype(np.int8)
 

@@ -9,6 +9,11 @@ term is PSD by construction: the AS bound adds the signless Laplacian of the
 unobservable-pair graph, the cluster bound a Gram matrix.  The iterative bound,
 and the PSD-order comparison of two bounds, are decided numerically by a dense
 eigendecomposition.
+
+A bound records the joint probabilities of the design it was built over, and
+is estimated on and compared within that design only.  It keeps its
+estimation state: the bound weighted by the reciprocal joint probabilities,
+built on first use, and the normal system of the last layout it served.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import min_max_eig, psd_project, sym_eigvals, symmetrize
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, _cluster_index, cluster_level_design, design_matrix
+from .design import Design, DesignMatrix, _cluster_index, design_matrix
 from .estimators import (
     AdjustmentCache,
     CoefficientEstimate,
@@ -53,17 +59,20 @@ class BoundMatrix:
     is False when the construction could not zero all of them (for example the
     cluster bound with a single cluster in some arm), in which case the bound
     quadratic is still valid but cannot be estimated from observed data.
+    ``joint`` is the joint probability matrix of the design the bound was
+    built over, the design's own array.
     """
 
     values: np.ndarray
     method: str  # "as" | "iterative" | "cluster" | "custom"
     identification_mask: np.ndarray
     identified: bool
+    joint: np.ndarray
     iterations: int = 0
     min_eig_trace: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        for name in ("values", "identification_mask"):
+        for name in ("values", "identification_mask", "joint"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -80,9 +89,25 @@ class BoundMatrix:
         """The n x n matrix whose quadratic gives the bound when both arms share outcomes."""
         return self.block(0, 0) + self.block(1, 1) - self.block(1, 0) - self.block(0, 1)
 
-    def quadratic(self, stacked: np.ndarray) -> float:
-        v = np.asarray(stacked, dtype=float)
-        return float(v @ self.values @ v)
+    @cached_property
+    def _weighted(self) -> np.ndarray:
+        """The bound over the joint probabilities, zero-probability slots left harmless."""
+        if not self.identified:
+            raise ValueError("only identified bounds can be estimated from observed data")
+        return self.values / (self.joint + (self.joint == 0.0))
+
+    def _adjustment(self, spec: CovariateSpec) -> AdjustmentCache:
+        """The layout's normal system over the bound, kept for the last layout it served."""
+        cache = self.__dict__.get("_last_adjustment")
+        if cache is None or cache.spec is not spec:
+            cache = AdjustmentCache.over(spec, self.values)
+            self.__dict__["_last_adjustment"] = cache
+        return cache
+
+    def _check_design(self, design: Design) -> None:
+        """Raise unless ``design`` is the design the bound was built over."""
+        if design.joint is not self.joint and not np.array_equal(design.joint, self.joint):
+            raise ValueError("the bound was built over a different design")
 
 
 def _certify(
@@ -110,7 +135,8 @@ def _certify(
             stacklevel=3,
         )
     return BoundMatrix(
-        values=values, method=method, identification_mask=mask, identified=identified, **kw
+        values=values, method=method, identification_mask=mask, identified=identified,
+        joint=dmat.joint, **kw
     )
 
 
@@ -139,8 +165,7 @@ def iterative_bound(dmat: DesignMatrix, max_iters: int = 500) -> BoundMatrix:
     covariance structure is an identified bound.  Convergence is not
     guaranteed; failures raise with the min-eigenvalue trace attached.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    _check_max_iters(max_iters)
     mask = dmat.mask
     maskf = mask.astype(float)
     t = maskf.copy()
@@ -198,6 +223,11 @@ def check_bound_method(name: str) -> None:
         raise ValueError(f"unknown bound method {name!r}; choose from {', '.join(BOUND_METHODS)}")
 
 
+def _check_max_iters(max_iters: int) -> None:
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+
+
 def build_bound(
     name: str, design: Design, *, cluster_ids=None, max_iters: int = 500
 ) -> BoundMatrix:
@@ -207,6 +237,7 @@ def build_bound(
     that is None, from the provenance of a cluster-randomized design.
     """
     check_bound_method(name)
+    _check_max_iters(max_iters)
     if name == "cluster" and cluster_ids is None:
         if design.kind != "cluster":
             raise ValueError("the cluster bound needs a cluster-randomized design")
@@ -255,8 +286,8 @@ def _order_verdict(diff: np.ndarray) -> tuple[str, float, float, float]:
 
 def compare_bounds(a: BoundMatrix, b: BoundMatrix) -> BoundComparison:
     """Decide which bound is tighter, in the PSD order and under the sharp null."""
-    if a.values.shape != b.values.shape:
-        raise ValueError("bounds must share the same design size")
+    if a.joint is not b.joint and not np.array_equal(a.joint, b.joint):
+        raise ValueError("bounds must be built over the same design")
     verdict, lo, hi, total = _order_verdict(b.values - a.values)
     sharp_verdict, _, _, _ = _order_verdict(b.sharp_null_form() - a.sharp_null_form())
     return BoundComparison(
@@ -273,53 +304,15 @@ def compare_bounds(a: BoundMatrix, b: BoundMatrix) -> BoundComparison:
 # -- bound estimation ----------------------------------------------------------
 
 
-def _weighted_bound_matrix(bound: BoundMatrix, design: Design) -> np.ndarray:
-    """bound / joint probabilities, with zero-probability slots left harmless."""
-    if not bound.identified:
-        raise ValueError("only identified bounds can be estimated from observed data")
-    safe = design.joint + (design.joint == 0.0)
-    return bound.values / safe
-
-
-@dataclass(frozen=True)
-class BoundCache:
-    """Write-once (bound, design[, layout]) precomputation for replication loops.
-
-    ``adjustment`` is the layout's normal system over the bound matrix, which
-    the bound-targeting two-stage coefficient reuses.
-    """
-
-    bound: BoundMatrix
-    weighted: np.ndarray
-    adjustment: AdjustmentCache | None = None
-
-    @classmethod
-    def build(cls, bound: BoundMatrix, design: Design, spec: CovariateSpec | None = None):
-        sys_design = design
-        if spec is not None and spec.level == "cluster":
-            sys_design = cluster_level_design(design)[0]
-        weighted = _weighted_bound_matrix(bound, sys_design)
-        adjustment = None if spec is None else AdjustmentCache.over(spec, bound.values)
-        return cls(bound=bound, weighted=weighted, adjustment=adjustment)
-
-
-def _check_bound_inputs(bound: BoundMatrix, n: int, cache: BoundCache | None) -> None:
-    """Raise unless ``cache`` was built for ``bound`` and the bound has ``n`` units per arm."""
-    if cache is not None and cache.bound is not bound:
-        raise ValueError("the bound cache was built for a different bound")
-    if bound.n != n:
-        raise ValueError(f"the bound has {bound.n} units per arm but the design has {n}")
-
-
-def _observed_quadratic(
-    weighted: np.ndarray, vector: np.ndarray, indicator: np.ndarray, divisor: int
-) -> float:
+def _observed_quadratic(bound: BoundMatrix, sys_design: Design, vector: np.ndarray,
+                        indicator: np.ndarray, divisor: int) -> float:
+    """Inverse-joint-probability weighted quadratic of ``vector`` on the observed slots."""
+    bound._check_design(sys_design)
     masked = vector * indicator
-    return float(masked @ weighted @ masked) / divisor**2
+    return float(masked @ bound._weighted @ masked) / divisor**2
 
 
-def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
-                      cache: BoundCache | None = None) -> float:
+def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutcomes) -> float:
     """Unbiased estimate of the bound quadratic from one realization.
 
     Each observed product is weighted by its reciprocal joint observation
@@ -327,28 +320,23 @@ def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutc
     pinned to the bound.
     """
     observed, design, divisor = _system(observed, design, None)
-    _check_bound_inputs(bound, design.n, cache)
-    weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, design)
-    return _observed_quadratic(weighted, observed.stacked(), observed.indicator(), divisor)
+    return _observed_quadratic(bound, design, observed.stacked(), observed.indicator(), divisor)
 
 
 def bound_estimate_greg(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
-                        spec: CovariateSpec, coefficient: CoefficientEstimate,
-                        cache: BoundCache | None = None) -> float:
+                        spec: CovariateSpec, coefficient: CoefficientEstimate) -> float:
     """Plug-in bound estimate for a regression estimator: residuals replace outcomes.
 
     Exactly unbiased for the bound at a fixed coefficient; with an estimated
     coefficient it is a plug-in without an exactness guarantee.
     """
     sys_obs, sys_design, divisor = _system(observed, design, spec)
-    _check_bound_inputs(bound, sys_design.n, cache)
-    weighted = cache.weighted if cache is not None else _weighted_bound_matrix(bound, sys_design)
     residual = sys_obs.stacked() - spec.matrix @ coefficient.values
-    return _observed_quadratic(weighted, residual, sys_obs.indicator(), divisor)
+    return _observed_quadratic(bound, sys_design, residual, sys_obs.indicator(), divisor)
 
 
 def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
-                               spec: CovariateSpec, cache: BoundCache | None = None) -> float:
+                               spec: CovariateSpec) -> float:
     """Borrowed bound estimate for the two-stage estimator.
 
     Estimates the bound-minimizing coefficient by the two-stage recursion run
@@ -358,12 +346,10 @@ def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: Obs
     the two-stage point estimate keeps intervals conservative while typically
     much narrower than the plug-in alternative.
     """
-    _check_bound_inputs(bound, spec.rows_per_arm, cache)
-    adjustment = cache.adjustment if cache is not None else None
-    if adjustment is None:
-        adjustment = AdjustmentCache.over(spec, bound.values)
-    coefficient = coef_2r(spec, observed, design, cache=adjustment)
-    return bound_estimate_greg(bound, design, observed, spec, coefficient, cache=cache)
+    sys_obs, sys_design, _ = _system(observed, design, spec)
+    bound._check_design(sys_design)
+    coefficient = coef_2r(spec, sys_obs, sys_design, cache=bound._adjustment(spec))
+    return bound_estimate_greg(bound, sys_design, sys_obs, spec, coefficient)
 
 
 # -- post-hoc precision test ---------------------------------------------------
@@ -413,8 +399,7 @@ def precision_test(design: Design, dmat: DesignMatrix, observed: ObservedOutcome
     threshold = scaled_threshold / divisor
 
     degenerate = bool(np.all(fitted == 0.0))
-    weighted = _weighted_bound_matrix(bound, sys_design)
-    var_est = _observed_quadratic(weighted, v_obs, indicator, divisor)
+    var_est = _observed_quadratic(bound, sys_design, v_obs, indicator, divisor)
     truncated = var_est < 0.0
     se = math.sqrt(max(var_est, 0.0))
     if degenerate or se == 0.0:

@@ -18,6 +18,7 @@ from .api import AteEstimator, BOUND_CHOICES, POINT_ESTIMATORS
 from .bounds import (
     BOUND_METHODS,
     BoundConvergenceError,
+    _check_max_iters,
     build_bound,
     check_bound_method,
     compare_bounds,
@@ -213,6 +214,7 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
             )
         for name in names:
             check_bound_method(name)
+        _check_max_iters(max_iters)
         table = read_experiment_csv(data_path) if data_path else None
         design = parse_design_descriptor(descriptor, table)
         built = {name: build_bound(name, design, max_iters=max_iters) for name in names}

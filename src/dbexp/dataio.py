@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, design_from_dict, make_bernoulli, make_cluster, make_complete, make_from_sampler
+from .design import Design, _key, design_from_dict, make_bernoulli, make_cluster, make_complete
 
 
 class CsvFormatError(ValueError):
@@ -141,29 +141,24 @@ def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = Non
             if not value:
                 raise ValueError(f"malformed design descriptor item {item!r}")
             params[key.strip()] = value.strip()
+    what = f"{kind} design descriptor"
     if kind == "complete":
         if table is None and "n" not in params:
             raise ValueError("complete design needs the data table or an explicit n")
         n = int(params["n"]) if "n" in params else table.n
-        return make_complete(n, int(params["n1"]))
+        return make_complete(n, int(_key(params, "n1", what)))
     if kind == "bernoulli":
-        pi1 = load_numeric_vector(params["file"])
-        return make_bernoulli(pi1)
+        return make_bernoulli(load_numeric_vector(_key(params, "file", what)))
     if kind == "cluster":
         if table is None or table.cluster_ids is None:
             raise ValueError("cluster design needs a cluster_id column in the data CSV")
-        return make_cluster(table.cluster_ids, int(params["m1"]))
+        return make_cluster(table.cluster_ids, int(_key(params, "m1", what)))
     if kind == "custom":
-        with open(params["file"]) as fh:
+        with open(_key(params, "file", what)) as fh:
             payload = json.load(fh)
-        if "kind" in payload:
-            return design_from_dict(payload)
-        pairs = zip(payload["assignments"], payload["probabilities"])
-        return make_from_sampler(
-            ((np.asarray(z, dtype=np.int8), float(p)) for z, p in pairs),
-            int(payload["n"]),
-            mode="enumerate",
-        )
+        if "kind" not in payload:  # a bare enumerated support
+            payload = {**payload, "kind": "enumerated", "params": payload}
+        return design_from_dict(payload)
     raise ValueError(f"unknown design kind {kind!r}")
 
 

@@ -80,6 +80,11 @@ class StackedOutcomes:
         return float(self.values.sum() / self.n)
 
 
+def _zero_one(z: np.ndarray) -> bool:
+    """Whether every entry of ``z`` is 0 or 1 (booleans included, NaN not)."""
+    return bool(((z == 0) | (z == 1)).all())
+
+
 @dataclass(frozen=True)
 class AssignmentRealization:
     """One realized assignment; ``assignment[i] == 1`` means unit i is treated."""
@@ -88,7 +93,7 @@ class AssignmentRealization:
 
     def __post_init__(self):
         z = np.asarray(self.assignment)
-        if z.ndim != 1 or not np.isin(z, (0, 1)).all():
+        if z.ndim != 1 or not _zero_one(z):
             raise ValueError("assignment must be a 0/1 vector")
         z = z.astype(np.int8)
         z.flags.writeable = False
@@ -142,14 +147,16 @@ class DesignMatrix:
     Entry (i, j) equals (p_ij - pi_i pi_j) / (pi_i pi_j); it is exactly -1 at
     every jointly unobservable pair, and the quadratic form y'My / n**2 is the
     variance of the inverse-probability estimator of the stacked mean.
+    ``joint`` is the design's joint probability matrix p, the same array.
     """
 
     values: np.ndarray
     mask: np.ndarray  # True where the pair is jointly unobservable (value -1)
     n: int
+    joint: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "mask"):
+        for name in ("values", "mask", "joint"):
             arr = getattr(self, name)
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
@@ -221,7 +228,7 @@ class Design:
             lo, hi = float(spectrum.min()), float(spectrum.max())
         if lo < -1e-8 * max(abs(lo), abs(hi), 1.0):
             raise DesignError(f"derived covariance structure is not PSD (min eigenvalue {lo:g})")
-        return DesignMatrix(values=values, mask=mask, n=self.n)
+        return DesignMatrix(values=values, mask=mask, n=self.n, joint=self.joint)
 
     @cached_property
     def _cluster_level(self) -> tuple["Design", np.ndarray]:
@@ -465,7 +472,7 @@ def make_from_sampler(
             if z.shape != (n,):
                 raise DesignError("sampler must yield 0/1 vectors of length n")
             row[:] = z
-        if not np.isin(stack, (0, 1)).all():
+        if not _zero_one(stack):
             raise DesignError("sampler must yield 0/1 vectors of length n")
         # unique rows in lexicographic order, the order of the sorted tuples
         support, counts = np.unique(stack.astype(np.int8), axis=0, return_counts=True)
@@ -496,7 +503,7 @@ def _collect_support(pairs: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
     probs = []
     for z, prob in pairs:
         z = np.asarray(z)
-        if z.shape != (n,) or not np.isin(z, (0, 1)).all():
+        if z.shape != (n,) or not _zero_one(z):
             raise DesignError("support assignments must be 0/1 vectors of length n")
         support.append(z.astype(np.int8))
         probs.append(float(prob))
@@ -637,24 +644,34 @@ def design_to_dict(design: Design) -> dict:
     return out
 
 
+def _key(data: dict, key: str, what: str):
+    """``data[key]``, or a DesignError naming the key that ``what`` lacks."""
+    if key not in data:
+        raise DesignError(f"{what} needs the key {key!r}")
+    return data[key]
+
+
 def design_from_dict(data: dict) -> Design:
-    kind = data["kind"]
-    n = int(data["n"])
+    kind = _key(data, "kind", "a design description")
+    n = int(_key(data, "n", "a design description"))
     params = data.get("params", {})
+    what = f"{kind} design"
     if kind == "complete":
-        return make_complete(n, int(params["n1"]))
+        return make_complete(n, int(_key(params, "n1", what)))
     if kind == "bernoulli":
-        return make_bernoulli(np.asarray(params["pi1"], dtype=float))
+        return make_bernoulli(np.asarray(_key(params, "pi1", what), dtype=float))
     if kind == "cluster":
-        return make_cluster(np.asarray(params["cluster_ids"]), int(params["m1"]))
+        ids = np.asarray(_key(params, "cluster_ids", what))
+        return make_cluster(ids, int(_key(params, "m1", what)))
     if kind == "enumerated":
-        pairs = zip(params["assignments"], params["probabilities"])
+        pairs = zip(_key(params, "assignments", what), _key(params, "probabilities", what))
         return make_from_sampler(
             ((np.asarray(z, dtype=np.int8), p) for z, p in pairs), n, mode="enumerate"
         )
     if kind == "monte_carlo":
-        joint = np.asarray(data["p"], dtype=float).reshape(2 * n, 2 * n)
-        prov = MonteCarloProvenance(draws=int(params["draws"]), seed=int(params["seed"]))
+        joint = np.asarray(_key(data, "p", what), dtype=float).reshape(2 * n, 2 * n)
+        draws, seed = int(_key(params, "draws", what)), int(_key(params, "seed", what))
+        prov = MonteCarloProvenance(draws=draws, seed=seed)
         return Design(n, joint, np.diag(joint).copy(), prov)
     raise DesignError(f"unknown design kind {kind!r}")
 

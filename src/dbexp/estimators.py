@@ -28,6 +28,7 @@ from .design import (
     DesignMatrix,
     StackedOutcomes,
     _cluster_index,
+    _zero_one,
     cluster_level_design,
     design_matrix,
 )
@@ -389,8 +390,8 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     :func:`greg` at the method's ``coef_*`` coefficient for that assignment alone.
     """
     specs, methods = tuple(specs), tuple(methods)
-    z = np.asarray(treated)  # np.isin would take 60 MB on the simulation's stack
-    if z.ndim != 2 or z.shape[1] != design.n or not ((z == 0) | (z == 1)).all():
+    z = np.asarray(treated)
+    if z.ndim != 2 or z.shape[1] != design.n or not _zero_one(z):
         raise ValueError(f"treated must be an (R, {design.n}) stack of 0/1 assignments")
     z = z.astype(bool, copy=False)
     if outcomes.n != design.n:
@@ -439,8 +440,8 @@ class AdjustmentCache:
 
     The core is the design's covariance structure for the optimal-coefficient
     estimators, or a bound matrix for the bound-targeting two-stage
-    coefficient (see :class:`dbexp.bounds.BoundCache`).  ``rank_deficient``
-    says whether ``X'(core)X`` was deficient at the anchored cutoff.
+    coefficient, which that bound keeps.  ``rank_deficient`` says whether
+    ``X'(core)X`` was deficient at the anchored cutoff.
     """
 
     spec: CovariateSpec

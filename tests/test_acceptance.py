@@ -14,7 +14,6 @@ import dbexp
 from dbexp import (
     AdjustmentCache,
     AssignmentRealization,
-    BoundCache,
     ObservedOutcomes,
     StackedOutcomes,
     add_invprop_column,
@@ -474,8 +473,6 @@ def test_c11_coverage_conservatism():
         spec = spec_II(x)
     universal = as_bound(dmat)
     clustered = cluster_bound(dmat, pop.cluster_ids)
-    cache_u = BoundCache.build(universal, design)
-    cache_c = BoundCache.build(clustered, design, spec)
     acache = AdjustmentCache.build(spec, design)
     reps = 5000
     idx = pop.cluster_index
@@ -492,13 +489,13 @@ def test_c11_coverage_conservatism():
         obs = ObservedOutcomes(np.where(z == 1, y1, y0), AssignmentRealization(z))
         b_wls = coef_wls_pi(spec, obs, design)
         point = greg(obs, design, spec, b_wls).point
-        estimate = bound_estimate_greg(universal, design, obs, spec, b_wls, cache=cache_u)
+        estimate = bound_estimate_greg(universal, design, obs, spec, b_wls)
         lo, hi, _ = interval_from_bound(point, estimate)
         cover_plain += lo <= 0.0 <= hi
         width_plain += hi - lo
         b2 = coef_2r(spec, obs, design, acache)
         point2 = greg(obs, design, spec, b2).point
-        estimate2 = bound_estimate_2r_borrowed(clustered, design, obs, spec, cache=cache_c)
+        estimate2 = bound_estimate_2r_borrowed(clustered, design, obs, spec)
         lo2, hi2, _ = interval_from_bound(point2, estimate2)
         cover_borrowed += lo2 <= 0.0 <= hi2
         width_borrowed += hi2 - lo2

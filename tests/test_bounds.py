@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dbexp import (
+    AdjustmentCache,
     AssignmentRealization,
-    BoundCache,
     BoundConvergenceError,
     BoundMatrix,
     CoefficientEstimate,
@@ -32,11 +32,14 @@ from dbexp import (
     make_cluster,
     make_complete,
     precision_test,
+    spec_cluster,
+    spec_I,
     spec_II,
     zero_center,
 )
 from conftest import enumeration_moments
 from dbexp._linalg import pinv, sym_eigvals
+from dbexp.bounds import BOUND_METHODS
 from dbexp.estimators import _system
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
@@ -102,7 +105,8 @@ def test_iterative_bound_on_two_cluster_design():
 
 def test_iterative_bound_trivial_fixed_point():
     dmat = design_matrix(make_complete(4, 2))
-    clean = DesignMatrix(values=dmat.values, mask=np.zeros_like(dmat.mask), n=dmat.n)
+    clean = DesignMatrix(values=dmat.values, mask=np.zeros_like(dmat.mask), n=dmat.n,
+                         joint=dmat.joint)
     bound = iterative_bound(clean)
     assert bound.iterations == 0
     np.testing.assert_allclose(bound.values, dmat.values)
@@ -117,9 +121,13 @@ def test_iterative_bound_nonconvergence_raises_with_trace():
 
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_iterative_bound_rejects_fewer_than_one_iteration(max_iters):
-    dmat = design_matrix(make_complete(4, 2))
+    design = make_complete(4, 2)
+    for name in BOUND_METHODS:  # before the design matrix is derived
+        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+            build_bound(name, design, max_iters=max_iters)
+    assert "_design_matrix" not in design.__dict__
     with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
-        iterative_bound(dmat, max_iters=max_iters)
+        iterative_bound(design_matrix(design), max_iters=max_iters)
 
 
 def test_cluster_bound_certified_and_sharp_null_exact():
@@ -187,8 +195,8 @@ def test_compare_bounds_incomparable_with_heuristics():
     v = np.array([0, 0, 3.0, 1.0, 0, 0, 0, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bound_u = BoundMatrix(base.values + np.outer(u, u), "custom", dmat.mask, True)
-        bound_v = BoundMatrix(base.values + np.outer(v, v), "custom", dmat.mask, True)
+        bound_u = BoundMatrix(base.values + np.outer(u, u), "custom", dmat.mask, True, dmat.joint)
+        bound_v = BoundMatrix(base.values + np.outer(v, v), "custom", dmat.mask, True, dmat.joint)
     comparison = compare_bounds(bound_u, bound_v)
     assert comparison.verdict == "incomparable"
     assert comparison.min_eig < 0 < comparison.max_eig
@@ -290,7 +298,7 @@ def test_borrowed_estimate_reduces_to_plugin_when_bound_is_the_structure():
     obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        degenerate = BoundMatrix(dmat.values, "custom", np.zeros_like(dmat.mask), True)
+        degenerate = BoundMatrix(dmat.values, "custom", np.zeros_like(dmat.mask), True, dmat.joint)
     borrowed = bound_estimate_2r_borrowed(degenerate, design, obs, spec)
     direct = bound_estimate_greg(
         degenerate, design, obs, spec, coef_2r(spec, obs, design)
@@ -322,11 +330,11 @@ def _coef_2r_for_bound_reference(bound, spec, observed, design):
 )
 def test_borrowed_estimate_matches_the_written_out_recursion(design, methods):
     rng = np.random.default_rng(11)
-    spec = spec_II(zero_center(rng.standard_normal((design.n, 1))))
+    x = zero_center(rng.standard_normal((design.n, 1)))
+    spec = spec_II(x)
     outcomes = StackedOutcomes.from_arms(*rng.standard_normal((2, design.n)))
     for method in methods:
         bound = build_bound(method, design)
-        cache = BoundCache.build(bound, design, spec)
         for seed in range(4):
             obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
             reference = bound_estimate_greg(
@@ -335,51 +343,54 @@ def test_borrowed_estimate_matches_the_written_out_recursion(design, methods):
             assert bound_estimate_2r_borrowed(bound, design, obs, spec) == pytest.approx(
                 reference, abs=1e-12
             )
-            assert bound_estimate_2r_borrowed(
-                bound, design, obs, spec, cache=cache
-            ) == pytest.approx(reference, abs=1e-12)
+        # the bound keeps the normal system of the last layout it served
+        for seed, layout in enumerate([spec_I(x), spec, spec_I(x), spec_I(x), spec]):
+            obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
+            system = AdjustmentCache.over(layout, bound.values)
+            direct = bound_estimate_greg(
+                bound, design, obs, layout, coef_2r(layout, obs, design, cache=system)
+            )
+            assert bound_estimate_2r_borrowed(bound, design, obs, layout) == direct
 
 
-def test_bound_cache_matches_direct_evaluation():
-    from dbexp import BoundCache
-
-    design = _cluster_design()
-    dmat = design_matrix(design)
-    bound = cluster_bound(dmat, CLUSTER_IDS)
-    rng = np.random.default_rng(7)
-    x = zero_center(rng.standard_normal((5, 1)))
-    spec = spec_II(x)
-    outcomes = StackedOutcomes.from_arms(rng.standard_normal(5), rng.standard_normal(5))
-    obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 3))
-    cache = BoundCache.build(bound, design, spec)
-    assert bound_estimate_2r_borrowed(bound, design, obs, spec) == pytest.approx(
-        bound_estimate_2r_borrowed(bound, design, obs, spec, cache=cache), abs=1e-12
-    )
-    assert bound_estimate_ht(bound, design, obs) == pytest.approx(
-        bound_estimate_ht(bound, design, obs, cache=BoundCache.build(bound, design)), abs=1e-12
-    )
-
-
-def test_bound_estimates_reject_a_cache_or_bound_built_for_another_design():
+def test_bound_estimates_reject_a_bound_built_for_another_design():
     design = make_complete(6, 3)
-    bound = as_bound(design_matrix(design))
-    other = as_bound(design_matrix(make_complete(6, 2)))
-    foreign = BoundCache.build(other, make_complete(6, 2))
+    own = as_bound(design_matrix(design))
     rng = np.random.default_rng(4)
-    spec = spec_II(zero_center(rng.standard_normal((6, 1))))
+    x = zero_center(rng.standard_normal((6, 1)))
+    spec = spec_II(x)
     outcomes = StackedOutcomes.from_arms(rng.standard_normal(6), rng.standard_normal(6))
     obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 1))
     coefficient = CoefficientEstimate(np.zeros(spec.n_columns), "fixed")
-    estimates = [
-        lambda b, cache: bound_estimate_ht(b, design, obs, cache=cache),
-        lambda b, cache: bound_estimate_greg(b, design, obs, spec, coefficient, cache=cache),
-        lambda b, cache: bound_estimate_2r_borrowed(b, design, obs, spec, cache=cache),
-    ]
-    for estimate in estimates:
-        with pytest.raises(ValueError, match="cache was built for a different bound"):
-            estimate(bound, foreign)
-        with pytest.raises(ValueError, match="the bound has 4 units per arm but the design has 6"):
-            estimate(as_bound(design_matrix(make_complete(4, 2))), None)
+    for other in (make_complete(6, 2), make_complete(4, 2)):
+        bound = as_bound(design_matrix(other))
+        estimates = [
+            lambda: bound_estimate_ht(bound, design, obs),
+            lambda: bound_estimate_greg(bound, design, obs, spec, coefficient),
+            lambda: bound_estimate_2r_borrowed(bound, design, obs, spec),
+            lambda: precision_test(
+                design, design_matrix(design), obs, spec, coefficient.values, bound
+            ),
+        ]
+        for estimate in estimates:
+            with pytest.raises(ValueError, match="the bound was built over a different design"):
+                estimate()
+        for a, b in ((own, bound), (bound, own)):
+            with pytest.raises(ValueError, match="bounds must be built over the same design"):
+                compare_bounds(a, b)
+    # a unit-level bound does not serve a cluster-total layout, whose system is the clusters
+    clustered = make_cluster([1, 1, 2, 3, 3, 4], 2)
+    cluster_spec = spec_cluster(x, [1, 1, 2, 3, 3, 4], "II")
+    with pytest.raises(ValueError, match="the bound was built over a different design"):
+        bound_estimate_greg(
+            as_bound(design_matrix(clustered)), clustered,
+            ObservedOutcomes.from_schedule(outcomes, draw(clustered, 1)), cluster_spec,
+            coef_fixed(np.zeros(cluster_spec.n_columns), cluster_spec),
+        )
+    # an equal design built again is the same design
+    twin = as_bound(design_matrix(make_complete(6, 3)))
+    assert compare_bounds(own, twin).verdict == "tie"
+    assert bound_estimate_ht(twin, design, obs) == bound_estimate_ht(own, design, obs)
 
 
 def test_precision_test_degenerate_zero_coefficient():

@@ -110,7 +110,7 @@ def test_bound_with_a_mask_that_is_not_a_graph_is_certified_numerically(eig_call
     mask[0, 1] = True  # one-directional: no longer a graph's adjacency matrix
     values = np.array(dmat.values)
     values[0, 1] = -1.0
-    lopsided = DesignMatrix(values=values, mask=mask, n=4)
+    lopsided = DesignMatrix(values=values, mask=mask, n=4, joint=dmat.joint)
     with pytest.raises(ValueError, match="not a bound"):
         as_bound(lopsided)
     assert len(eig_calls) == 1

@@ -389,3 +389,38 @@ def test_estimate_non_positive_or_non_finite_z_exits_2(runner, tmp_path, z):
     )
     assert result.exit_code == 2
     assert "error: z must be a positive finite normal quantile, got" in result.output
+
+
+@pytest.mark.parametrize(
+    "descriptor, payload, key",
+    [
+        ("complete:n=4", None, "n1"),
+        ("bernoulli", None, "file"),
+        ("custom", None, "file"),
+        ("cluster:n=4", None, "m1"),
+        ("custom:file={path}", {"n": 4, "probabilities": [1.0]}, "assignments"),
+        ("custom:file={path}", {"kind": "complete", "n": 4}, "n1"),
+    ],
+)
+def test_design_descriptor_without_a_required_key_exits_2(runner, tmp_path, descriptor, payload,
+                                                          key):
+    data = _write(tmp_path / "c.csv", "outcome,treatment,cluster_id\n1,1,1\n2,0,1\n3,1,2\n4,0,3\n")
+    path = _write(tmp_path / "d.json", json.dumps(payload))
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", descriptor.format(path=path),
+         "--out-dir", str(tmp_path / "o")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"needs the key '{key}'" in result.output
+
+
+def test_bounds_compare_max_iters_below_one_exits_2_before_reading_data(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["bounds-compare", "--design", "cluster:m1=2", "--data", str(tmp_path / "missing.csv"),
+         "--max-iters", "0", "--out-dir", str(tmp_path / "b")],
+    )
+    assert result.exit_code == 2
+    assert "error: max_iters must be at least 1, got 0" in result.output
+    assert not (tmp_path / "b").exists()

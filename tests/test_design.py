@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbexp import (
+    AssignmentRealization,
     DesignError,
     StackedOutcomes,
     SupportTooLargeError,
     UnidentifiedDesignError,
+    batch_points,
     design_from_json,
     design_matrix,
     draw,
@@ -21,9 +23,11 @@ from dbexp import (
     make_cluster,
     make_complete,
     make_from_sampler,
+    spec_II,
 )
 from conftest import weighted_indicator_covariance
 from dbexp import design as design_module
+from dbexp.api import check_treatment
 from dbexp.design import cluster_level_design, in_support, support_size
 
 
@@ -175,6 +179,40 @@ def test_sampler_monte_carlo_counts_match_sorted_tuples():
 def test_sampler_rejects_draws_that_are_not_0_1_vectors_of_length_n(bad):
     with pytest.raises(DesignError, match="sampler must yield 0/1 vectors of length n"):
         make_from_sampler(lambda rng: bad, 3, draws=10, seed=0, mode="monte_carlo")
+
+
+@pytest.mark.parametrize(
+    "values, accepted",
+    [
+        ([0, 1], True),
+        ([False, True], True),
+        ([0.0, 1.0], True),
+        ([0, 2], False),
+        ([-1, 1], False),
+        ([0.5, 1.0], False),
+        ([np.nan, 1.0], False),
+    ],
+)
+def test_every_0_1_check_accepts_and_rejects_the_same_values(values, accepted):
+    z = np.array(values)
+    pair = np.stack([z, z[::-1]])  # two assignments, one treated unit each when 0/1
+    outcomes = StackedOutcomes.from_arms([1.0, 2.0], [3.0, 4.0])
+    checks = [
+        ("assignment must be a 0/1 vector", lambda: AssignmentRealization(z)),
+        ("treatment must be a one-dimensional 0/1 vector", lambda: check_treatment(z)),
+        ("sampler must yield 0/1 vectors of length n", lambda: make_from_sampler(
+            lambda rng: pair[rng.integers(2)], 2, draws=20, mode="monte_carlo")),
+        ("support assignments must be 0/1 vectors of length n", lambda: make_from_sampler(
+            zip(pair, (0.5, 0.5)), 2, mode="enumerate")),
+        (r"treated must be an \(R, 2\) stack of 0/1 assignments", lambda: batch_points(
+            make_complete(2, 1), outcomes, pair, [spec_II(np.zeros((2, 0)))], ["ols"])),
+    ]
+    for message, check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 def test_sampler_constant_assignment_is_unidentified():

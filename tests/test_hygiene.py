@@ -1,15 +1,14 @@
-"""Static checks over the library modules: no unused imports, no blanket excepts."""
+"""Static checks: no unused imports in the library and its tests, no blanket
+excepts in the library."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "dbexp").glob("*.py")
-    if path.name != "__init__.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(path for path in (ROOT / "src" / "dbexp").glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -18,9 +17,14 @@ def _tree(path: Path) -> ast.Module:
 
 def test_the_scan_sees_the_library():
     assert {path.name for path in MODULES} >= {"design.py", "cli.py", "bounds.py"}
+    assert {path.name for path in TEST_MODULES} >= {"conftest.py", "test_bounds.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda path: path.name if path.parent.name == "dbexp" else f"tests/{path.name}",
+)
 def test_every_imported_name_is_used(path):
     tree = _tree(path)
     imported = {}

@@ -182,6 +182,7 @@ def test_b_tilde_opt_degenerate_equals_b_opt():
             method="custom",
             identification_mask=dmat.mask,
             identified=False,
+            joint=dmat.joint,
         )
     np.testing.assert_allclose(
         b_tilde_opt(spec, degenerate, outcomes).values,
