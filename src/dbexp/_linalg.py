@@ -1,4 +1,5 @@
-"""Shared linear-algebra helpers: pseudo-inverses and PSD certification."""
+"""Shared linear-algebra helpers: pseudo-inverses, PSD certification, and the
+connected components that split a symmetric matrix into diagonal blocks."""
 
 import numpy as np
 
@@ -73,11 +74,12 @@ def normal_system(
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    """The symmetric part of ``a``, or of each matrix of a stack ``(..., k, k)``."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def sym_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetrized matrix, ascending."""
+    """Eigenvalues of the symmetrized matrix (or of each matrix of a stack), ascending."""
     return np.linalg.eigvalsh(symmetrize(np.asarray(a, dtype=float)))
 
 
@@ -89,7 +91,57 @@ def min_max_eig(a: np.ndarray) -> tuple[float, float]:
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by clipping eigenvalues."""
+    """Project a symmetric matrix (or each matrix of a stack) onto the PSD cone by
+    clipping eigenvalues."""
     vals, vecs = np.linalg.eigh(symmetrize(a))
     clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.T
+    return (vecs * clipped[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+def components(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each slot of a symmetric boolean pattern.
+
+    Slots ``i`` and ``j`` share a component when a chain of True entries links
+    them; a slot with no True entry off the diagonal is a component of its own.
+    Labels run from 0 in the order of each component's first slot.  A matrix
+    that is zero outside a pattern is block-diagonal over its components.
+    """
+    rows, cols = np.nonzero(pattern)
+    parent = np.arange(np.shape(pattern)[0])
+    while True:
+        # Every slot points at the smallest slot of its tree (its root); an
+        # entry joining two trees hooks the larger root under the smaller one.
+        a, b = parent[rows], parent[cols]
+        if np.array_equal(a, b):
+            return np.unique(parent, return_inverse=True)[1]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+
+
+def component_blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """The slots of the connected components of a symmetric boolean pattern,
+    grouped by size: one ``(c, s)`` array of ascending slot rows for the ``c``
+    components of each size ``s``, in the order of their first components."""
+    labels = components(pattern)
+    order = np.argsort(labels, kind="stable")
+    by_size: dict[int, list[np.ndarray]] = {}
+    for slots in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        by_size.setdefault(slots.size, []).append(slots)
+    return [np.array(group) for group in by_size.values()]
+
+
+def block_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetrized matrix, ascending, decomposed block by block.
+
+    The blocks are the connected components of the nonzero pattern, and the
+    spectrum of a block-diagonal matrix is the union of its blocks' spectra,
+    so this is the full spectrum; components of one size are decomposed as
+    one stack.  A matrix with no zero pattern is the one-block case.
+    """
+    a = symmetrize(np.asarray(a, dtype=float))
+    spectra = [
+        np.linalg.eigvalsh(a[slots[:, :, None], slots[:, None, :]]).ravel()
+        for slots in component_blocks(a != 0.0)
+    ]
+    return np.sort(np.concatenate(spectra))

@@ -157,13 +157,21 @@ class AteEstimator:
         raise ValueError(f"unknown spec {self.spec!r}")
 
     def _bound_matrix(self, method: str):
+        """The bound built over the system design, kept as ``bound_matrix_`` for later fits."""
         if self.spec_ is not None and self.spec_.level == "cluster":
             sys_design, _ = cluster_level_design(self.design)
-            return _bounds.build_bound(method, sys_design, cluster_ids=np.arange(sys_design.n))
-        return _bounds.build_bound(method, self.design)
+            cluster_ids = np.arange(sys_design.n)
+        else:
+            sys_design, cluster_ids = self.design, None
+        kept = getattr(self, "bound_matrix_", None)
+        if kept is None or kept.method != method or kept.joint is not sys_design.joint:
+            kept = _bounds.build_bound(method, sys_design, cluster_ids=cluster_ids)
+        self.bound_matrix_ = kept
+        return kept
 
     def _bound_estimate(self, spec, observed, coefficient):
         if self.bound == "none":
+            self.bound_matrix_ = None
             return None
         if self.bound.startswith("borrowed-"):
             matrix = self._bound_matrix(self.bound.split("-", 1)[1])

@@ -6,9 +6,12 @@ replacements for the covariance structure that (a) dominate it in the PSD
 order and (b) vanish at every jointly unobservable pair.  Both properties are
 certified at construction.  Dominance is proved in closed form where the added
 term is PSD by construction: the AS bound adds the signless Laplacian of the
-unobservable-pair graph, the cluster bound a Gram matrix.  The iterative bound,
-and the PSD-order comparison of two bounds, are decided numerically by a dense
-eigendecomposition.
+unobservable-pair graph, the cluster bound a Gram matrix.  The iterative bound
+is certified block by block: its added term is block-diagonal over the
+connected components of the identification mask, and its distinct blocks'
+eigenvalues are its spectrum.  The PSD-order comparison of two bounds
+decomposes their difference over the connected components of its nonzero
+pattern the same way; a dense difference is the one-component case.
 
 A bound records the joint probabilities of the design it was built over, and
 is estimated on and compared within that design only.  It keeps its
@@ -25,7 +28,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import min_max_eig, psd_project, sym_eigvals, symmetrize
+from ._linalg import (
+    block_eigvals,
+    component_blocks,
+    min_max_eig,
+    psd_project,
+    sym_eigvals,
+    symmetrize,
+)
 from .covariates import CovariateSpec
 from .design import Design, DesignMatrix, _cluster_index, design_matrix
 from .estimators import (
@@ -99,7 +109,9 @@ class BoundMatrix:
     def _adjustment(self, spec: CovariateSpec) -> AdjustmentCache:
         """The layout's normal system over the bound, kept for the last layout it served."""
         cache = self.__dict__.get("_last_adjustment")
-        if cache is None or cache.spec is not spec:
+        if cache is None or (
+            cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix)
+        ):
             cache = AdjustmentCache.over(spec, self.values)
             self.__dict__["_last_adjustment"] = cache
         return cache
@@ -156,38 +168,71 @@ def as_bound(dmat: DesignMatrix) -> BoundMatrix:
     return _certify(values, dmat, "as", added_psd=is_graph)
 
 
+def _distinct_blocks(mask: np.ndarray) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """The mask's connected components, grouped by size and then by sub-pattern.
+
+    Returns one entry per component size ``s``: the stack ``(g, s, s)`` of the
+    ``g`` distinct sub-patterns, and for each the ``(c, s)`` slots of the
+    components that have it.
+    """
+    blocks = []
+    for slots in component_blocks(mask):
+        count, size = slots.shape
+        subs = mask[slots[:, :, None], slots[:, None, :]].reshape(count, size * size)
+        patterns, which = np.unique(subs, axis=0, return_inverse=True)
+        which = which.ravel()
+        members = [slots[which == j] for j in range(patterns.shape[0])]
+        blocks.append((patterns.reshape(-1, size, size), members))
+    return blocks
+
+
 def iterative_bound(dmat: DesignMatrix, max_iters: int = 500) -> BoundMatrix:
     """Alternating projections between the PSD cone and the mask constraint.
 
     Starts from the unobservable-pair indicator; alternately projects onto the
     PSD cone and resets masked entries to one.  On convergence the additive
-    term is PSD with ones exactly at masked positions, so the sum with the
+    term T is PSD with ones exactly at masked positions, so the sum with the
     covariance structure is an identified bound.  Convergence is not
     guaranteed; failures raise with the min-eigenvalue trace attached.
+
+    T depends only on the mask, and both steps keep the mask's block pattern,
+    so T is block-diagonal over the connected components of the mask graph and
+    components with the same sub-pattern get the same block.  The projections
+    run once per distinct block, all blocks in lockstep: the trace records the
+    smallest eigenvalue over all blocks (a slot outside every masked pair is a
+    block of its own with eigenvalue 0), which is the smallest eigenvalue of
+    the whole T, and a mask with one component is the whole-matrix case.
     """
     _check_max_iters(max_iters)
-    mask = dmat.mask
-    maskf = mask.astype(float)
-    t = maskf.copy()
+    blocks = _distinct_blocks(dmat.mask)
+    stacks = [patterns.astype(float) for patterns, _ in blocks]
     trace: list[float] = []
     for iteration in range(max_iters):
-        vals = sym_eigvals(t)
-        lo = float(vals[0])
+        spectra = [sym_eigvals(t) for t in stacks]
+        lo = min(float(vals[:, 0].min()) for vals in spectra)
+        hi = max(float(vals[:, -1].max()) for vals in spectra)
         trace.append(lo)
-        scale = max(abs(lo), abs(float(vals[-1])), 1.0)
+        scale = max(abs(lo), abs(hi), 1.0)
         if lo >= -ITERATIVE_TOL * scale:
-            t[mask] = 1.0  # exact, not just converged
-            values = dmat.values + t
+            # The spectrum of block-diagonal T is the union of its blocks'
+            # spectra, just computed: every eigenvalue is at least
+            # -ITERATIVE_TOL * scale, inside the PSD_TOL certificate.
+            added = np.zeros_like(dmat.values)
+            for t, (_, members) in zip(stacks, blocks):
+                for block, slots in zip(t, members):
+                    added[slots[:, :, None], slots[:, None, :]] = block
             return _certify(
-                values,
+                dmat.values + added,
                 dmat,
                 "iterative",
+                added_psd=True,
                 iterations=iteration,
                 min_eig_trace=tuple(trace),
             )
-        t = psd_project(t)
-        t[mask] = 1.0
-        t = symmetrize(t)
+        for t, (patterns, _) in zip(stacks, blocks):
+            t[...] = psd_project(t)
+            t[patterns] = 1.0
+            t[...] = symmetrize(t)
     raise BoundConvergenceError(
         f"no PSD fixed point after {max_iters} iterations (last min eigenvalue {trace[-1]:g})",
         trace,
@@ -268,7 +313,7 @@ class BoundComparison:
 
 
 def _order_verdict(diff: np.ndarray) -> tuple[str, float, float, float]:
-    vals = sym_eigvals(diff)
+    vals = block_eigvals(diff)
     lo, hi = float(vals[0]), float(vals[-1])
     scale = max(abs(lo), abs(hi), 1.0)
     b_minus_a_psd = lo >= -PSD_TOL * scale
@@ -285,7 +330,14 @@ def _order_verdict(diff: np.ndarray) -> tuple[str, float, float, float]:
 
 
 def compare_bounds(a: BoundMatrix, b: BoundMatrix) -> BoundComparison:
-    """Decide which bound is tighter, in the PSD order and under the sharp null."""
+    """Decide which bound is tighter, in the PSD order and under the sharp null.
+
+    Each difference is eigendecomposed block by block over the connected
+    components of its nonzero pattern.  Where neither bound adds anything both
+    entries are the design matrix's, so the difference is exactly zero there
+    and a slot outside every component contributes eigenvalue 0, as in the
+    dense spectrum; ``eig_sum`` counts every component.
+    """
     if a.joint is not b.joint and not np.array_equal(a.joint, b.joint):
         raise ValueError("bounds must be built over the same design")
     verdict, lo, hi, total = _order_verdict(b.values - a.values)

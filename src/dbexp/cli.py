@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import click
 
+from ._linalg import components
 from .api import AteEstimator, BOUND_CHOICES, POINT_ESTIMATORS
 from .bounds import (
     BOUND_METHODS,
@@ -240,8 +241,17 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
             with open(trace_path, "w") as fh:
                 fh.write("\n".join(repr(v) for v in built["iterative"].min_eig_trace) + "\n")
             click.echo(f"trace: {trace_path}")
+        mask_components = int(components(design_matrix(design).mask).max()) + 1
         write_manifest(out_dir, "bounds-compare", {
             "design": descriptor, "data": data_path, "methods": names, "max_iters": max_iters,
+            "bounds": {
+                name: {
+                    "iterations": bound.iterations,
+                    "identified": bound.identified,
+                    "mask_components": mask_components,
+                }
+                for name, bound in built.items()
+            },
         })
         click.echo(f"report: {report}")
 

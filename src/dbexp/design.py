@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -425,6 +426,16 @@ def _cluster_index(cluster_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return unique, index
 
 
+def _outside_this_module() -> int:
+    """``stacklevel`` that points a warning raised here at the first caller
+    outside this module, however many of its functions lie in between
+    (``design_from_json`` reaches ``make_cluster`` through ``design_from_dict``)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
     """Complete randomization of whole clusters; units inherit their cluster's arm."""
     unique, index = _cluster_index(cluster_ids)
@@ -437,7 +448,7 @@ def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
         warnings.warn(
             "fewer than 2 clusters in an arm: several cluster-level results "
             "(identified cluster bound, cluster-level moments) need at least 2 per arm",
-            stacklevel=2,
+            stacklevel=_outside_this_module(),
         )
     params = {"cluster_ids": np.asarray(cluster_ids, dtype=np.int64), "m1": m1, "m": m}
     return _group_design(index, m1, AnalyticProvenance("cluster", params))

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+import dbexp.bounds
 from dbexp import (
     AteEstimator,
     bound_estimate_greg,
+    build_bound,
     coef_wls_pi,
     design_matrix,
     draw,
@@ -43,6 +45,46 @@ def test_get_set_params_roundtrip():
     assert model.estimator == "two_r"
     with pytest.raises(ValueError):
         model.set_params(not_a_param=1)
+
+
+def test_refits_reuse_the_fitted_bound(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build_bound(*args, **kwargs)
+
+    monkeypatch.setattr(dbexp.bounds, "build_bound", counting)
+    design, outcome, z, x = _toy()
+    model = AteEstimator(design, estimator="two_r", bound="borrowed-as")
+    first = model.fit(outcome, z, covariates=x)
+    kept = model.bound_matrix_
+    results = [(first.ate_, first.variance_bound_, first.ci_low_, first.ci_high_)]
+    model.fit(outcome, z, covariates=x)
+    results.append((model.ate_, model.variance_bound_, model.ci_low_, model.ci_high_))
+    assert built == ["as"]
+    assert model.bound_matrix_ is kept
+    assert results[0] == results[1]
+
+    model.set_params(bound="iterative").fit(outcome, z, covariates=x)
+    assert built == ["as", "iterative"]
+    assert model.bound_matrix_.method == "iterative"
+    model.set_params(design=make_complete(12, 6)).fit(outcome, z, covariates=x)  # built anew
+    assert built == ["as", "iterative", "iterative"]
+    assert model.bound_matrix_.joint is model.design.joint
+    model.set_params(bound="none").fit(outcome, z, covariates=x)
+    assert model.bound_matrix_ is None
+
+    # a cluster-total layout keeps the bound of the cached cluster-level design
+    ids = np.repeat(np.arange(6), 2)
+    clustered = make_cluster(ids, 3)
+    z_c = draw(clustered, 1).assignment
+    totals = AteEstimator(clustered, estimator="ols_cluster_totals", bound="cluster")
+    totals.fit(outcome, z_c, covariates=x, cluster_ids=ids)
+    variance = totals.variance_bound_
+    totals.fit(outcome, z_c, covariates=x, cluster_ids=ids)
+    assert built[3:] == ["cluster"]
+    assert totals.variance_bound_ == variance
 
 
 def test_fit_sets_sklearn_style_attributes():

@@ -31,6 +31,7 @@ from dbexp import (
     make_bernoulli,
     make_cluster,
     make_complete,
+    make_from_sampler,
     precision_test,
     spec_cluster,
     spec_I,
@@ -38,8 +39,8 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments
-from dbexp._linalg import pinv, sym_eigvals
-from dbexp.bounds import BOUND_METHODS
+from dbexp._linalg import block_eigvals, component_blocks, components, pinv, sym_eigvals
+from dbexp.bounds import BOUND_METHODS, ITERATIVE_TOL, PSD_TOL, _order_verdict
 from dbexp.estimators import _system
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
@@ -109,14 +110,18 @@ def test_iterative_bound_trivial_fixed_point():
                          joint=dmat.joint)
     bound = iterative_bound(clean)
     assert bound.iterations == 0
-    np.testing.assert_allclose(bound.values, dmat.values)
+    assert bound.min_eig_trace == (0.0,)  # every slot is a block of its own, eigenvalue 0
+    assert np.array_equal(bound.values, dmat.values)
 
 
 def test_iterative_bound_nonconvergence_raises_with_trace():
     dmat = design_matrix(_cluster_design())
     with pytest.raises(BoundConvergenceError) as err:
         iterative_bound(dmat, max_iters=1)
-    assert len(err.value.trace) >= 1
+    assert len(err.value.trace) == 1
+    with pytest.raises(BoundConvergenceError) as dense:
+        _dense_iterative(dmat, max_iters=1)
+    np.testing.assert_allclose(err.value.trace, dense.value.trace, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("max_iters", [0, -3])
@@ -449,3 +454,171 @@ def test_interval_truncation():
     lo, hi, truncated = interval_from_bound(0.0, 4.0, z=2.0)
     assert not truncated
     assert (lo, hi) == (-4.0, 4.0)
+
+
+# -- the per-component bound and comparison, pinned to the dense computation ----
+
+
+def _dense_iterative(dmat, max_iters=500):
+    """The alternating projections on the whole 2n x 2n matrix, written out densely.
+
+    Returns the bound values, the iteration count and the min-eigenvalue trace,
+    or raises BoundConvergenceError with the trace.
+    """
+    mask = dmat.mask
+    t = mask.astype(float)
+    trace = []
+    for iteration in range(max_iters):
+        vals = np.linalg.eigvalsh((t + t.T) / 2.0)
+        lo = float(vals[0])
+        trace.append(lo)
+        scale = max(abs(lo), abs(float(vals[-1])), 1.0)
+        if lo >= -ITERATIVE_TOL * scale:
+            t[mask] = 1.0
+            return dmat.values + t, iteration, trace
+        vals, vecs = np.linalg.eigh((t + t.T) / 2.0)
+        t = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        t[mask] = 1.0
+        t = (t + t.T) / 2.0
+    raise BoundConvergenceError("no PSD fixed point", trace)
+
+
+def _dense_order_verdict(diff):
+    """PSD-order verdict and spectrum summary from one dense eigendecomposition."""
+    vals = np.linalg.eigvalsh((diff + diff.T) / 2.0)
+    lo, hi = float(vals[0]), float(vals[-1])
+    scale = max(abs(lo), abs(hi), 1.0)
+    b_minus_a_psd = lo >= -PSD_TOL * scale
+    a_minus_b_psd = hi <= PSD_TOL * scale
+    if b_minus_a_psd and a_minus_b_psd:
+        verdict = "tie"
+    elif b_minus_a_psd:
+        verdict = "a_tighter"
+    elif a_minus_b_psd:
+        verdict = "b_tighter"
+    else:
+        verdict = "incomparable"
+    return verdict, lo, hi, float(vals.sum())
+
+
+def _paired_design(n=8, seed=0):
+    """Monte-Carlo matched pairs: each unit's mask component has 4 slots."""
+    pairs = np.arange(n).reshape(-1, 2)
+
+    def sample(rng):
+        z = np.zeros(n, dtype=np.int8)
+        z[pairs[np.arange(n // 2), rng.integers(0, 2, n // 2)]] = 1
+        return z
+
+    return make_from_sampler(sample, n, draws=400, seed=seed, mode="monte_carlo")
+
+
+def _enumerated_design():
+    """Six equally likely assignments of 3 of 6 units; components of 2 and 6 slots."""
+    support = [[1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1], [1, 0, 0, 1, 1, 0],
+               [0, 0, 1, 1, 0, 1], [1, 0, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0]]
+    pairs = ((np.array(z, dtype=np.int8), 1.0 / len(support)) for z in support)
+    return make_from_sampler(pairs, 6, mode="enumerate")
+
+
+def _pinned_designs():
+    with pytest.warns(UserWarning, match="fewer than 2 clusters"):
+        two_clusters = make_cluster([1, 1, 2, 2], 1)
+    return {
+        "complete": (make_complete(6, 3), ("as", "iterative")),
+        "bernoulli": (make_bernoulli([0.3, 0.5, 0.6, 0.4, 0.7]), ("as", "iterative")),
+        "cluster": (make_cluster([1, 1, 1, 2, 2, 3, 4, 4, 4, 5], 2), ("as", "iterative", "cluster")),
+        "cluster-two-patterns": (_cluster_design(), ("as", "iterative", "cluster")),
+        "two-clusters": (two_clusters, ("as", "iterative")),
+        "enumerated": (_enumerated_design(), ("as", "iterative")),
+        "paired": (_paired_design(), ("as", "iterative")),
+    }
+
+
+def _assert_pinned(bound, dmat, max_iters=500):
+    values, iterations, trace = _dense_iterative(dmat, max_iters)
+    np.testing.assert_allclose(bound.values, values, rtol=0.0, atol=1e-12)
+    assert bound.iterations == iterations
+    np.testing.assert_allclose(bound.min_eig_trace, trace, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(_pinned_designs()))
+def test_iterative_bound_per_component_matches_the_dense_loop(name):
+    design, _ = _pinned_designs()[name]
+    dmat = design_matrix(design)
+    _assert_pinned(iterative_bound(dmat), dmat)
+
+
+def test_mask_components_of_the_pinned_designs():
+    sizes = {
+        name: sorted(
+            size for slots in component_blocks(design_matrix(d).mask)
+            for size in [slots.shape[1]] * slots.shape[0]
+        )
+        for name, (d, _) in _pinned_designs().items()
+    }
+    assert sizes["complete"] == [2] * 6
+    assert sizes["cluster"] == [2, 2, 4, 6, 6]  # one component per cluster, 2 slots a unit
+    assert sizes["cluster-two-patterns"] == [2, 2, 2, 4]
+    assert sizes["paired"] == [4] * 4
+
+
+def test_iterative_bound_with_two_distinct_patterns_of_one_size():
+    """A path and a triangle, both on 3 slots, plus two slots outside the mask."""
+    base = design_matrix(make_complete(4, 2))
+    mask = np.zeros((8, 8), dtype=bool)
+    for i, j in ((0, 1), (1, 2), (3, 4), (4, 5), (3, 5)):
+        mask[i, j] = mask[j, i] = True
+    dmat = DesignMatrix(values=base.values, mask=mask, n=4, joint=base.joint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mask is not this design's: not identified
+        bound = iterative_bound(dmat)
+    assert bound.iterations > 0
+    _assert_pinned(bound, dmat)
+
+
+def _assert_same_comparison(a, b):
+    comparison = compare_bounds(a, b)
+    verdict, lo, hi, total = _dense_order_verdict(b.values - a.values)
+    sharp, *_ = _dense_order_verdict(b.sharp_null_form() - a.sharp_null_form())
+    assert (comparison.verdict, comparison.sharp_null_verdict) == (verdict, sharp)
+    scale = max(abs(lo), abs(hi), 1.0)
+    for got, want in ((comparison.min_eig, lo), (comparison.max_eig, hi),
+                      (comparison.eig_sum, total)):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("name", list(_pinned_designs()))
+def test_compare_bounds_per_component_matches_the_dense_spectrum(name):
+    design, methods = _pinned_designs()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the two-cluster design's cluster bound
+        built = [build_bound(method, design) for method in methods]
+    for a in built:
+        for b in built:
+            _assert_same_comparison(a, b)
+
+
+def test_compare_bounds_with_a_dense_custom_bound():
+    dmat = design_matrix(make_complete(6, 3))
+    universal = as_bound(dmat)
+    u = np.random.default_rng(12).standard_normal(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        custom = BoundMatrix(universal.values + np.outer(u, u), "custom", dmat.mask, True,
+                             dmat.joint)
+    # the added rank-one term couples every slot: one component, the dense case
+    assert components(custom.values - universal.values != 0.0).max() == 0
+    for a, b in ((universal, custom), (custom, universal), (custom, iterative_bound(dmat))):
+        _assert_same_comparison(a, b)
+
+
+def test_block_eigvals_is_the_full_spectrum():
+    rng = np.random.default_rng(13)
+    a = np.zeros((9, 9))
+    a[np.ix_([0, 4, 7], [0, 4, 7])] = rng.standard_normal((3, 3))
+    a[np.ix_([2, 5], [2, 5])] = rng.standard_normal((2, 2))
+    a[8, 8] = 3.0
+    np.testing.assert_allclose(block_eigvals(a), sym_eigvals(a), rtol=0.0, atol=1e-12)
+    assert components(a != 0.0).tolist() == [0, 1, 2, 3, 0, 2, 4, 0, 5]
+    assert _order_verdict(a)[0] == _dense_order_verdict(a)[0]

@@ -192,6 +192,26 @@ def test_bounds_compare_iterative_and_self(runner, tmp_path):
     assert row.split(",")[2] == "tie"
 
 
+def test_bounds_compare_manifest_records_each_bound(runner, tmp_path):
+    manifests = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        result = runner.invoke(
+            main,
+            ["bounds-compare", "--design", "complete:n=4,n1=2", "--methods", "as,iterative",
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    iterations = build_bound("iterative", make_complete(4, 2)).iterations
+    assert iterations > 0
+    assert json.loads(manifests[0])["params"]["bounds"] == {
+        "as": {"iterations": 0, "identified": True, "mask_components": 4},
+        "iterative": {"iterations": iterations, "identified": True, "mask_components": 4},
+    }
+
+
 def test_bounds_compare_nonconvergence_exits_4(runner, tmp_path):
     rows = ["outcome,treatment,cluster_id"]
     for unit, cid in enumerate([1, 1, 1, 2, 2, 3, 3, 4]):

@@ -336,6 +336,16 @@ def test_serialization_roundtrips():
         assert clone.kind == design.kind
 
 
+def test_fewer_than_two_clusters_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="fewer than 2 clusters") as direct:
+        design = make_cluster([1, 1, 2, 2], 1)
+    text = design.to_json()
+    with pytest.warns(UserWarning, match="fewer than 2 clusters") as loaded:
+        design_from_json(text)
+    for record in (direct, loaded):
+        assert record[0].filename == __file__
+
+
 def test_enumeration_covariance_matches_design_matrix_all_small_designs():
     with pytest.warns(UserWarning):
         designs = [

@@ -56,3 +56,36 @@ def test_no_blanket_except(path):
         if isinstance(node, ast.ExceptHandler) and _is_blanket(node)
     ]
     assert not blanket, f"{path.name} has a bare or blanket except at lines {blanket}"
+
+
+#: numpy.linalg names other modules may use: a norm is a reduction, and the
+#: exception type is what callers catch.  Every decomposition goes through
+#: ``_linalg``, so each eigendecomposition and certificate has one owner.
+LINALG_OUTSIDE_HELPERS = {"norm", "LinAlgError"}
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "_linalg.py"], ids=lambda path: path.name
+)
+def test_decompositions_go_through_the_linalg_helpers(path):
+    tree = _tree(path)
+    calls = [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+        and node.func.attr not in LINALG_OUTSIDE_HELPERS
+    ]
+    imports = [
+        f"import (line {node.lineno})"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module is not None
+            and (node.module.startswith("numpy.linalg")
+                 or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names))
+    ]
+    assert not calls + imports, (
+        f"{path.name} uses numpy.linalg outside dbexp._linalg: {', '.join(calls + imports)}"
+    )
