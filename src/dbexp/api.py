@@ -108,7 +108,11 @@ class AteEstimator:
         check_lengths(z.shape[0], outcome=outcome, covariates=covariates, cluster_ids=cluster_ids)
         if z.shape[0] != self.design.n:
             raise ValueError("data size does not match the design")
-        self._warn_if_impossible(z)
+        if not in_support(self.design, z):
+            warnings.warn(
+                "the realized assignment has probability ~0 under the declared design",
+                stacklevel=2,
+            )
         observed = ObservedOutcomes(outcome, AssignmentRealization(z))
 
         spec = self._build_spec(covariates, cluster_ids)
@@ -130,13 +134,6 @@ class AteEstimator:
             lo, hi, truncated = _bounds.interval_from_bound(self.ate_, bound_est, self.z)
             self.ci_low_, self.ci_high_, self.truncated_ = lo, hi, truncated
         return self
-
-    def _warn_if_impossible(self, z) -> None:
-        if not in_support(self.design, z):
-            warnings.warn(
-                "the realized assignment has probability ~0 under the declared design",
-                stacklevel=2,
-            )
 
     def _build_spec(self, covariates, cluster_ids):
         if self.estimator == "ht":

@@ -180,6 +180,11 @@ class Design:
     ``joint`` is laid out in 2x2 blocks of n x n matrices: the (0,0) block
     holds both-control probabilities, the (1,1) block both-treated, and the
     off blocks mixed-arm probabilities.  ``marginals`` is its diagonal.
+
+    A design built directly, by ``make_from_sampler`` or from a serialized
+    Monte-Carlo joint is validated by the dense scan of ``_validate_joint``.
+    ``make_complete``, ``make_bernoulli`` and ``make_cluster`` validate from
+    their parameters instead (see ``_analytic_design``).
     """
 
     n: int
@@ -191,10 +196,7 @@ class Design:
         joint = np.ascontiguousarray(np.asarray(self.joint, dtype=float))
         marginals = np.ascontiguousarray(np.asarray(self.marginals, dtype=float))
         _validate_joint(self.n, joint, marginals)
-        joint.flags.writeable = False
-        marginals.flags.writeable = False
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "marginals", marginals)
+        _store_frozen(self, joint, marginals)
 
     @property
     def kind(self) -> str:
@@ -244,7 +246,38 @@ class Design:
         return json.dumps(design_to_dict(self))
 
 
+def _store_frozen(design: Design, joint: np.ndarray, marginals: np.ndarray) -> None:
+    for name, arr in (("joint", joint), ("marginals", marginals)):
+        arr.flags.writeable = False
+        object.__setattr__(design, name, arr)
+
+
+def _analytic_design(
+    n: int, joint: np.ndarray, marginals: np.ndarray, provenance: AnalyticProvenance
+) -> Design:
+    """A Design whose constructor has validated it from its parameters.
+
+    The arrays are frozen as ``Design.__post_init__`` freezes them, but the
+    dense scan of ``_validate_joint`` is skipped: it would repeat, over 4n^2
+    entries, checks that the parameters already settle.
+    """
+    design = object.__new__(Design)
+    object.__setattr__(design, "n", n)
+    object.__setattr__(design, "provenance", provenance)
+    _store_frozen(design, joint, marginals)
+    return design
+
+
 def _validate_joint(n: int, joint: np.ndarray, marginals: np.ndarray) -> None:
+    """Check a joint and its marginals entry by entry: the dense scan.
+
+    Every ``Design`` built directly runs it on its full joint.  The analytic
+    constructors do not: group designs run it on a 3-unit joint that holds
+    every distinct entry of theirs (``_group_design``), and Bernoulli designs
+    need only their parameter checks (``make_bernoulli``).  Each rule below
+    is a condition on one entry, or on an entry and its transpose, which is
+    what makes the small joint a proof for the full one.
+    """
     if joint.shape != (2 * n, 2 * n):
         raise DesignError(f"joint probability matrix must be {2 * n} x {2 * n}")
     if marginals.shape != (2 * n,):
@@ -368,10 +401,10 @@ def _group_pairs(m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, pairs
 
 
-def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) -> Design:
-    """Complete randomization of ``m1`` groups; units inherit their group's arm."""
-    n, m = index.shape[0], int(index.max()) + 1
-    pi, pairs = _group_pairs(m, m1)
+def _group_joint(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The 2n x 2n joint: entry (a, b) of ``diag(pi)`` for two slots of one
+    group, entry (a, b) of ``pairs`` for two of different groups."""
+    n = index.shape[0]
     own = np.diag(pi)  # two units of one group always share its arm
     same = index[:, None] == index[None, :]
     joint = np.empty((2 * n, 2 * n))
@@ -380,7 +413,26 @@ def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) ->
             block = joint[a * n : (a + 1) * n, b * n : (b + 1) * n]
             block[...] = pairs[a, b]
             block[same] = own[a, b]
-    return Design(n, joint, np.repeat(pi, n), provenance)
+    return joint
+
+
+#: Group index of the smallest group design with every kind of joint entry: a
+#: unit with itself, two units of one group and two units of different groups.
+_ALL_ENTRY_KINDS = np.array([0, 0, 1])
+
+
+def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) -> Design:
+    """Complete randomization of ``m1`` groups; units inherit their group's arm.
+
+    Every entry of the joint is an entry of ``diag(pi)`` or ``pairs`` at its
+    kind of slot pair, and every marginal is ``pi``, so validating the 3-unit
+    joint of ``_ALL_ENTRY_KINDS`` validates the full one.
+    """
+    n, m = index.shape[0], int(index.max()) + 1
+    pi, pairs = _group_pairs(m, m1)
+    k = _ALL_ENTRY_KINDS.shape[0]
+    _validate_joint(k, _group_joint(_ALL_ENTRY_KINDS, pi, pairs), np.repeat(pi, k))
+    return _analytic_design(n, _group_joint(index, pi, pairs), np.repeat(pi, n), provenance)
 
 
 def make_complete(n: int, n1: int) -> Design:
@@ -400,6 +452,13 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
         raise DesignError("a design needs at least 2 units")
     if ((pi1 <= 0.0) | (pi1 >= 1.0)).any():
         raise UnidentifiedDesignError("Bernoulli probabilities must lie strictly inside (0, 1)")
+    if np.isnan(pi1).any():  # the only value the range check lets through
+        raise DesignError("arm probabilities must sum to one for every unit")
+    if pi1.ndim != 1:
+        raise DesignError("Bernoulli probabilities must form a vector")
+    # With pi1 in (0, 1), every rule of _validate_joint holds entry by entry:
+    # fl(x * y) <= min(x, y) on [0, 1], the blocks are exact transposes and
+    # the diagonals are the marginals themselves.
     pi0 = 1.0 - pi1
     p11 = np.outer(pi1, pi1)
     np.fill_diagonal(p11, pi1)
@@ -409,7 +468,8 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
     np.fill_diagonal(p10, 0.0)
     joint = np.block([[p00, p10.T], [p10, p11]])
     marginals = np.concatenate([pi0, pi1])
-    return Design(n, joint, marginals, AnalyticProvenance("bernoulli", {"pi1": pi1.copy()}))
+    provenance = AnalyticProvenance("bernoulli", {"pi1": pi1.copy()})
+    return _analytic_design(n, joint, marginals, provenance)
 
 
 def _cluster_index(cluster_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

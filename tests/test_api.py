@@ -210,3 +210,10 @@ def test_estimator_consistency_across_api_and_manual():
         outcome, z, covariates=x
     )
     assert two_r.ate_ == pytest.approx(ols.ate_, abs=1e-8)
+
+
+def test_impossible_assignment_warning_points_at_the_caller_of_fit():
+    model = AteEstimator(make_complete(4, 2), estimator="ht", bound="none")
+    with pytest.warns(UserWarning, match="probability ~0") as record:
+        model.fit(np.ones(4), [1, 1, 1, 0])
+    assert record[0].filename == __file__

@@ -410,3 +410,158 @@ def test_bernoulli_designs_always_valid(pi1):
         assert d.values[i, n + i] == -1.0
     oracle = weighted_indicator_covariance(design)
     np.testing.assert_allclose(d.values, oracle, atol=1e-10)
+
+
+# -- analytic designs are validated from their parameters ---------------------
+
+
+def _dense_group_design(group_ids, m1):
+    """Joint and marginals of complete randomization of ``m1`` groups, written
+    slot pair by slot pair from the group-level probabilities."""
+    _, index = np.unique(np.asarray(group_ids), return_inverse=True)
+    n, m = index.shape[0], int(index.max()) + 1
+    m0 = m - m1
+    pi = [m0 / m, m1 / m]
+    pairs = [[m0 * (m0 - 1) / (m * (m - 1)), m0 * m1 / (m * (m - 1))],
+             [m0 * m1 / (m * (m - 1)), m1 * (m1 - 1) / (m * (m - 1))]]
+    joint = np.empty((2 * n, 2 * n))
+    for a, b, i, j in itertools.product(range(2), range(2), range(n), range(n)):
+        if index[i] == index[j]:
+            joint[a * n + i, b * n + j] = pi[a] if a == b else 0.0
+        else:
+            joint[a * n + i, b * n + j] = pairs[a][b]
+    return joint, np.repeat(pi, n)
+
+
+def _dense_bernoulli(pi1):
+    """Joint and marginals of independent assignment, slot pair by slot pair."""
+    pi1 = [float(p) for p in pi1]
+    pi = [[1.0 - p for p in pi1], pi1]
+    n = len(pi1)
+    joint = np.empty((2 * n, 2 * n))
+    for a, b, i, j in itertools.product(range(2), range(2), range(n), range(n)):
+        if i == j:
+            joint[a * n + i, b * n + j] = pi[a][i] if a == b else 0.0
+        else:
+            joint[a * n + i, b * n + j] = pi[a][i] * pi[b][j]
+    return joint, np.concatenate(pi)
+
+
+ANALYTIC_CASES = {
+    "complete n1=1": (lambda: make_complete(5, 1), lambda: _dense_group_design(range(5), 1)),
+    "complete n1=n-1": (lambda: make_complete(5, 4), lambda: _dense_group_design(range(5), 4)),
+    "complete n=2": (lambda: make_complete(2, 1), lambda: _dense_group_design(range(2), 1)),
+    "complete 7 of 3": (lambda: make_complete(7, 3), lambda: _dense_group_design(range(7), 3)),
+    "cluster singletons": (
+        lambda: make_cluster(np.arange(6), 3), lambda: _dense_group_design(range(6), 3)
+    ),
+    "cluster unequal sizes": (
+        lambda: make_cluster([3, 3, 1, 7, 7, 7, 2, 5], 2),
+        lambda: _dense_group_design([3, 3, 1, 7, 7, 7, 2, 5], 2),
+    ),
+    "cluster one in an arm": (
+        lambda: make_cluster([1, 1, 2, 2, 2, 4], 1),
+        lambda: _dense_group_design([1, 1, 2, 2, 2, 4], 1),
+    ),
+    "bernoulli smallest subnormal": (
+        lambda: make_bernoulli([5e-324, 0.5, 0.25]), lambda: _dense_bernoulli([5e-324, 0.5, 0.25])
+    ),
+    "bernoulli near 0 and 1": (
+        lambda: make_bernoulli([1e-300, np.nextafter(1.0, 0.0), 1e-17, 1.0 - 1e-9]),
+        lambda: _dense_bernoulli([1e-300, np.nextafter(1.0, 0.0), 1e-17, 1.0 - 1e-9]),
+    ),
+    "bernoulli uniform": (
+        lambda: make_bernoulli(np.linspace(0.05, 0.95, 7)),
+        lambda: _dense_bernoulli(np.linspace(0.05, 0.95, 7)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ANALYTIC_CASES)
+def test_analytic_designs_equal_their_dense_construction_bit_for_bit(case):
+    build, dense = ANALYTIC_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one cluster in an arm warns
+        design = build()
+    joint, marginals = dense()
+    for got, want in ((design.joint, joint), (design.marginals, marginals)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    design_module._validate_joint(design.n, design.joint, design.marginals)
+
+
+@pytest.fixture
+def dense_scans(monkeypatch):
+    """Orders n of the _validate_joint calls made while the test runs."""
+    orders = []
+    original = design_module._validate_joint
+
+    def counting(n, joint, marginals):
+        orders.append(n)
+        return original(n, joint, marginals)
+
+    monkeypatch.setattr(design_module, "_validate_joint", counting)
+    return orders
+
+
+def test_analytic_constructors_run_no_dense_scan(dense_scans):
+    n = 1000
+    make_complete(n, n // 2)
+    make_bernoulli(np.linspace(0.2, 0.8, n))
+    make_cluster(np.repeat(np.arange(100), n // 100), 50)
+    # complete and cluster designs each validate one 3-unit joint
+    assert dense_scans == [3, 3]
+
+
+def test_every_other_design_runs_one_dense_scan(dense_scans):
+    n = 4
+    complete = make_complete(n, 2)
+    support = [(z.assignment, p) for z, p in enumerate_assignments(complete)]
+
+    def sampler(rng):
+        return rng.permutation([0, 0, 1, 1])
+
+    monte_carlo = make_from_sampler(sampler, n, draws=200, seed=3, mode="monte_carlo")
+    descriptor = design_module.design_to_dict(monte_carlo)
+    builds = [
+        lambda: make_from_sampler(iter(support), n, mode="enumerate"),
+        lambda: make_from_sampler(sampler, n, draws=200, seed=3, mode="monte_carlo"),
+        lambda: design_module.design_from_dict(descriptor),
+        lambda: design_module.Design(
+            n, complete.joint, complete.marginals, complete.provenance
+        ),
+    ]
+    for build in builds:
+        dense_scans.clear()
+        build()
+        assert dense_scans == [n]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_complete(1, 1), DesignError, "complete randomization needs at least 2 units"),
+        (lambda: make_complete(4, 0), UnidentifiedDesignError, "1 <= n1 <= n - 1"),
+        (lambda: make_complete(4, 4), UnidentifiedDesignError, "1 <= n1 <= n - 1"),
+        (lambda: make_cluster([1, 1, 1], 1), DesignError, "needs at least 2 clusters"),
+        (lambda: make_cluster([1, 1, 2, 2], 0), UnidentifiedDesignError, "1 <= m1 <= m - 1"),
+        (lambda: make_cluster([1, 1, 2, 2], 2), UnidentifiedDesignError, "1 <= m1 <= m - 1"),
+        (lambda: make_cluster([1, 1.5, 2, 2], 1), DesignError, "cluster ids must be integers"),
+        (lambda: make_bernoulli([0.4]), DesignError, "a design needs at least 2 units"),
+        (lambda: make_bernoulli([0.0, 0.5]), UnidentifiedDesignError, "strictly inside (0, 1)"),
+        (lambda: make_bernoulli([0.5, 1.0]), UnidentifiedDesignError, "strictly inside (0, 1)"),
+        (lambda: make_bernoulli([np.inf, 0.5]), UnidentifiedDesignError, "strictly inside (0, 1)"),
+        (lambda: make_bernoulli([0.5, -np.inf]), UnidentifiedDesignError, "strictly inside (0, 1)"),
+        (
+            lambda: make_bernoulli([0.5, np.nan]),
+            DesignError,
+            "arm probabilities must sum to one for every unit",
+        ),
+    ],
+)
+def test_invalid_analytic_arguments_keep_their_errors(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert message in str(raised.value)
