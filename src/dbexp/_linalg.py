@@ -3,6 +3,8 @@ connected components that split a symmetric matrix into diagonal blocks."""
 
 import numpy as np
 
+from ._group import GroupOperator
+
 # Singular values below PINV_RCOND * sigma_max are treated as zero everywhere a
 # generalized inverse is taken.  Conjugate estimates are invariant to the choice
 # of generalized inverse, so the cutoff only affects reported coefficients.
@@ -57,18 +59,22 @@ def pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool | np.ndar
 
 
 def normal_system(
-    x: np.ndarray, core: np.ndarray
+    x: np.ndarray, core: np.ndarray | GroupOperator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The system ``(X'MX) b = X'M v`` for a layout ``X`` and a square core ``M``.
+    """The system ``(X'MX) b = X'M v`` for a layout ``X`` and a square core ``M``,
+    a dense array or a :class:`GroupOperator`.
 
     Returns ``X'M``, ``X'MX``, the pseudo-inverse of ``X'MX`` and its
     rank-deficiency flag.  The cutoff is anchored at ``||X||^2 ||M||``, the
     pre-cancellation magnitude: the normal matrix can be exactly zero in exact
     arithmetic when ``M`` annihilates the layout's columns.
     """
-    xm = x.T @ core
+    if isinstance(core, GroupOperator):
+        xm, norm = core.matvec(x).T, core.frobenius()  # M is symmetric
+    else:
+        xm, norm = x.T @ core, float(np.linalg.norm(core))
     normal = xm @ x
-    anchor = float(np.linalg.norm(x)) ** 2 * float(np.linalg.norm(core))
+    anchor = float(np.linalg.norm(x)) ** 2 * norm
     ginv, deficient = _pinv_flagged(normal, anchor)
     return xm, normal, ginv, deficient
 

@@ -161,7 +161,7 @@ class AteEstimator:
         else:
             sys_design, cluster_ids = self.design, None
         kept = getattr(self, "bound_matrix_", None)
-        if kept is None or kept.method != method or kept.joint is not sys_design.joint:
+        if kept is None or kept.method != method or kept._joint_key is not sys_design._joint_key:
             kept = _bounds.build_bound(method, sys_design, cluster_ids=cluster_ids)
         self.bound_matrix_ = kept
         return kept

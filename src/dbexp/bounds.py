@@ -17,6 +17,10 @@ A bound records the joint probabilities of the design it was built over, and
 is estimated on and compared within that design only.  It keeps its
 estimation state: the bound weighted by the reciprocal joint probabilities,
 built on first use, and the normal system of the last layout it served.
+
+Over a design in kind form the AS and cluster bounds, their weighted forms
+and their estimates stay in kind form: the added terms have the design's
+group structure (see :mod:`dbexp._group`).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._group import GroupOperator, quadratic, same_partition
 from ._linalg import (
     block_eigvals,
     component_blocks,
@@ -37,7 +42,15 @@ from ._linalg import (
     symmetrize,
 )
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, _cluster_index, design_matrix
+from .design import (
+    Design,
+    DesignMatrix,
+    _cluster_index,
+    _frozen,
+    _KindForm,
+    _same_joint,
+    design_matrix,
+)
 from .estimators import (
     AdjustmentCache,
     CoefficientEstimate,
@@ -62,7 +75,7 @@ class BoundConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BoundMatrix:
+class BoundMatrix(_KindForm):
     """A certified variance-bound matrix.
 
     ``identification_mask`` marks the jointly unobservable pairs; ``identified``
@@ -70,16 +83,28 @@ class BoundMatrix:
     cluster bound with a single cluster in some arm), in which case the bound
     quadratic is still valid but cannot be estimated from observed data.
     ``joint`` is the joint probability matrix of the design the bound was
-    built over, the design's own array.
+    built over, the design's own array.  ``certificate`` records how its
+    dominance was proved: ``closed_form`` (the added term is PSD by
+    construction), ``blocks`` (eigenvalues block by block) or ``dense`` (one
+    eigendecomposition); None when built directly.  A bound over a design in
+    kind form is built in kind form too (``core``) and its arrays on first read.
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)
     method: str  # "as" | "iterative" | "cluster" | "custom"
-    identification_mask: np.ndarray
+    identification_mask: np.ndarray = field(repr=False)
     identified: bool
-    joint: np.ndarray
+    joint: np.ndarray = field(repr=False)
     iterations: int = 0
     min_eig_trace: tuple[float, ...] = field(default=(), repr=False)
+    certificate: str | None = None
+
+    _op = None  # the bound's GroupOperator, in kind form
+    _dense_from = {
+        "values": lambda bound: _frozen(bound._op.dense()),
+        "identification_mask": lambda bound: bound._form.dense_mask,
+        "joint": lambda bound: bound._form.dense_joint,
+    }
 
     def __post_init__(self):
         for name in ("values", "identification_mask", "joint"):
@@ -89,7 +114,12 @@ class BoundMatrix:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0] // 2
+        return self._op.n if self._op is not None else self.values.shape[0] // 2
+
+    @property
+    def core(self) -> np.ndarray | GroupOperator:
+        """The bound as its operator when in kind form, else as the dense array."""
+        return self._op if self._op is not None else self.values
 
     def block(self, row_arm: int, col_arm: int) -> np.ndarray:
         n = self.n
@@ -100,10 +130,12 @@ class BoundMatrix:
         return self.block(0, 0) + self.block(1, 1) - self.block(1, 0) - self.block(0, 1)
 
     @cached_property
-    def _weighted(self) -> np.ndarray:
+    def _weighted(self) -> np.ndarray | GroupOperator:
         """The bound over the joint probabilities, zero-probability slots left harmless."""
         if not self.identified:
             raise ValueError("only identified bounds can be estimated from observed data")
+        if self._op is not None:
+            return self._form.weigh(self._op)
         return self.values / (self.joint + (self.joint == 0.0))
 
     def _adjustment(self, spec: CovariateSpec) -> AdjustmentCache:
@@ -112,25 +144,39 @@ class BoundMatrix:
         if cache is None or (
             cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix)
         ):
-            cache = AdjustmentCache.over(spec, self.values)
+            cache = AdjustmentCache.over(spec, self.core)
             self.__dict__["_last_adjustment"] = cache
         return cache
 
     def _check_design(self, design: Design) -> None:
         """Raise unless ``design`` is the design the bound was built over."""
-        if design.joint is not self.joint and not np.array_equal(design.joint, self.joint):
+        if not _same_joint(self, design):
             raise ValueError("the bound was built over a different design")
 
 
+def _identified(masked: np.ndarray, method: str) -> bool:
+    """Whether the bound's entries at the unobservable pairs vanish; warns when not."""
+    identified = bool(np.abs(masked).max(initial=0.0) < 1e-12)
+    if not identified:
+        warnings.warn(
+            f"{method!r} bound is not identified for this design: some jointly "
+            "unobservable pairs keep nonzero weight, so it cannot be estimated "
+            "from observed data",
+            stacklevel=4,
+        )
+    return identified
+
+
 def _certify(
-    values: np.ndarray, dmat: DesignMatrix, method: str, added_psd: bool = False, **kw
+    values: np.ndarray, dmat: DesignMatrix, method: str, proof: str | None = None, **kw
 ) -> BoundMatrix:
     """Certify that ``values`` dominates ``dmat`` and record whether it is identified.
 
-    ``added_psd`` is the caller's closed-form proof that ``values - dmat.values``
-    is PSD; without it the difference is eigendecomposed.
+    ``proof`` names the caller's proof that ``values - dmat.values`` is PSD
+    (``closed_form`` or ``blocks``); without one the difference is
+    eigendecomposed.
     """
-    if not added_psd:
+    if proof is None:
         lo, hi = min_max_eig(values - dmat.values)
         scale = max(abs(lo), abs(hi), 1.0)
         if lo < -PSD_TOL * scale:
@@ -138,18 +184,20 @@ def _certify(
                 f"candidate {method!r} matrix is not a bound: difference has eigenvalue {lo:g}"
             )
     mask = dmat.mask
-    identified = bool(np.abs(values[mask]).max(initial=0.0) < 1e-12)
-    if not identified:
-        warnings.warn(
-            f"{method!r} bound is not identified for this design: some jointly "
-            "unobservable pairs keep nonzero weight, so it cannot be estimated "
-            "from observed data",
-            stacklevel=3,
-        )
-    return BoundMatrix(
+    identified = _identified(values[mask], method)
+    bound = BoundMatrix(
         values=values, method=method, identification_mask=mask, identified=identified,
-        joint=dmat.joint, **kw
+        joint=dmat.joint, certificate=proof or "dense", **kw
     )
+    object.__setattr__(bound, "_form", dmat._form)  # its design, without reading the joint
+    return bound
+
+
+def _certify_kinds(op: GroupOperator, dmat: DesignMatrix, method: str) -> BoundMatrix:
+    """``_certify`` in kind form, for a bound whose added term is PSD by construction."""
+    identified = _identified(op.kinds_where(dmat._form.mask), method)
+    return BoundMatrix._lazy(method=method, identified=identified, iterations=0,
+                             min_eig_trace=(), certificate="closed_form", _form=dmat._form, _op=op)
 
 
 def as_bound(dmat: DesignMatrix) -> BoundMatrix:
@@ -161,11 +209,20 @@ def as_bound(dmat: DesignMatrix) -> BoundMatrix:
     the variance for any identified design.  Any other mask is certified
     numerically.
     """
+    if dmat._form is not None:
+        mask = dmat._form.mask
+        if not mask.unit[0, 0].any() and not mask.unit[1, 1].any() and mask.is_symmetric():
+            maskf = mask.kindwise(lambda k: k.astype(float))
+            values = dmat._form.values.kindwise(np.add, maskf)
+            unit = values.unit.copy()
+            unit[[0, 1], [0, 1]] += maskf.matvec(np.ones(2 * dmat.n)).reshape(2, -1)
+            values = GroupOperator(values.index, unit, values.same, values.diff)
+            return _certify_kinds(values, dmat, "as")
     mask = dmat.mask
     is_graph = not mask.diagonal().any() and np.array_equal(mask, mask.T)
     maskf = mask.astype(float)
     values = dmat.values + maskf + np.diag(maskf.sum(axis=1))
-    return _certify(values, dmat, "as", added_psd=is_graph)
+    return _certify(values, dmat, "as", proof="closed_form" if is_graph else None)
 
 
 def _distinct_blocks(mask: np.ndarray) -> list[tuple[np.ndarray, list[np.ndarray]]]:
@@ -225,7 +282,7 @@ def iterative_bound(dmat: DesignMatrix, max_iters: int = 500) -> BoundMatrix:
                 dmat.values + added,
                 dmat,
                 "iterative",
-                added_psd=True,
+                proof="blocks",
                 iterations=iteration,
                 min_eig_trace=tuple(trace),
             )
@@ -250,6 +307,19 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
     n = dmat.n
     if index.shape[0] != n:
         raise ValueError("cluster ids do not match the design size")
+    if dmat._form is not None:
+        d = dmat._form.values
+        # The cross-arm entry is -1 for a unit with itself, for two units of
+        # one group when the same-group kernel says so, and never for units
+        # of different groups, whose cross-arm joint is positive.
+        grouped = d.same[0, 1] == -1.0
+        pattern = d.index if grouped else np.arange(n)
+        if not ((d.unit[0, 1] == -1.0).all() and same_partition(index, pattern)):
+            raise ValueError("design is not complete randomization of these clusters")
+        ones = np.ones((2, 2))
+        added = GroupOperator(d.index, np.broadcast_to(ones[:, :, None], d.unit.shape),
+                              ones * grouped, np.zeros((2, 2)))
+        return _certify_kinds(d.kindwise(np.add, added), dmat, "cluster")
     same = (index[:, None] == index[None, :])
     # For complete randomization of clusters the cross-arm block is -1 exactly
     # on same-cluster pairs; anything else is not a cluster design.
@@ -259,7 +329,7 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
     # membership matrix E (same = EE'), hence PSD.
     block = same.astype(float)
     values = dmat.values + np.block([[block, block], [block, block]])
-    return _certify(values, dmat, "cluster", added_psd=True)
+    return _certify(values, dmat, "cluster", proof="closed_form")
 
 
 def check_bound_method(name: str) -> None:
@@ -338,7 +408,7 @@ def compare_bounds(a: BoundMatrix, b: BoundMatrix) -> BoundComparison:
     and a slot outside every component contributes eigenvalue 0, as in the
     dense spectrum; ``eig_sum`` counts every component.
     """
-    if a.joint is not b.joint and not np.array_equal(a.joint, b.joint):
+    if not _same_joint(a, b):
         raise ValueError("bounds must be built over the same design")
     verdict, lo, hi, total = _order_verdict(b.values - a.values)
     sharp_verdict, _, _, _ = _order_verdict(b.sharp_null_form() - a.sharp_null_form())
@@ -360,8 +430,7 @@ def _observed_quadratic(bound: BoundMatrix, sys_design: Design, vector: np.ndarr
                         indicator: np.ndarray, divisor: int) -> float:
     """Inverse-joint-probability weighted quadratic of ``vector`` on the observed slots."""
     bound._check_design(sys_design)
-    masked = vector * indicator
-    return float(masked @ bound._weighted @ masked) / divisor**2
+    return quadratic(bound._weighted, vector * indicator) / divisor**2
 
 
 def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutcomes) -> float:

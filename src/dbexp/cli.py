@@ -248,6 +248,7 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
                 name: {
                     "iterations": bound.iterations,
                     "identified": bound.identified,
+                    "certificate": bound.certificate,
                     "mask_components": mask_components,
                 }
                 for name, bound in built.items()

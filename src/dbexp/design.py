@@ -1,10 +1,16 @@
 """Randomization designs as joint assignment-probability structures.
 
-A two-arm design over n units is stored as the 2n x 2n matrix of joint
+A two-arm design over n units is described by the 2n x 2n matrix of joint
 observation probabilities for the stacked outcome vector (control slots first,
 treatment slots second).  Everything downstream -- the covariance structure of
 inverse-probability-weighted indicators, variance bounds, bound estimators --
 is derived from that matrix.
+
+Enumerated, Monte-Carlo and directly built designs store it densely.
+Complete, Bernoulli and cluster designs hold it in kind form (see
+:mod:`dbexp._group`), built from their parameters, together with their
+covariance structure and identification mask; their dense arrays are built
+only when read.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._group import GroupOperator, quadratic
 from ._linalg import min_max_eig
 
 #: Largest support that enumerate_assignments will expand by default.
@@ -141,20 +148,69 @@ class MonteCarloProvenance:
         return "monte_carlo"
 
 
+class _KindForm:
+    """Base of the objects that may hold a design's kind form (``_form``).
+
+    Such an object is built without its dense arrays; ``_dense_from`` maps
+    each array attribute to the function that builds it, which runs on the
+    first read and is kept.  Objects built from arrays never reach it.
+    """
+
+    _form = None
+    _dense_from = {}
+
+    @classmethod
+    def _lazy(cls, **fields):
+        """An instance holding ``fields``, ``_form`` among them, and no dense array."""
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def __getattr__(self, name):
+        build = type(self)._dense_from.get(name)
+        if build is None or self._form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def _joint_key(self):
+        """The object that identifies the design's joint: its kind form, else its array."""
+        return self._form if self._form is not None else self.joint
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(_KindForm):
     """Covariance matrix of the inverse-probability-weighted indicators.
 
     Entry (i, j) equals (p_ij - pi_i pi_j) / (pi_i pi_j); it is exactly -1 at
     every jointly unobservable pair, and the quadratic form y'My / n**2 is the
     variance of the inverse-probability estimator of the stacked mean.
     ``joint`` is the design's joint probability matrix p, the same array.
+    ``certificate`` records how D was proved PSD: ``closed_form`` from 2 x 2
+    spectra, or ``dense`` by an eigendecomposition; None when built directly.
+    For a design in kind form, ``core`` is the :class:`GroupOperator` of D
+    and the arrays are built on first read.
     """
 
-    values: np.ndarray
-    mask: np.ndarray  # True where the pair is jointly unobservable (value -1)
+    values: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)  # True where the pair is jointly unobservable (value -1)
     n: int
-    joint: np.ndarray
+    joint: np.ndarray = field(repr=False)
+    certificate: str | None = None
+
+    _dense_from = {
+        "values": lambda dmat: dmat._form.dense_values,
+        "mask": lambda dmat: dmat._form.dense_mask,
+        "joint": lambda dmat: dmat._form.dense_joint,
+    }
 
     def __post_init__(self):
         for name in ("values", "mask", "joint"):
@@ -163,18 +219,22 @@ class DesignMatrix:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def core(self) -> np.ndarray | GroupOperator:
+        """D as the operator of a kind-form design, else as the dense array."""
+        return self._form.values if self._form is not None else self.values
+
     def block(self, row_arm: int, col_arm: int) -> np.ndarray:
         """n x n block; arms indexed 0 (control) and 1 (treatment)."""
         n = self.n
         return self.values[row_arm * n : (row_arm + 1) * n, col_arm * n : (col_arm + 1) * n]
 
     def quadratic(self, stacked: np.ndarray) -> float:
-        v = np.asarray(stacked, dtype=float)
-        return float(v @ self.values @ v)
+        return quadratic(self.core, np.asarray(stacked, dtype=float))
 
 
 @dataclass(frozen=True)
-class Design:
+class Design(_KindForm):
     """Joint assignment probabilities for a two-arm design.
 
     ``joint`` is laid out in 2x2 blocks of n x n matrices: the (0,0) block
@@ -182,21 +242,26 @@ class Design:
     off blocks mixed-arm probabilities.  ``marginals`` is its diagonal.
 
     A design built directly, by ``make_from_sampler`` or from a serialized
-    Monte-Carlo joint is validated by the dense scan of ``_validate_joint``.
-    ``make_complete``, ``make_bernoulli`` and ``make_cluster`` validate from
-    their parameters instead (see ``_analytic_design``).
+    Monte-Carlo joint copies its joint and is validated by the dense scan of
+    ``_validate_joint``.  ``make_complete``, ``make_bernoulli`` and
+    ``make_cluster`` validate from their parameters instead and keep the
+    design in kind form (``_form``); its ``joint`` is built on first read.
     """
 
     n: int
-    joint: np.ndarray
+    joint: np.ndarray = field(repr=False)
     marginals: np.ndarray
     provenance: AnalyticProvenance | EnumeratedProvenance | MonteCarloProvenance
 
+    _dense_from = {"joint": lambda design: design._form.dense_joint}
+
     def __post_init__(self):
-        joint = np.ascontiguousarray(np.asarray(self.joint, dtype=float))
-        marginals = np.ascontiguousarray(np.asarray(self.marginals, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writeable
+        joint = np.array(self.joint, dtype=float, order="C")
+        marginals = np.array(self.marginals, dtype=float, order="C")
         _validate_joint(self.n, joint, marginals)
-        _store_frozen(self, joint, marginals)
+        for name, arr in (("joint", joint), ("marginals", marginals)):
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def kind(self) -> str:
@@ -216,22 +281,24 @@ class Design:
         K_s - K_d on the complement of the ones vector plus that of
         K_s - K_d + m K_d on it.  Bernoulli designs make D block-diagonal
         with one 2 x 2 block per unit.  Either way the certificate is a
-        handful of closed-form 2 x 2 eigenproblems, used once ``values`` is
-        checked in O(n^2) to have that structure; any other design, or an
-        analytic one whose joint does not match its provenance, is certified
-        by a dense eigendecomposition.
+        handful of closed-form 2 x 2 eigenproblems on the kernels of the kind
+        form, which has that structure by construction, and D stays in kind
+        form.  Any other design, or a kind form whose kernels are not finite,
+        is certified by a dense eigendecomposition.
         """
-        outer = np.outer(self.marginals, self.marginals)
-        values = (self.joint - outer) / outer
-        mask = self.joint == 0.0
-        spectrum = _closed_form_spectrum(self, values)
+        spectrum = _closed_form_spectrum(self)
         if spectrum is None:
+            outer = np.outer(self.marginals, self.marginals)
+            values = (self.joint - outer) / outer
             lo, hi = min_max_eig(values)
         else:
             lo, hi = float(spectrum.min()), float(spectrum.max())
         if lo < -1e-8 * max(abs(lo), abs(hi), 1.0):
             raise DesignError(f"derived covariance structure is not PSD (min eigenvalue {lo:g})")
-        return DesignMatrix(values=values, mask=mask, n=self.n, joint=self.joint)
+        if spectrum is not None:
+            return DesignMatrix._lazy(n=self.n, certificate="closed_form", _form=self._form)
+        return DesignMatrix(values=values, mask=self.joint == 0.0, n=self.n, joint=self.joint,
+                            certificate="dense")
 
     @cached_property
     def _cluster_level(self) -> tuple["Design", np.ndarray]:
@@ -246,26 +313,15 @@ class Design:
         return json.dumps(design_to_dict(self))
 
 
-def _store_frozen(design: Design, joint: np.ndarray, marginals: np.ndarray) -> None:
-    for name, arr in (("joint", joint), ("marginals", marginals)):
-        arr.flags.writeable = False
-        object.__setattr__(design, name, arr)
-
-
-def _analytic_design(
-    n: int, joint: np.ndarray, marginals: np.ndarray, provenance: AnalyticProvenance
-) -> Design:
-    """A Design whose constructor has validated it from its parameters.
-
-    The arrays are frozen as ``Design.__post_init__`` freezes them, but the
-    dense scan of ``_validate_joint`` is skipped: it would repeat, over 4n^2
-    entries, checks that the parameters already settle.
-    """
-    design = object.__new__(Design)
-    object.__setattr__(design, "n", n)
-    object.__setattr__(design, "provenance", provenance)
-    _store_frozen(design, joint, marginals)
-    return design
+def _same_joint(a, b) -> bool:
+    """Whether two holders of a joint (designs, design matrices, bounds) hold
+    one design's: their kind forms by identity or equal parameters, else
+    their dense joints by identity or value."""
+    if a._joint_key is b._joint_key:
+        return True
+    if a._form is not None and b._form is not None:
+        return a._form.equals(b._form)
+    return a.joint is b.joint or bool(np.array_equal(a.joint, b.joint))
 
 
 def _validate_joint(n: int, joint: np.ndarray, marginals: np.ndarray) -> None:
@@ -329,55 +385,146 @@ def _eig2(k: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ravel(mid - rad), np.ravel(mid + rad)])
 
 
-def _has_structure(values: np.ndarray, same: np.ndarray, k_same, k_diff) -> bool:
-    """Whether block (a, b) of ``values`` is k_same[a, b] on ``same`` pairs, else k_diff[a, b]."""
-    n = same.shape[0]
-    tol = 1e-12 * max(1.0, float(np.abs(k_same).max()), float(np.abs(k_diff).max()))
-    for a in range(2):
-        for b in range(2):
-            block = values[a * n : (a + 1) * n, b * n : (b + 1) * n]
-            expected = np.where(same, k_same[a, b], k_diff[a, b])
-            if not np.abs(block - expected).max() <= tol:
-                return False
-    return True
-
-
-def _closed_form_spectrum(design: Design, values: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues that certify an analytic design's D, or None without that structure.
+def _closed_form_spectrum(design: Design) -> np.ndarray | None:
+    """Eigenvalues that certify a kind-form design's D, or None for a dense design
+    (or kernels that are not finite).
 
     Exactly D's spectrum for complete, Bernoulli and equal-size cluster
     designs; for unequal cluster sizes, C's spectrum scaled by the mean
     cluster size n / m, which has D's inertia (see ``Design._design_matrix``).
     """
-    prov = design.provenance
-    if not isinstance(prov, AnalyticProvenance):
+    if design._form is None:
         return None
-    n = design.n
-    if prov.kind == "bernoulli":
-        pi1 = np.asarray(prov.params.get("pi1"), dtype=float)
-        if pi1.shape != (n,):
-            return None
-        pi = np.stack([1.0 - pi1, pi1])
-        # a unit's own joint is diag(pi0_i, pi1_i); distinct units are independent
-        k_same = _arm_kernel(pi[:, None] * np.eye(2)[:, :, None], pi)
-        if not _has_structure(values, np.eye(n, dtype=bool), k_same, np.zeros((2, 2))):
-            return None
-        return _eig2(k_same)
-    groups = _groups(design)
-    if groups is None:
+    d = design._form.values
+    if d.m == d.n and not d.diff.any():  # independent units: one 2 x 2 block each
+        spectrum = _eig2(d.unit)
+    elif (d.unit == d.same[:, :, None]).all():  # D = B C B'
+        k_same, k_diff, m = d.same, d.diff, d.m
+        parts = [_eig2(k_same - k_diff), _eig2(k_same - k_diff + m * k_diff)]
+        if d.n > m:
+            parts.append(np.zeros(1))  # D vanishes on the complement of B's range
+        spectrum = np.concatenate(parts) * (d.n / m)
+    else:
         return None
-    index, m, m1 = groups
-    if index.shape != (n,) or not 1 <= m1 <= m - 1:
-        return None
-    pi, pairs = _group_pairs(m, m1)
-    k_same = _arm_kernel(np.diag(pi), pi)
-    k_diff = _arm_kernel(pairs, pi)
-    if not _has_structure(values, index[:, None] == index[None, :], k_same, k_diff):
-        return None
-    spectrum = [_eig2(k_same - k_diff), _eig2(k_same - k_diff + m * k_diff)]
-    if n > m:
-        spectrum.append(np.zeros(1))  # D vanishes on the complement of B's range
-    return np.concatenate(spectrum) * (n / m)
+    return spectrum if np.isfinite(spectrum).all() else None
+
+
+@dataclass(frozen=True, eq=False)
+class GroupForm:
+    """A complete, Bernoulli or cluster design in kind form.
+
+    ``values`` is the covariance structure D and ``mask`` marks the jointly
+    unobservable pairs.  ``joint`` is the joint probabilities of a group
+    design; a Bernoulli design has None, because its distinct units are
+    independent, so that their joint probability is a product of marginals
+    rather than one value per kind.  The ``dense_*`` arrays are built, bit
+    for bit as a dense design would hold them, on first read.
+    """
+
+    marginals: np.ndarray
+    joint: GroupOperator | None
+    values: GroupOperator
+    mask: GroupOperator
+
+    @property
+    def n(self) -> int:
+        return self.values.n
+
+    @cached_property
+    def dense_joint(self) -> np.ndarray:
+        if self.joint is not None:
+            return _frozen(self.joint.dense())
+        n = self.n
+        return _frozen(_bernoulli_joint(self.marginals[:n], self.marginals[n:]))
+
+    @cached_property
+    def dense_values(self) -> np.ndarray:
+        return _frozen(self.values.dense())
+
+    @cached_property
+    def dense_mask(self) -> np.ndarray:
+        return _frozen(self.mask.dense())
+
+    def weigh(self, bound: GroupOperator) -> GroupOperator:
+        """``bound`` over the joint probabilities, kind by kind, zero-probability
+        slots left harmless: the kind form of ``values / (joint + (joint == 0))``."""
+        if self.joint is not None:
+            return bound.kindwise(lambda b, p: b / (p + (p == 0.0)), self.joint)
+        # Bernoulli: a bound vanishes on distinct units, whose joints are positive
+        if bound.diff.any():
+            raise ValueError("a Bernoulli design's bound must vanish on distinct units")
+        own = _own_joint(self.marginals.reshape(2, -1))
+        return GroupOperator(bound.index, bound.unit / (own + (own == 0.0)), bound.same, bound.diff)
+
+    def equals(self, other: "GroupForm") -> bool:
+        """Whether both forms describe one joint: equal marginals and, for group
+        designs, equal joint operators (a Bernoulli joint is its marginals')."""
+        if (self.joint is None) != (other.joint is None):
+            return False
+        if not np.array_equal(self.marginals, other.marginals):
+            return False
+        return self.joint is None or self.joint.equals(other.joint)
+
+
+def _own_joint(pi: np.ndarray) -> np.ndarray:
+    """The (2, 2, n) joint of each unit with itself, diag(pi0_i, pi1_i), from (2, n) marginals."""
+    return pi[:, None, :] * np.eye(2)[:, :, None]
+
+
+def _group_form(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> GroupForm:
+    """Units inherit their group's arm: two slots of one group have the joint
+    ``diag(pi)``, two slots of different groups ``pairs``."""
+    n = index.shape[0]
+    own = np.diag(pi)  # two units of one group always share its arm
+
+    def per_unit(k):
+        return np.broadcast_to(k[:, :, None], (2, 2, n))
+
+    joint = GroupOperator(index, per_unit(own), own, pairs)
+    k_same, k_diff = _arm_kernel(own, pi), _arm_kernel(pairs, pi)
+    values = GroupOperator(index, per_unit(k_same), k_same, k_diff)
+    return GroupForm(_frozen(np.repeat(pi, n)), joint, values, joint.kindwise(lambda p: p == 0.0))
+
+
+def _bernoulli_form(pi1: np.ndarray) -> GroupForm | None:
+    """Independent units as n singleton groups; None when the product of two
+    units' marginals underflows to 0, which would make their pair unobservable."""
+    n = pi1.shape[0]
+    pi = np.stack([1.0 - pi1, pi1])
+    # fl(x * y) grows with x and y, so the smallest product of two distinct
+    # units is one of the two smallest marginals of each arm
+    low = np.argpartition(pi, 1, axis=1)[:, :2]
+    for a, b in itertools.product(range(2), range(2)):
+        for i, j in itertools.product(low[a], low[b]):
+            if i != j and pi[a, i] * pi[b, j] == 0.0:
+                return None
+    own = _own_joint(pi)
+    zero = np.zeros((2, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # pi_a_i**2 may underflow: the kernel is then not finite, and the
+        # certificate sends the design to the dense path, which warns
+        d_unit = _arm_kernel(own, pi)
+    values = GroupOperator(np.arange(n), d_unit, zero, zero)
+    mask = GroupOperator(values.index, own == 0.0, zero != 0.0, zero != 0.0)
+    return GroupForm(_frozen(pi.ravel()), None, values, mask)
+
+
+def _bernoulli_joint(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
+    # With pi1 in (0, 1), every rule of _validate_joint holds entry by entry:
+    # fl(x * y) <= min(x, y) on [0, 1], the blocks are exact transposes and
+    # the diagonals are the marginals themselves.
+    p11 = np.outer(pi1, pi1)
+    np.fill_diagonal(p11, pi1)
+    p00 = np.outer(pi0, pi0)
+    np.fill_diagonal(p00, pi0)
+    p10 = np.outer(pi1, pi0)  # P(i treated, j control); the (0,1) block is its transpose
+    np.fill_diagonal(p10, 0.0)
+    return np.block([[p00, p10.T], [p10, p11]])
+
+
+def _form_design(form: GroupForm, provenance: AnalyticProvenance) -> Design:
+    """A Design in kind form, validated by its constructor from its parameters."""
+    return Design._lazy(n=form.n, marginals=form.marginals, provenance=provenance, _form=form)
 
 
 def _groups(design: Design) -> tuple[np.ndarray, int, int] | None:
@@ -401,21 +548,6 @@ def _group_pairs(m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, pairs
 
 
-def _group_joint(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The 2n x 2n joint: entry (a, b) of ``diag(pi)`` for two slots of one
-    group, entry (a, b) of ``pairs`` for two of different groups."""
-    n = index.shape[0]
-    own = np.diag(pi)  # two units of one group always share its arm
-    same = index[:, None] == index[None, :]
-    joint = np.empty((2 * n, 2 * n))
-    for a in range(2):
-        for b in range(2):
-            block = joint[a * n : (a + 1) * n, b * n : (b + 1) * n]
-            block[...] = pairs[a, b]
-            block[same] = own[a, b]
-    return joint
-
-
 #: Group index of the smallest group design with every kind of joint entry: a
 #: unit with itself, two units of one group and two units of different groups.
 _ALL_ENTRY_KINDS = np.array([0, 0, 1])
@@ -428,11 +560,11 @@ def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) ->
     kind of slot pair, and every marginal is ``pi``, so validating the 3-unit
     joint of ``_ALL_ENTRY_KINDS`` validates the full one.
     """
-    n, m = index.shape[0], int(index.max()) + 1
+    m = int(index.max()) + 1
     pi, pairs = _group_pairs(m, m1)
-    k = _ALL_ENTRY_KINDS.shape[0]
-    _validate_joint(k, _group_joint(_ALL_ENTRY_KINDS, pi, pairs), np.repeat(pi, k))
-    return _analytic_design(n, _group_joint(index, pi, pairs), np.repeat(pi, n), provenance)
+    small = _group_form(_ALL_ENTRY_KINDS, pi, pairs)
+    _validate_joint(small.n, small.dense_joint, small.marginals)
+    return _form_design(_group_form(index, pi, pairs), provenance)
 
 
 def make_complete(n: int, n1: int) -> Design:
@@ -456,20 +588,12 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
         raise DesignError("arm probabilities must sum to one for every unit")
     if pi1.ndim != 1:
         raise DesignError("Bernoulli probabilities must form a vector")
-    # With pi1 in (0, 1), every rule of _validate_joint holds entry by entry:
-    # fl(x * y) <= min(x, y) on [0, 1], the blocks are exact transposes and
-    # the diagonals are the marginals themselves.
-    pi0 = 1.0 - pi1
-    p11 = np.outer(pi1, pi1)
-    np.fill_diagonal(p11, pi1)
-    p00 = np.outer(pi0, pi0)
-    np.fill_diagonal(p00, pi0)
-    p10 = np.outer(pi1, pi0)  # P(i treated, j control); the (0,1) block is its transpose
-    np.fill_diagonal(p10, 0.0)
-    joint = np.block([[p00, p10.T], [p10, p11]])
-    marginals = np.concatenate([pi0, pi1])
     provenance = AnalyticProvenance("bernoulli", {"pi1": pi1.copy()})
-    return _analytic_design(n, joint, marginals, provenance)
+    form = _bernoulli_form(pi1)
+    if form is None:
+        pi0 = 1.0 - pi1
+        return Design(n, _bernoulli_joint(pi0, pi1), np.concatenate([pi0, pi1]), provenance)
+    return _form_design(form, provenance)
 
 
 def _cluster_index(cluster_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._group import quadratic
 from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
@@ -361,7 +362,7 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
         raise ValueError("design matrix level does not match the layout")
     divisor = spec.divisor or outcomes.n
     u = outcomes.values - spec.matrix @ b
-    return float(u @ dmat.values @ u) / divisor**2
+    return quadratic(dmat.core, u) / divisor**2
 
 
 # -- stacks of assignments -------------------------------------------------------
@@ -453,10 +454,11 @@ class AdjustmentCache:
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":
         sys_design = cluster_level_design(design)[0] if spec.level == "cluster" else design
-        return cls.over(spec, design_matrix(sys_design).values)
+        return cls.over(spec, design_matrix(sys_design).core)
 
     @classmethod
-    def over(cls, spec: CovariateSpec, core: np.ndarray) -> "AdjustmentCache":
+    def over(cls, spec: CovariateSpec, core) -> "AdjustmentCache":
+        """The system over ``core``, a dense array or a kind-form operator."""
         xd, xdx, xdx_pinv, deficient = normal_system(spec.matrix, core)
         return cls(spec=spec, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd, rank_deficient=deficient)
 

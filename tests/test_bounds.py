@@ -39,8 +39,9 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments
+from dense_reference import dense_iterative, dense_order_verdict
 from dbexp._linalg import block_eigvals, component_blocks, components, pinv, sym_eigvals
-from dbexp.bounds import BOUND_METHODS, ITERATIVE_TOL, PSD_TOL, _order_verdict
+from dbexp.bounds import BOUND_METHODS, _order_verdict
 from dbexp.estimators import _system
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
@@ -120,7 +121,7 @@ def test_iterative_bound_nonconvergence_raises_with_trace():
         iterative_bound(dmat, max_iters=1)
     assert len(err.value.trace) == 1
     with pytest.raises(BoundConvergenceError) as dense:
-        _dense_iterative(dmat, max_iters=1)
+        dense_iterative(dmat, max_iters=1)
     np.testing.assert_allclose(err.value.trace, dense.value.trace, rtol=0.0, atol=1e-12)
 
 
@@ -351,7 +352,7 @@ def test_borrowed_estimate_matches_the_written_out_recursion(design, methods):
         # the bound keeps the normal system of the last layout it served
         for seed, layout in enumerate([spec_I(x), spec, spec_I(x), spec_I(x), spec]):
             obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
-            system = AdjustmentCache.over(layout, bound.values)
+            system = AdjustmentCache.over(layout, bound.core)
             direct = bound_estimate_greg(
                 bound, design, obs, layout, coef_2r(layout, obs, design, cache=system)
             )
@@ -459,48 +460,6 @@ def test_interval_truncation():
 # -- the per-component bound and comparison, pinned to the dense computation ----
 
 
-def _dense_iterative(dmat, max_iters=500):
-    """The alternating projections on the whole 2n x 2n matrix, written out densely.
-
-    Returns the bound values, the iteration count and the min-eigenvalue trace,
-    or raises BoundConvergenceError with the trace.
-    """
-    mask = dmat.mask
-    t = mask.astype(float)
-    trace = []
-    for iteration in range(max_iters):
-        vals = np.linalg.eigvalsh((t + t.T) / 2.0)
-        lo = float(vals[0])
-        trace.append(lo)
-        scale = max(abs(lo), abs(float(vals[-1])), 1.0)
-        if lo >= -ITERATIVE_TOL * scale:
-            t[mask] = 1.0
-            return dmat.values + t, iteration, trace
-        vals, vecs = np.linalg.eigh((t + t.T) / 2.0)
-        t = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        t[mask] = 1.0
-        t = (t + t.T) / 2.0
-    raise BoundConvergenceError("no PSD fixed point", trace)
-
-
-def _dense_order_verdict(diff):
-    """PSD-order verdict and spectrum summary from one dense eigendecomposition."""
-    vals = np.linalg.eigvalsh((diff + diff.T) / 2.0)
-    lo, hi = float(vals[0]), float(vals[-1])
-    scale = max(abs(lo), abs(hi), 1.0)
-    b_minus_a_psd = lo >= -PSD_TOL * scale
-    a_minus_b_psd = hi <= PSD_TOL * scale
-    if b_minus_a_psd and a_minus_b_psd:
-        verdict = "tie"
-    elif b_minus_a_psd:
-        verdict = "a_tighter"
-    elif a_minus_b_psd:
-        verdict = "b_tighter"
-    else:
-        verdict = "incomparable"
-    return verdict, lo, hi, float(vals.sum())
-
-
 def _paired_design(n=8, seed=0):
     """Monte-Carlo matched pairs: each unit's mask component has 4 slots."""
     pairs = np.arange(n).reshape(-1, 2)
@@ -536,7 +495,7 @@ def _pinned_designs():
 
 
 def _assert_pinned(bound, dmat, max_iters=500):
-    values, iterations, trace = _dense_iterative(dmat, max_iters)
+    values, iterations, trace = dense_iterative(dmat, max_iters)
     np.testing.assert_allclose(bound.values, values, rtol=0.0, atol=1e-12)
     assert bound.iterations == iterations
     np.testing.assert_allclose(bound.min_eig_trace, trace, rtol=0.0, atol=1e-12)
@@ -579,8 +538,8 @@ def test_iterative_bound_with_two_distinct_patterns_of_one_size():
 
 def _assert_same_comparison(a, b):
     comparison = compare_bounds(a, b)
-    verdict, lo, hi, total = _dense_order_verdict(b.values - a.values)
-    sharp, *_ = _dense_order_verdict(b.sharp_null_form() - a.sharp_null_form())
+    verdict, lo, hi, total = dense_order_verdict(b.values - a.values)
+    sharp, *_ = dense_order_verdict(b.sharp_null_form() - a.sharp_null_form())
     assert (comparison.verdict, comparison.sharp_null_verdict) == (verdict, sharp)
     scale = max(abs(lo), abs(hi), 1.0)
     for got, want in ((comparison.min_eig, lo), (comparison.max_eig, hi),
@@ -621,4 +580,4 @@ def test_block_eigvals_is_the_full_spectrum():
     a[8, 8] = 3.0
     np.testing.assert_allclose(block_eigvals(a), sym_eigvals(a), rtol=0.0, atol=1e-12)
     assert components(a != 0.0).tolist() == [0, 1, 2, 3, 0, 2, 4, 0, 5]
-    assert _order_verdict(a)[0] == _dense_order_verdict(a)[0]
+    assert _order_verdict(a)[0] == dense_order_verdict(a)[0]

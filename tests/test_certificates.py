@@ -81,7 +81,7 @@ def _psd_verdict(lo: float, hi: float, tol: float) -> bool:
 def test_closed_form_design_certificate_matches_dense(name, factory, ids, exact):
     design = factory()
     values = design_matrix(design).values
-    spectrum = _closed_form_spectrum(design, values)
+    spectrum = _closed_form_spectrum(design)
     assert spectrum is not None
     lo, hi = float(spectrum.min()), float(spectrum.max())
     dense_lo, dense_hi = min_max_eig(values)

@@ -207,8 +207,10 @@ def test_bounds_compare_manifest_records_each_bound(runner, tmp_path):
     iterations = build_bound("iterative", make_complete(4, 2)).iterations
     assert iterations > 0
     assert json.loads(manifests[0])["params"]["bounds"] == {
-        "as": {"iterations": 0, "identified": True, "mask_components": 4},
-        "iterative": {"iterations": iterations, "identified": True, "mask_components": 4},
+        "as": {"iterations": 0, "identified": True, "certificate": "closed_form",
+               "mask_components": 4},
+        "iterative": {"iterations": iterations, "identified": True, "certificate": "blocks",
+                      "mask_components": 4},
     }
 
 

@@ -26,6 +26,7 @@ from dbexp import (
     spec_II,
 )
 from conftest import weighted_indicator_covariance
+from dense_reference import dense_bernoulli, dense_group_design
 from dbexp import design as design_module
 from dbexp.api import check_treatment
 from dbexp.design import cluster_level_design, in_support, support_size
@@ -330,8 +331,9 @@ def test_serialization_roundtrips():
         ]
     support = [(np.array([1, 0, 0]), 0.25), (np.array([0, 1, 1]), 0.75)]
     designs.append(make_from_sampler(iter(support), 3, mode="enumerate"))
-    for design in designs:
-        clone = design_from_json(design.to_json())
+    with pytest.warns(UserWarning, match="fewer than 2 clusters"):  # the cluster design's clone
+        clones = [design_from_json(design.to_json()) for design in designs]
+    for design, clone in zip(designs, clones):
         np.testing.assert_allclose(clone.joint, design.joint, atol=1e-12)
         assert clone.kind == design.kind
 
@@ -415,64 +417,32 @@ def test_bernoulli_designs_always_valid(pi1):
 # -- analytic designs are validated from their parameters ---------------------
 
 
-def _dense_group_design(group_ids, m1):
-    """Joint and marginals of complete randomization of ``m1`` groups, written
-    slot pair by slot pair from the group-level probabilities."""
-    _, index = np.unique(np.asarray(group_ids), return_inverse=True)
-    n, m = index.shape[0], int(index.max()) + 1
-    m0 = m - m1
-    pi = [m0 / m, m1 / m]
-    pairs = [[m0 * (m0 - 1) / (m * (m - 1)), m0 * m1 / (m * (m - 1))],
-             [m0 * m1 / (m * (m - 1)), m1 * (m1 - 1) / (m * (m - 1))]]
-    joint = np.empty((2 * n, 2 * n))
-    for a, b, i, j in itertools.product(range(2), range(2), range(n), range(n)):
-        if index[i] == index[j]:
-            joint[a * n + i, b * n + j] = pi[a] if a == b else 0.0
-        else:
-            joint[a * n + i, b * n + j] = pairs[a][b]
-    return joint, np.repeat(pi, n)
-
-
-def _dense_bernoulli(pi1):
-    """Joint and marginals of independent assignment, slot pair by slot pair."""
-    pi1 = [float(p) for p in pi1]
-    pi = [[1.0 - p for p in pi1], pi1]
-    n = len(pi1)
-    joint = np.empty((2 * n, 2 * n))
-    for a, b, i, j in itertools.product(range(2), range(2), range(n), range(n)):
-        if i == j:
-            joint[a * n + i, b * n + j] = pi[a][i] if a == b else 0.0
-        else:
-            joint[a * n + i, b * n + j] = pi[a][i] * pi[b][j]
-    return joint, np.concatenate(pi)
-
-
 ANALYTIC_CASES = {
-    "complete n1=1": (lambda: make_complete(5, 1), lambda: _dense_group_design(range(5), 1)),
-    "complete n1=n-1": (lambda: make_complete(5, 4), lambda: _dense_group_design(range(5), 4)),
-    "complete n=2": (lambda: make_complete(2, 1), lambda: _dense_group_design(range(2), 1)),
-    "complete 7 of 3": (lambda: make_complete(7, 3), lambda: _dense_group_design(range(7), 3)),
+    "complete n1=1": (lambda: make_complete(5, 1), lambda: dense_group_design(range(5), 1)),
+    "complete n1=n-1": (lambda: make_complete(5, 4), lambda: dense_group_design(range(5), 4)),
+    "complete n=2": (lambda: make_complete(2, 1), lambda: dense_group_design(range(2), 1)),
+    "complete 7 of 3": (lambda: make_complete(7, 3), lambda: dense_group_design(range(7), 3)),
     "cluster singletons": (
-        lambda: make_cluster(np.arange(6), 3), lambda: _dense_group_design(range(6), 3)
+        lambda: make_cluster(np.arange(6), 3), lambda: dense_group_design(range(6), 3)
     ),
     "cluster unequal sizes": (
         lambda: make_cluster([3, 3, 1, 7, 7, 7, 2, 5], 2),
-        lambda: _dense_group_design([3, 3, 1, 7, 7, 7, 2, 5], 2),
+        lambda: dense_group_design([3, 3, 1, 7, 7, 7, 2, 5], 2),
     ),
     "cluster one in an arm": (
         lambda: make_cluster([1, 1, 2, 2, 2, 4], 1),
-        lambda: _dense_group_design([1, 1, 2, 2, 2, 4], 1),
+        lambda: dense_group_design([1, 1, 2, 2, 2, 4], 1),
     ),
     "bernoulli smallest subnormal": (
-        lambda: make_bernoulli([5e-324, 0.5, 0.25]), lambda: _dense_bernoulli([5e-324, 0.5, 0.25])
+        lambda: make_bernoulli([5e-324, 0.5, 0.25]), lambda: dense_bernoulli([5e-324, 0.5, 0.25])
     ),
     "bernoulli near 0 and 1": (
         lambda: make_bernoulli([1e-300, np.nextafter(1.0, 0.0), 1e-17, 1.0 - 1e-9]),
-        lambda: _dense_bernoulli([1e-300, np.nextafter(1.0, 0.0), 1e-17, 1.0 - 1e-9]),
+        lambda: dense_bernoulli([1e-300, np.nextafter(1.0, 0.0), 1e-17, 1.0 - 1e-9]),
     ),
     "bernoulli uniform": (
         lambda: make_bernoulli(np.linspace(0.05, 0.95, 7)),
-        lambda: _dense_bernoulli(np.linspace(0.05, 0.95, 7)),
+        lambda: dense_bernoulli(np.linspace(0.05, 0.95, 7)),
     ),
 }
 

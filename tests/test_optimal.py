@@ -315,7 +315,9 @@ def test_demeaning_and_covariance_identities_cluster():
 
 
 def test_block_scaling_identity_for_equal_probability_designs():
-    for design in (make_complete(5, 2), make_cluster([1, 1, 2, 3, 3], 1)):
+    with pytest.warns(UserWarning, match="fewer than 2 clusters"):
+        designs = (make_complete(5, 2), make_cluster([1, 1, 2, 3, 3], 1))
+    for design in designs:
         dmat = design_matrix(design)
         pi1 = design.marginals[design.n]
         pi0 = 1.0 - pi1
