@@ -486,23 +486,17 @@ def _group_form(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> GroupFo
     return GroupForm(_frozen(np.repeat(pi, n)), joint, values, joint.kindwise(lambda p: p == 0.0))
 
 
-def _bernoulli_form(pi1: np.ndarray) -> GroupForm | None:
-    """Independent units as n singleton groups; None when the product of two
-    units' marginals underflows to 0, which would make their pair unobservable."""
+def _bernoulli_form(pi1: np.ndarray) -> GroupForm:
+    """Independent units as n singleton groups."""
     n = pi1.shape[0]
     pi = np.stack([1.0 - pi1, pi1])
-    # fl(x * y) grows with x and y, so the smallest product of two distinct
-    # units is one of the two smallest marginals of each arm
-    low = np.argpartition(pi, 1, axis=1)[:, :2]
-    for a, b in itertools.product(range(2), range(2)):
-        for i, j in itertools.product(low[a], low[b]):
-            if i != j and pi[a, i] * pi[b, j] == 0.0:
-                return None
     own = _own_joint(pi)
     zero = np.zeros((2, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         # pi_a_i**2 may underflow: the kernel is then not finite, and the
-        # certificate sends the design to the dense path, which warns
+        # certificate sends the design to the dense path, which warns.  A
+        # product of two units' marginals underflows only if the smaller
+        # one's square does (fl is monotone), so this covers those too
         d_unit = _arm_kernel(own, pi)
     values = GroupOperator(np.arange(n), d_unit, zero, zero)
     mask = GroupOperator(values.index, own == 0.0, zero != 0.0, zero != 0.0)
@@ -589,11 +583,7 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
     if pi1.ndim != 1:
         raise DesignError("Bernoulli probabilities must form a vector")
     provenance = AnalyticProvenance("bernoulli", {"pi1": pi1.copy()})
-    form = _bernoulli_form(pi1)
-    if form is None:
-        pi0 = 1.0 - pi1
-        return Design(n, _bernoulli_joint(pi0, pi1), np.concatenate([pi0, pi1]), provenance)
-    return _form_design(form, provenance)
+    return _form_design(_bernoulli_form(pi1), provenance)
 
 
 def _cluster_index(cluster_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
