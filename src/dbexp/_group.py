@@ -13,9 +13,64 @@ the dense matrix costs O(n^2 l).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+class Groups:
+    """A unit -> group index, labelled 0 .. m - 1 with every label used, and sums
+    of stacked arrays (control slots first) over its 2m (arm, group) columns.
+    ``in_order`` says every unit is its own group in unit order; ``key``
+    identifies the labelling, for keeping sums computed over it."""
+
+    def __init__(self, index: np.ndarray):
+        self.index, self.n, self.key = index, index.shape[0], index.tobytes()
+        self.sizes = np.bincount(index)
+        self.m = self.sizes.shape[0]
+        self.in_order = self.m == self.n and bool((index == np.arange(self.n)).all())
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.first, self.slots = self.starts, None  # slots: stacked slots sorted by group
+        if not (np.diff(index) >= 0).all():
+            order = np.argsort(index, kind="stable")
+            self.first, self.slots = order[self.starts], np.concatenate([order, self.n + order])
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        """Sums of a stacked array (2n, ...) over the (arm, group) columns: (2m, ...)."""
+        if self.in_order:
+            return v
+        x = v if self.slots is None else v.take(self.slots, axis=0)
+        x = x.reshape((2, self.n) + v.shape[1:])
+        return np.add.reduceat(x, self.starts, axis=1).reshape((2 * self.m,) + v.shape[1:])
+
+    def outer_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sums of the row-wise outer products of stacked arrays (2n, l) and (2n, l')
+        over the (arm, group) columns, (2m, l * l'): one small product per column."""
+        if self.in_order:
+            return outer_rows(a, b)
+        a, b = (np.vstack([f, np.zeros((1, f.shape[1]))])[self._padded] for f in (a, b))
+        return (np.swapaxes(a, 1, 2) @ b).reshape(2 * self.m, -1)
+
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The stacked slots of each (arm, group) column, (2m, largest size),
+        padded with slot 2n (a zero row)."""
+        sizes = np.tile(self.sizes, 2)
+        padded = np.full((2 * self.m, sizes.max()), 2 * self.n)
+        slots = np.arange(2 * self.n) if self.slots is None else self.slots
+        padded[np.arange(sizes.max()) < sizes[:, None]] = slots
+        return padded
+
+
+def outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products (rows, l * l'), so that a Gram product is linear in row weights."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+@lru_cache(maxsize=16)
+def unit_groups(n: int) -> Groups:
+    """Every unit its own group."""
+    return Groups(np.arange(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,16 +93,12 @@ class GroupOperator:
         return self.index.shape[0]
 
     @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.index)
+    def groups(self) -> Groups:
+        return Groups(self.index)
 
     @property
     def m(self) -> int:
-        return self.sizes.shape[0]
-
-    @cached_property
-    def _order(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.argsort(self.index, kind="stable"), np.cumsum(self.sizes) - self.sizes
+        return self.groups.m
 
     def kindwise(self, fn, *others: "GroupOperator") -> "GroupOperator":
         """The operator whose kernels are ``fn`` of this one's and ``others``' kernels."""
@@ -96,8 +147,7 @@ class GroupOperator:
         """
         v = np.asarray(v, dtype=float)
         x = v.reshape(2, self.n, -1)
-        order, starts = self._order
-        sums = np.add.reduceat(x[:, order], starts, axis=1)  # (2, m, k)
+        sums = self.groups.sum(x.reshape(2 * self.n, -1)).reshape(2, self.m, -1)  # (2, m, k)
         own = sums[:, self.index]  # each unit's group sum
         total = sums.sum(axis=1)
         out = (
@@ -119,7 +169,7 @@ class GroupOperator:
     def frobenius(self) -> float:
         """The Frobenius norm, counting the slot pairs of each kind."""
         n = self.n
-        same_pairs = int((self.sizes.astype(np.int64) ** 2).sum()) - n
+        same_pairs = int((self.groups.sizes.astype(np.int64) ** 2).sum()) - n
         diff_pairs = n * n - n - same_pairs
         total = (
             float((self.unit**2).sum())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 
 import click
@@ -180,6 +181,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             resolved["estimators"] = tuple(resolved["estimators"])
         config = SimConfig(**resolved)
         result = run_simulation(config)
+        start = time.perf_counter()
         paths = emit_report(result, out_dir)
         write_manifest(out_dir, "simulate", {
             "config_file": file_config,
@@ -189,6 +191,8 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             "failures": int(result.failures.sum()),
             "rank_deficient": result.rank_deficient,
         })
+        with open(os.path.join(out_dir, "timings.json"), "w") as fh:
+            fh.write(json.dumps({**result.timings, "report": time.perf_counter() - start}) + "\n")
         for key, path in paths.items():
             click.echo(f"{key}: {path}")
 

@@ -10,7 +10,7 @@ while still targeting the individual-level average effect.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,8 @@ class CovariateSpec:
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
+    # the layout's group sums, kept by the estimators for each grouping of its rows
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._group import GroupOperator, quadratic
+from ._group import GroupOperator, Groups, quadratic, unit_groups
 from ._linalg import min_max_eig
 
 #: Largest support that enumerate_assignments will expand by default.
@@ -308,6 +308,12 @@ class Design(_KindForm):
         index, m, m1 = _groups(self)
         index.flags.writeable = False
         return make_complete(m, m1), index
+
+    @cached_property
+    def _assignment_groups(self) -> Groups:
+        """Units every assignment treats alike: those its kind form groups (the
+        clusters of a cluster design), else each unit alone."""
+        return self._form.values.groups if self._form is not None else unit_groups(self.n)
 
     def to_json(self) -> str:
         return json.dumps(design_to_dict(self))

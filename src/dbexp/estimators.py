@@ -6,6 +6,11 @@ covariate adjustment term.  Cluster-total layouts run through identical code
 on the collapsed m-cluster system while keeping the individual count as the
 divisor.
 
+Products run over (arm, group) columns.  A cluster design treats each
+cluster's units alike, so a unit-level layout is summed by cluster once per
+grouping and a realization costs 2m columns, not 2n; any other design's groups
+are its units, whose sums are the layout's own rows.
+
 One table, ``_METHODS``, says which weights each coefficient method fits with
 and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
 :func:`batch_points` runs it over a stack of assignments in blocks, for several
@@ -16,11 +21,12 @@ a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._group import quadratic
+from ._group import Groups, outer_rows, quadratic, unit_groups
 from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
@@ -84,7 +90,8 @@ class ObservedOutcomes:
     def stacked(self) -> np.ndarray:
         """Length-2n observed stacked vector: -y at realized control slots,
         +y at realized treatment slots, zeros elsewhere."""
-        return _signed_stack(self.realization.assignment == 1, self.outcomes)
+        treated, y = self.realization.assignment == 1, self.outcomes
+        return np.concatenate([np.where(treated, 0.0, -y), np.where(treated, y, 0.0)])
 
 
 @dataclass(frozen=True)
@@ -119,13 +126,14 @@ def coef_fixed(values, spec: CovariateSpec | None = None) -> CoefficientEstimate
 # -- system resolution --------------------------------------------------------
 
 
-def _collapse(treated: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Cluster-level (R, m) assignments of a unit-level (R, n) 0/1 stack."""
-    picked = treated.take(np.unique(index, return_index=True)[1], axis=1)
-    varying = index[(treated != picked.take(index, axis=1)).any(axis=0)]
-    if varying.size:
+def _collapse(treated: np.ndarray, groups: Groups, strict: bool = True) -> np.ndarray | None:
+    """Group-level (R, m) assignments of a unit-level (R, n) 0/1 stack; None, or an
+    error when ``strict``, if an assignment treats the units of a group unalike."""
+    picked = treated.take(groups.first, axis=1)
+    varying = groups.index[(treated != picked.take(groups.index, axis=1)).any(axis=0)]
+    if varying.size and strict:
         raise ValueError(f"assignment varies within cluster {varying.min()}: not a cluster design")
-    return picked
+    return None if varying.size else picked
 
 
 def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
@@ -135,7 +143,7 @@ def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSp
             _, index = _cluster_index(spec.cluster_ids)
             if observed.n != index.shape[0]:
                 raise ValueError("observed data does not match the layout's cluster ids")
-            treated = _collapse(observed.realization.assignment[None], index)[0]
+            treated = _collapse(observed.realization.assignment[None], Groups(index))[0]
             totals = np.bincount(index, weights=observed.outcomes, minlength=spec.rows_per_arm)
             observed = ObservedOutcomes(totals, AssignmentRealization(treated))
             design = cluster_level_design(design)[0] if design is not None else None
@@ -156,16 +164,11 @@ def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
 
 
 # -- estimator arithmetic -----------------------------------------------------
-# One implementation of each estimator on stacked-layout arrays: weights ``w``
-# and weighted signed outcomes ``wy`` of shape (2r,) for one realization or
-# (R, 2r) for R of them, giving one result per realization.  Products are
-# taken row by row (``_rows``), so a result does not depend on the block it
-# was computed in.
-
-
-def _signed_stack(treated: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """-y at realized control slots, +y at realized treatment slots, else 0."""
-    return np.concatenate([np.where(treated, 0.0, -y), np.where(treated, y, 0.0)], axis=-1)
+# One implementation of each estimator.  A realization's weights are constant
+# on the design's assignment groups (clusters, else single units), so every
+# product runs over the 2m (arm, group) columns: (R, 2m) weights ``w`` against
+# a layout's rows summed by group once (``_summed``), row by row (``_rows``),
+# so a result does not depend on the block it was computed in.
 
 
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -173,8 +176,22 @@ def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, 1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[-1:])
 
 
+def _summed(store: dict, groups: Groups, left: np.ndarray, right: np.ndarray | None = None):
+    """Group sums of the rows of ``left`` (2n, l), or of their outer products
+    with the rows of ``right``, kept in ``store`` for a grouping with fewer
+    groups than units (the outer products of unit rows take l' times the
+    layout's memory, so they are rebuilt instead)."""
+    key = (groups.key, right is None)
+    if key in store:
+        return store[key]
+    sums = groups.sum(left) if right is None else groups.outer_sums(left, right)
+    if groups.m < groups.n:
+        store[key] = sums
+    return sums
+
+
 def _ht(wy: np.ndarray, divisor: int) -> np.ndarray:
-    """Inverse-probability (Horvitz-Thompson) estimate(s)."""
+    """Inverse-probability (Horvitz-Thompson) estimate(s) from weighted outcome sums."""
     return _rows(wy, np.ones((wy.shape[-1], 1)))[..., 0] / divisor
 
 
@@ -188,28 +205,37 @@ def _conjugate(ht: np.ndarray, adjustment: np.ndarray, b: np.ndarray) -> np.ndar
     return ht - (adjustment * b).sum(axis=-1)
 
 
-def _gram(left: np.ndarray, w: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left' diag(w) right``: linear in ``w``, so a stack of weights needs one
-    product with the row-wise outer products and no (R, rows, l) temporary."""
-    outer = (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
-    return _rows(w, outer).reshape(w.shape[:-1] + (left.shape[1], right.shape[1]))
+def _gram(w: np.ndarray, outer: np.ndarray, l: int) -> np.ndarray:
+    """``left' diag(w) right`` from the summed row-wise outer products of ``left``
+    (l columns) and ``right``: one product per weight row."""
+    return _rows(w, outer).reshape(w.shape[:-1] + (l, -1))
 
 
-def _wls(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
+# a layout's shape, summed outer products and rows for ``w * scale`` (outcome_rows)
+_System = namedtuple("_System", "shape outer xy")
+
+
+def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
     """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s) and
     rank-deficiency flag(s).  With ``w >= 0`` the cutoff is relative,
     ``PINV_RCOND`` times each normal matrix's largest singular value."""
-    return pinv_solve(_gram(x, w, x), _rows(wy, x))
+    return pinv_solve(_gram(w, x.outer, x.shape[1]), _rows(wy, x.xy))
 
 
-def _three_ht(cache: "AdjustmentCache", wy: np.ndarray) -> np.ndarray:
+def _ols(x: np.ndarray, y: np.ndarray):
+    """Unweighted least squares of ``y`` on the columns of ``x``."""
+    return _wls(_System(x.shape, outer_rows(x, x), x), np.ones(x.shape[0]), y)
+
+
+def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
     """Unbiased optimal-coefficient estimate(s)."""
-    return _rows(_rows(wy, cache.xd.T), cache.xdx_pinv.T)
+    return _rows(_rows(obs.w * obs.scale, obs.outcome_rows(cache.xd.T)), cache.xdx_pinv.T)
 
 
-def _two_r(cache: "AdjustmentCache", w: np.ndarray, b3: np.ndarray, b_wls: np.ndarray):
+def _two_r(cache: "AdjustmentCache", obs: "_Realizations", b3: np.ndarray, b_wls: np.ndarray):
     """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit."""
-    drift = _gram(cache.xd.T, w, cache.spec.matrix) - cache.xdx
+    outer = _summed(cache._sums, obs.groups, cache.xd.T, cache.spec.matrix)
+    drift = _gram(obs.w, outer, cache.xdx.shape[0]) - cache.xdx
     return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
 
 
@@ -237,30 +263,51 @@ def _check_method(method: str, spec: CovariateSpec) -> None:
 
 
 class _Realizations:
-    """R realizations at the layouts' level: (R, 2r) observation indicators,
-    signed outcomes and, given the marginals, inverse-probability weights
-    ``w`` and weighted outcomes ``wy``."""
+    """R realizations (an (R, n) boolean stack) on the (arm, group) columns of
+    ``groups``: (R, 2m) indicators, weights ``w`` given the marginals, and sums
+    ``y`` of the signed outcomes (2n,).  A sum over units of ``w_i y_i v_i`` is
+    ``_rows(w * scale, outcome_rows(v))``: with one unit per group ``scale`` is
+    ``y`` and the rows are v's, so each unit's weighted outcome is rounded as on
+    unit columns; otherwise ``scale`` is 1 and the rows sum ``y_i v_i``."""
 
-    def __init__(self, treated: np.ndarray, y: np.ndarray, marginals: np.ndarray | None):
-        treated = treated == 1
-        self.indicator = np.concatenate([~treated, treated], axis=1).astype(float)
-        self.stacked = _signed_stack(treated, y)
-        self.marginals = marginals
+    def __init__(self, groups: Groups, treated: np.ndarray, marginals: np.ndarray | None,
+                 signed: np.ndarray):
+        self.groups, self.treated, self.signed = groups, treated, signed
+        t = treated if groups.in_order else treated.take(groups.first, axis=1)
+        self.indicator = np.concatenate([~t, t], axis=1).astype(float)
         if marginals is not None:
-            self.w = self.indicator / marginals
-            self.wy = self.stacked * self.w
+            self.marginals = (marginals if groups.in_order
+                              else marginals.reshape(2, -1)[:, groups.first].ravel())
+            self.w = self.indicator / self.marginals
+        self.y = groups.sum(signed)
+        self.scale = self.y if groups.m == groups.n else 1.0
 
-    def fit_inputs(self, weights: str):
-        """Fit weights 1, 1/pi or 1/pi - 1 on the observed rows, and the weighted outcomes."""
-        if weights == "inverse":
-            return self.w, self.wy
-        w = self.indicator
-        if weights == "minority":
-            w = w * (1.0 / self.marginals - 1.0)
-        return w, self.stacked * w
+    def outcome_rows(self, v: np.ndarray) -> np.ndarray:
+        return self.groups.sum(v if self.groups.m == self.groups.n else self.signed[:, None] * v)
+
+    def weights(self, kind: str) -> np.ndarray:
+        """Fit weights 1, 1/pi or 1/pi - 1 on the observed columns."""
+        if kind == "inverse":
+            return self.w
+        if kind == "minority":
+            return self.indicator * (1.0 / self.marginals - 1.0)
+        return self.indicator
 
 
-def _fit(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
+def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
+    """One realization, the divisor and the observed data at the layout's level;
+    an assignment the design cannot draw runs on unit columns."""
+    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    treated = sys_obs.realization.assignment[None] == 1
+    groups = unit_groups(sys_obs.n) if sys_design is None else sys_design._assignment_groups
+    if not groups.in_order and _collapse(treated, groups, strict=False) is None:
+        groups = unit_groups(sys_obs.n)
+    marginals = None if sys_design is None else sys_design.marginals
+    y = sys_obs.outcomes
+    return _Realizations(groups, treated, marginals, np.concatenate([-y, y])), divisor, sys_obs
+
+
+def _fit(x: _System, w: np.ndarray, wy: np.ndarray):
     """Stacked ``_wls`` fits with rank-deficiency and failure flags; a stack
     whose solve raises ``LinAlgError`` is re-solved one realization at a time,
     and one that fails alone gets NaN coefficients."""
@@ -276,16 +323,22 @@ def _fit(x: np.ndarray, w: np.ndarray, wy: np.ndarray):
 def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> dict:
     """``method -> (b, rank_deficient, failed)`` stacks on one layout.  Each
     fit weighting and 3HT runs once, and 2R reuses both; 3HT has no fit, so
-    its flags are False."""
-    kinds = dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0])
-    fits = {kind: _fit(spec.matrix, *obs.fit_inputs(kind)) for kind in kinds}
-    b3 = _three_ht(cache, obs.wy) if any(_METHODS[m][1] for m in methods) else None
-    unflagged = np.zeros(len(obs.stacked), dtype=bool)
+    its flags are False.  The indicator-weighted fit needs no design, so it
+    runs on unit columns, as it does without one."""
+    fits, x = {}, spec.matrix
+    for kind in dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0]):
+        o = obs if kind != "indicator" or obs.groups.in_order else _Realizations(
+            unit_groups(obs.groups.n), obs.treated, None, obs.signed)
+        w = o.weights(kind)  # no name keeps the system, whose unit outer products are large
+        fits[kind] = _fit(_System(x.shape, _summed(spec._sums, o.groups, x, x), o.outcome_rows(x)),
+                          w, w * o.scale)
+    b3 = _three_ht(cache, obs) if any(_METHODS[m][1] for m in methods) else None
+    unflagged = np.zeros(len(obs.indicator), dtype=bool)
     out = {}
     for method in methods:
         kind, runs_3ht = _METHODS[method]
         b, deficient, failed = fits[kind] if kind else (b3, unflagged, unflagged)
-        out[method] = (_two_r(cache, obs.w, b3, b) if kind and runs_3ht else b, deficient, failed)
+        out[method] = (_two_r(cache, obs, b3, b) if kind and runs_3ht else b, deficient, failed)
     return out
 
 
@@ -300,18 +353,17 @@ def ht_ate(observed: ObservedOutcomes, design: Design) -> float:
 def ht_cov_means(spec: CovariateSpec, realization: AssignmentRealization, design: Design):
     """Zero-mean adjustment-term vector: weighted minus full covariate sums."""
     dummy = ObservedOutcomes(np.zeros(realization.n), realization)
-    dummy, design, divisor = _system(dummy, design, spec)
-    return _adjustment(spec.matrix, dummy.indicator() / design.marginals, divisor)
+    obs, divisor, _ = _observe(dummy, design, spec)
+    return _adjustment(_summed(spec._sums, obs.groups, spec.matrix), obs.w, divisor)[0]
 
 
 def greg(observed: ObservedOutcomes, design: Design, spec: CovariateSpec | None = None,
          coefficient: CoefficientEstimate | None = None) -> AteEstimate:
     """Generalized regression estimate: point = HT - (adjustment term) @ b."""
-    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    obs, divisor, sys_obs = _observe(observed, design, spec)
     indicator = sys_obs.indicator()
     stacked = sys_obs.stacked()
-    w = indicator / sys_design.marginals
-    ht = _ht(stacked * w, divisor)
+    ht = _ht(obs.w * obs.y, divisor)[0]
     if coefficient is None:
         return AteEstimate(float(ht), None, stacked, indicator.astype(bool), divisor)
     if spec is None:
@@ -319,7 +371,8 @@ def greg(observed: ObservedOutcomes, design: Design, spec: CovariateSpec | None 
     b = coefficient.values
     if b.shape != (spec.n_columns,):
         raise ValueError("coefficient length must match the layout's column count")
-    point = float(_conjugate(ht, _adjustment(spec.matrix, w, divisor), b))
+    adjustment = _adjustment(_summed(spec._sums, obs.groups, spec.matrix), obs.w, divisor)[0]
+    point = float(_conjugate(ht, adjustment, b))
     residuals = (stacked - spec.matrix @ b) * indicator
     return AteEstimate(point, coefficient, residuals, indicator.astype(bool), divisor)
 
@@ -402,16 +455,19 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     for spec in specs:
         for method in methods:
             _check_method(method, spec)
-    sys_design, index = design, None
+    sys_design, collapse = design, None
     if specs and specs[0].level == "cluster":
         ids = specs[0].cluster_ids
         if any(not np.array_equal(spec.cluster_ids, ids) for spec in specs):
             raise ValueError("the cluster-level layouts of one call must share their cluster ids")
-        _, index = _cluster_index(ids)
+        collapse = Groups(_cluster_index(ids)[1])
         sys_design = cluster_level_design(design)[0]
         outcomes = stack_clusters(outcomes, ids)
     if any(spec.rows_per_arm != sys_design.n for spec in specs):
         raise ValueError("layout and design sizes disagree")
+    columns = sys_design._assignment_groups
+    if collapse is None and not columns.in_order:
+        _collapse(z, columns)  # every assignment must treat a cluster's units alike
     runs_3ht = any(_METHODS[m][1] for m in methods)
     caches = [AdjustmentCache.build(spec, design) if runs_3ht else None for spec in specs]
     divisors = [spec.divisor or design.n for spec in specs]
@@ -420,11 +476,11 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     points, rank_deficient, failed = np.empty(shape), np.zeros(shape, bool), np.zeros(shape, bool)
     for start in range(0, z.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        t = z[rows] if index is None else _collapse(z[rows], index)
-        obs = _Realizations(t, np.where(t, outcomes.treated, outcomes.control), sys_design.marginals)
-        ht = {divisor: _ht(obs.wy, divisor) for divisor in dict.fromkeys(divisors)}
+        t = z[rows] if collapse is None else _collapse(z[rows], collapse)
+        obs = _Realizations(columns, t, sys_design.marginals, outcomes.values)
+        ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
         for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
-            adjustment = _adjustment(spec.matrix, obs.w, divisor)
+            adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
             fits = _coefficients(methods, spec, cache, obs)
             for m, method in enumerate(methods):
                 b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
@@ -450,6 +506,8 @@ class AdjustmentCache:
     xdx_pinv: np.ndarray
     xd: np.ndarray
     rank_deficient: bool
+    # the 2R drift's group sums, kept for each grouping of the layout's rows
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":
@@ -478,10 +536,8 @@ def coef_by_name(method: str, spec: CovariateSpec, observed: ObservedOutcomes,
         cache = AdjustmentCache.build(spec, design)
     elif cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix):
         raise ValueError("cache was built for a different layout")
-    sys_obs, sys_design, _ = _system(observed, design, spec)
-    marginals = None if sys_design is None else sys_design.marginals
-    obs = _Realizations(sys_obs.realization.assignment[None], sys_obs.outcomes[None], marginals)
-    b, deficient, failed = _coefficients((method,), spec, cache, obs)[method]
+    b, deficient, failed = _coefficients((method,), spec, cache,
+                                         _observe(observed, design, spec)[0])[method]
     if failed[0]:
         raise np.linalg.LinAlgError(f"the least-squares fit of the {method} coefficient failed")
     if method == "ols" and spec.level == "cluster":

@@ -13,7 +13,7 @@ import numpy as np
 from ._linalg import normal_system
 from .covariates import CovariateSpec
 from .design import Design, DesignMatrix, StackedOutcomes, _groups
-from .estimators import _wls
+from .estimators import _ols
 
 FOC_RTOL = 1e-8
 PINV_FLOOR = 1e-12
@@ -147,7 +147,7 @@ POPULATION_METHODS = ("ols_II", "tyranny_I", "tyranny_II", "ols_cluster_II", "ty
 
 def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares slopes of ``y`` on ``x`` with an intercept."""
-    return _wls(x - x.mean(axis=0), np.ones(x.shape[0]), y - y.mean())[0]
+    return _ols(x - x.mean(axis=0), y - y.mean())[0]
 
 
 def b_population(

@@ -14,6 +14,7 @@ cluster-total layouts.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -129,7 +130,7 @@ def calibration_r2(population: Population) -> float:
     """R-squared of outcomes on the full covariate set (noise-scale diagnostic)."""
     y0 = population.outcomes.control
     x = np.column_stack([np.ones(population.n), covariate_set(population, 4)])
-    beta, _ = _est._wls(x, np.ones(population.n), y0)
+    beta, _ = _est._ols(x, y0)
     resid = y0 - x @ beta
     return 1.0 - float(resid.var() / y0.var())
 
@@ -154,7 +155,11 @@ class SimResult:
     # "estimator/set" -> replications whose least-squares fit was rank deficient
     rank_deficient: dict[str, int]
     metrics: tuple[MetricsRow, ...] = field(default=())
+    # stage -> wall seconds; varies between runs, so it is kept out of the reports
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
+
+_STAGES = ("population", "draws", "unit_batch_points", "cluster_batch_points")
 
 # the study's WLS benchmark is the library's reciprocal-probability weighted fit
 _METHOD = {"wls_ols": "wls_pi"}
@@ -181,8 +186,10 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     against each estimator that needs the fit and left out of the metrics;
     any other error propagates.
     """
+    marks = [time.perf_counter()]  # the end of each stage of _STAGES
     if population is None:
         population = build_population(config)
+    marks.append(time.perf_counter())
     m1 = config.m1
     if not 1 <= m1 <= population.m - 1:
         raise ValueError("treated cluster count must leave both arms non-empty")
@@ -197,6 +204,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     failures = np.zeros(shape[1:], dtype=np.int64)
     deficient = np.zeros(shape[1:], dtype=np.int64)
     for cluster_level in (False, True):
+        marks.append(time.perf_counter())
         chosen = [e for e, name in enumerate(est_names)
                   if (name == "ols_cluster_totals") == cluster_level]
         if not chosen or not set_ids:
@@ -213,6 +221,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
         estimates[:, chosen] = batch.points
         failures[chosen] = batch.failed.sum(axis=0)
         deficient[chosen] = batch.rank_deficient.sum(axis=0)
+    marks.append(time.perf_counter())
     rank_deficient = {  # the estimators with a least-squares fit per replication
         f"{name}/{set_id}": int(deficient[e_pos, s_pos])
         for s_pos, set_id in enumerate(set_ids)
@@ -221,7 +230,9 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     }
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
-    return SimResult(config, population, design, estimates, failures, rank_deficient, metrics)
+    timings = dict(zip(_STAGES, np.diff(marks).tolist()))
+    return SimResult(config, population, design, estimates, failures, rank_deficient, metrics,
+                     timings)
 
 
 def _aggregate(config, population, estimates, est_names, set_ids):
@@ -267,14 +278,13 @@ def emit_report(result: SimResult, out_dir) -> dict[str, str]:
     paths["metrics"] = metrics_path
 
     reps_path = os.path.join(out_dir, "replications.csv")
-    est_names = list(result.config.estimators)
-    set_ids = list(result.config.spec_sets)
+    labels = [f"{name},{set_id}," for name in result.config.estimators
+              for set_id in result.config.spec_sets]
+    rows = result.estimates.reshape(result.estimates.shape[0], -1).tolist()  # Python floats
     with open(reps_path, "w", newline="") as fh:
         fh.write("replication,estimator,spec_set,estimate\n")
-        for r in range(result.estimates.shape[0]):
-            for e_pos, name in enumerate(est_names):
-                for s_pos, set_id in enumerate(set_ids):
-                    fh.write(f"{r},{name},{set_id},{result.estimates[r, e_pos, s_pos]!r}\n")
+        fh.write("".join(f"{r},{label}{v!r}\n" for r, row in enumerate(rows)
+                         for label, v in zip(labels, row)))
     paths["replications"] = reps_path
 
     if result.metrics:

@@ -141,6 +141,22 @@ def test_simulate_manifest_reports_rank_deficient_solves(runner, tmp_path):
     assert deficient["wls_ols/1"] == 0
 
 
+def test_simulate_writes_stage_timings_beside_byte_identical_reports(runner, tmp_path):
+    args = ["simulate", "--n-units", "60", "--n-clusters", "12", "--m1", "5",
+            "--replications", "20", "--seed", "7", "--out-dir"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        result = runner.invoke(main, args + [str(out)])
+        assert result.exit_code == 0, result.output
+    timings = json.loads(open(runs[0] / "timings.json").read())
+    assert set(timings) == {"population", "draws", "unit_batch_points",
+                            "cluster_batch_points", "report"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert "timings" not in json.loads(open(runs[0] / "manifest.json").read())["params"]
+    for name in ("metrics.csv", "replications.csv", "figure.svg", "manifest.json"):
+        assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
+
+
 def test_simulate_invalid_config_exits_2(runner, tmp_path):
     result = runner.invoke(
         main, ["simulate", "--replications", "0", "--out-dir", str(tmp_path / "x")]

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dbexp import (
     AdjustmentCache,
@@ -34,7 +38,18 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments, enumeration_vector_mean
+from dbexp._group import outer_rows, unit_groups
 from dbexp._linalg import pinv_solve
+from dbexp.estimators import (
+    _Realizations,
+    _adjustment,
+    _gram,
+    _ht,
+    _rows,
+    _summed,
+    _three_ht,
+    _two_r,
+)
 
 
 def _observe(outcomes, z):
@@ -465,12 +480,14 @@ def _batch_case(kind):
         design = make_complete(n, 5)
         if kind == "bernoulli":
             design = make_bernoulli(rng.uniform(0.2, 0.8, n))
+        if kind == "cluster units":  # unit-level layouts on multi-unit clusters
+            design = make_cluster(BATCH_IDS, 3)
         layouts = (spec_II(x), spec_I(x))
         methods = ("ols", "wls_pi", "three_ht", "two_r")
     return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",))]
 
 
-@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster"])
+@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster units"])
 def test_batch_points_equal_single_realization_estimates(kind):
     design, outcomes, calls = _batch_case(kind)
     # 450 draws: the stack crosses a block boundary
@@ -517,3 +534,69 @@ def test_batch_points_rejects_bad_input():
         batch_points(design, outcomes, split, specs, ["ols_cluster_totals"])
     with pytest.raises(ValueError, match="assignment varies within cluster 0"):
         coef_ols_cluster_totals(specs[0], _observe(outcomes, split[0]))
+
+
+# -- products over (arm, group) columns --------------------------------------------
+
+
+def _unit_products(matrix, cache, w, wy, divisor, b_wls):
+    """HT, adjustment, Gram, WLS right-hand side, 3HT and 2R drift as one-row
+    products of unit-level weights ``w`` and weighted outcomes ``wy``."""
+
+    def gram(left, right):
+        return _rows(w, outer_rows(left, right)).reshape(len(w), left.shape[1], right.shape[1])
+
+    drift = gram(cache.xd.T, matrix) - cache.xdx
+    return {
+        "ht": _rows(wy, np.ones((wy.shape[1], 1)))[:, 0] / divisor,
+        "adjustment": _rows(w - 1.0, matrix) / divisor,
+        "gram": gram(matrix, matrix),
+        "rhs": _rows(wy, matrix),
+        "three_ht": _rows(_rows(wy, cache.xd.T), cache.xdx_pinv.T),
+        "two_r": -_rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T),
+    }
+
+
+def _grouped_products(spec, cache, obs, divisor, b_wls):
+    w, x = obs.w, spec.matrix
+    return {
+        "ht": _ht(w * obs.y, divisor),
+        "adjustment": _adjustment(_summed(spec._sums, obs.groups, x), w, divisor),
+        "gram": _gram(w, _summed(spec._sums, obs.groups, x, x), x.shape[1]),
+        "rhs": _rows(w * obs.scale, obs.outcome_rows(x)),
+        "three_ht": _three_ht(cache, obs),
+        "two_r": _two_r(cache, obs, np.zeros_like(b_wls), b_wls),
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=12), st.integers(0, 2**16))
+def test_group_column_products_equal_unit_products(ids, seed):
+    assume(len(set(ids)) >= 2)
+    m = len(set(ids))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one cluster in an arm
+        design = make_cluster(ids, 1 + seed % (m - 1))
+    rng = np.random.default_rng(seed)
+    n = len(ids)
+    x = zero_center(rng.standard_normal((n, 2)))
+    y0 = x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+    outcomes = StackedOutcomes.from_arms(y0, y0 + rng.standard_normal(n))
+    spec = spec_II(x)
+    cache = AdjustmentCache.build(spec, design)
+    treated = np.array([draw(design, seed + r).assignment for r in range(3)]) == 1
+    b_wls = rng.standard_normal((3, spec.n_columns))
+    w = np.concatenate([~treated, treated], axis=1) / design.marginals
+    observed = np.where(treated, outcomes.treated, outcomes.control)
+    signed = np.concatenate([np.where(treated, 0.0, -observed), np.where(treated, observed, 0.0)], 1)
+    wy = signed * w  # the realized signed outcomes, zero at unobserved slots
+    want = _unit_products(spec.matrix, cache, w, wy, n, b_wls)
+    for groups in (design._assignment_groups, unit_groups(n)):
+        obs = _Realizations(groups, treated, design.marginals, outcomes.values)
+        got = _grouped_products(spec, cache, obs, n, b_wls)
+        for key, value in want.items():
+            if groups.in_order:  # one unit per group: the unit products themselves
+                assert np.array_equal(got[key], value), key
+            else:
+                np.testing.assert_allclose(got[key], value, rtol=1e-12,
+                                           atol=1e-12 * (1.0 + np.abs(value).max()), err_msg=key)

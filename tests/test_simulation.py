@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import warnings
 
@@ -196,6 +197,21 @@ def test_emit_report_outputs(tmp_path):
     for title in ("MSE", "SE²", "Bias²", "% MSE reduction"):
         assert title in svg
     assert "covariate set" in svg
+
+
+def test_replications_csv_holds_plain_numbers(tmp_path):
+    result = run_simulation(SimConfig(**{**TINY, "replications": 6}))
+    estimates = result.estimates.copy()
+    estimates[2, 1, 3] = np.nan  # a failed replication
+    result = dataclasses.replace(result, estimates=estimates)
+    lines = open(emit_report(result, tmp_path)["replications"]).read().splitlines()[1:]
+    names, sets = result.config.estimators, result.config.spec_sets
+    assert len(lines) == estimates.size
+    for line in lines:
+        r, name, set_id, text = line.split(",")
+        want = estimates[int(r), names.index(name), sets.index(int(set_id))]
+        value = float(text)
+        assert value == want or (np.isnan(want) and np.isnan(value))
 
 
 def test_emit_report_empty_estimators(tmp_path):
