@@ -13,7 +13,7 @@ the dense matrix costs O(n^2 l).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,32 +34,20 @@ class Groups:
         if not (np.diff(index) >= 0).all():
             order = np.argsort(index, kind="stable")
             self.first, self.slots = order[self.starts], np.concatenate([order, self.n + order])
+        self._bounds = np.concatenate([self.starts, self.n + self.starts])  # of the 2m columns
 
     def sum(self, v: np.ndarray) -> np.ndarray:
         """Sums of a stacked array (2n, ...) over the (arm, group) columns: (2m, ...)."""
-        if self.in_order:
-            return v
-        x = v if self.slots is None else v.take(self.slots, axis=0)
-        x = x.reshape((2, self.n) + v.shape[1:])
-        return np.add.reduceat(x, self.starts, axis=1).reshape((2 * self.m,) + v.shape[1:])
+        return v if self.in_order else np.add.reduceat(self._sorted(v), self._bounds, axis=0)
 
     def outer_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sums of the row-wise outer products of stacked arrays (2n, l) and (2n, l')
-        over the (arm, group) columns, (2m, l * l'): one small product per column."""
+        """``sum(outer_rows(a, b))``, with the rows put in group order before the product."""
         if self.in_order:
             return outer_rows(a, b)
-        a, b = (np.vstack([f, np.zeros((1, f.shape[1]))])[self._padded] for f in (a, b))
-        return (np.swapaxes(a, 1, 2) @ b).reshape(2 * self.m, -1)
+        return np.add.reduceat(outer_rows(self._sorted(a), self._sorted(b)), self._bounds, axis=0)
 
-    @cached_property
-    def _padded(self) -> np.ndarray:
-        """The stacked slots of each (arm, group) column, (2m, largest size),
-        padded with slot 2n (a zero row)."""
-        sizes = np.tile(self.sizes, 2)
-        padded = np.full((2 * self.m, sizes.max()), 2 * self.n)
-        slots = np.arange(2 * self.n) if self.slots is None else self.slots
-        padded[np.arange(sizes.max()) < sizes[:, None]] = slots
-        return padded
+    def _sorted(self, v: np.ndarray) -> np.ndarray:
+        return v if self.slots is None else v.take(self.slots, axis=0)
 
 
 def outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,22 +67,22 @@ class GroupOperator:
 
     Entry (a i, b j) is ``unit[a, b, i]`` when i = j, ``same[a, b]`` when
     i != j lie in one group and ``diff[a, b]`` when they lie in different
-    groups.  ``index`` maps each unit to its group, labelled 0 .. m - 1 with
-    every label used.  The kernels are symmetric in (a, b).
+    groups.  Operators derived from one another share their ``groups``, and
+    with it the order that sorts them.  The kernels are symmetric in (a, b).
     """
 
-    index: np.ndarray  # (n,)
+    groups: Groups
     unit: np.ndarray  # (2, 2, n)
     same: np.ndarray  # (2, 2)
     diff: np.ndarray  # (2, 2)
 
     @property
-    def n(self) -> int:
-        return self.index.shape[0]
+    def index(self) -> np.ndarray:
+        return self.groups.index
 
-    @cached_property
-    def groups(self) -> Groups:
-        return Groups(self.index)
+    @property
+    def n(self) -> int:
+        return self.groups.n
 
     @property
     def m(self) -> int:
@@ -104,7 +92,7 @@ class GroupOperator:
         """The operator whose kernels are ``fn`` of this one's and ``others``' kernels."""
         ops = (self, *others)
         kernels = [fn(*(getattr(op, kind) for op in ops)) for kind in ("unit", "same", "diff")]
-        return GroupOperator(self.index, *kernels)
+        return GroupOperator(self.groups, *kernels)
 
     def kinds_where(self, mask: "GroupOperator") -> np.ndarray:
         """This operator's entries where ``mask`` is True, each kind of slot pair that

@@ -216,7 +216,7 @@ def as_bound(dmat: DesignMatrix) -> BoundMatrix:
             values = dmat._form.values.kindwise(np.add, maskf)
             unit = values.unit.copy()
             unit[[0, 1], [0, 1]] += maskf.matvec(np.ones(2 * dmat.n)).reshape(2, -1)
-            values = GroupOperator(values.index, unit, values.same, values.diff)
+            values = GroupOperator(values.groups, unit, values.same, values.diff)
             return _certify_kinds(values, dmat, "as")
     mask = dmat.mask
     is_graph = not mask.diagonal().any() and np.array_equal(mask, mask.T)
@@ -317,7 +317,7 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
         if not ((d.unit[0, 1] == -1.0).all() and same_partition(index, pattern)):
             raise ValueError("design is not complete randomization of these clusters")
         ones = np.ones((2, 2))
-        added = GroupOperator(d.index, np.broadcast_to(ones[:, :, None], d.unit.shape),
+        added = GroupOperator(d.groups, np.broadcast_to(ones[:, :, None], d.unit.shape),
                               ones * grouped, np.zeros((2, 2)))
         return _certify_kinds(d.kindwise(np.add, added), dmat, "cluster")
     same = (index[:, None] == index[None, :])

@@ -460,7 +460,7 @@ class GroupForm:
         if bound.diff.any():
             raise ValueError("a Bernoulli design's bound must vanish on distinct units")
         own = _own_joint(self.marginals.reshape(2, -1))
-        return GroupOperator(bound.index, bound.unit / (own + (own == 0.0)), bound.same, bound.diff)
+        return GroupOperator(bound.groups, bound.unit / (own + (own == 0.0)), bound.same, bound.diff)
 
     def equals(self, other: "GroupForm") -> bool:
         """Whether both forms describe one joint: equal marginals and, for group
@@ -486,9 +486,10 @@ def _group_form(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> GroupFo
     def per_unit(k):
         return np.broadcast_to(k[:, :, None], (2, 2, n))
 
-    joint = GroupOperator(index, per_unit(own), own, pairs)
+    groups = Groups(index)
+    joint = GroupOperator(groups, per_unit(own), own, pairs)
     k_same, k_diff = _arm_kernel(own, pi), _arm_kernel(pairs, pi)
-    values = GroupOperator(index, per_unit(k_same), k_same, k_diff)
+    values = GroupOperator(groups, per_unit(k_same), k_same, k_diff)
     return GroupForm(_frozen(np.repeat(pi, n)), joint, values, joint.kindwise(lambda p: p == 0.0))
 
 
@@ -504,8 +505,8 @@ def _bernoulli_form(pi1: np.ndarray) -> GroupForm:
         # product of two units' marginals underflows only if the smaller
         # one's square does (fl is monotone), so this covers those too
         d_unit = _arm_kernel(own, pi)
-    values = GroupOperator(np.arange(n), d_unit, zero, zero)
-    mask = GroupOperator(values.index, own == 0.0, zero != 0.0, zero != 0.0)
+    values = GroupOperator(unit_groups(n), d_unit, zero, zero)
+    mask = GroupOperator(values.groups, own == 0.0, zero != 0.0, zero != 0.0)
     return GroupForm(_frozen(pi.ravel()), None, values, mask)
 
 

@@ -126,14 +126,17 @@ def coef_fixed(values, spec: CovariateSpec | None = None) -> CoefficientEstimate
 # -- system resolution --------------------------------------------------------
 
 
-def _collapse(treated: np.ndarray, groups: Groups, strict: bool = True) -> np.ndarray | None:
-    """Group-level (R, m) assignments of a unit-level (R, n) 0/1 stack; None, or an
-    error when ``strict``, if an assignment treats the units of a group unalike."""
-    picked = treated.take(groups.first, axis=1)
-    varying = groups.index[(treated != picked.take(groups.index, axis=1)).any(axis=0)]
-    if varying.size and strict:
+def _varies(treated: np.ndarray, groups: Groups) -> np.ndarray:
+    """Where a unit-level (R, n) 0/1 stack treats a unit unlike its group's first."""
+    return treated != treated.take(groups.first[groups.index], axis=1)
+
+
+def _collapse(treated: np.ndarray, groups: Groups) -> np.ndarray:
+    """Group-level (R, m) assignments of a unit-level (R, n) 0/1 stack."""
+    varying = groups.index[_varies(treated, groups).any(axis=0)]
+    if varying.size:
         raise ValueError(f"assignment varies within cluster {varying.min()}: not a cluster design")
-    return None if varying.size else picked
+    return treated.take(groups.first, axis=1)
 
 
 def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
@@ -300,7 +303,7 @@ def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateS
     sys_obs, sys_design, divisor = _system(observed, design, spec)
     treated = sys_obs.realization.assignment[None] == 1
     groups = unit_groups(sys_obs.n) if sys_design is None else sys_design._assignment_groups
-    if not groups.in_order and _collapse(treated, groups, strict=False) is None:
+    if not groups.in_order and _varies(treated, groups).any():
         groups = unit_groups(sys_obs.n)
     marginals = None if sys_design is None else sys_design.marginals
     y = sys_obs.outcomes
@@ -465,26 +468,30 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
         outcomes = stack_clusters(outcomes, ids)
     if any(spec.rows_per_arm != sys_design.n for spec in specs):
         raise ValueError("layout and design sizes disagree")
-    columns = sys_design._assignment_groups
-    if collapse is None and not columns.in_order:
-        _collapse(z, columns)  # every assignment must treat a cluster's units alike
     runs_3ht = any(_METHODS[m][1] for m in methods)
     caches = [AdjustmentCache.build(spec, design) if runs_3ht else None for spec in specs]
     divisors = [spec.divisor or design.n for spec in specs]
 
     shape = (z.shape[0], len(methods), len(specs))
     points, rank_deficient, failed = np.empty(shape), np.zeros(shape, bool), np.zeros(shape, bool)
-    for start in range(0, z.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        t = z[rows] if collapse is None else _collapse(z[rows], collapse)
-        obs = _Realizations(columns, t, sys_design.marginals, outcomes.values)
-        ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
-        for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
-            adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
-            fits = _coefficients(methods, spec, cache, obs)
-            for m, method in enumerate(methods):
-                b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
-                points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
+    if collapse is not None:
+        z = _collapse(z, collapse)
+    # assignments that treat a group's units unlike, which the design cannot
+    # draw, run on unit columns, as each does alone
+    groups = sys_design._assignment_groups
+    split = np.zeros(z.shape[0], bool) if groups.in_order else _varies(z, groups).any(axis=1)
+    for columns, where in ((groups, ~split), (unit_groups(sys_design.n), split)):
+        where = np.flatnonzero(where)
+        for start in range(0, where.size, _BLOCK):
+            rows = where[start:start + _BLOCK]
+            obs = _Realizations(columns, z[rows], sys_design.marginals, outcomes.values)
+            ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
+            for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
+                adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
+                fits = _coefficients(methods, spec, cache, obs)
+                for m, method in enumerate(methods):
+                    b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
+                    points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
     return BatchPoints(points, rank_deficient, failed)
 
 

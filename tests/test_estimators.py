@@ -480,18 +480,21 @@ def _batch_case(kind):
         design = make_complete(n, 5)
         if kind == "bernoulli":
             design = make_bernoulli(rng.uniform(0.2, 0.8, n))
-        if kind == "cluster units":  # unit-level layouts on multi-unit clusters
+        if kind.startswith("cluster units"):  # unit-level layouts on multi-unit clusters
             design = make_cluster(BATCH_IDS, 3)
         layouts = (spec_II(x), spec_I(x))
         methods = ("ols", "wls_pi", "three_ht", "two_r")
     return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",))]
 
 
-@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster units"])
+@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster units",
+                                  "cluster units split"])
 def test_batch_points_equal_single_realization_estimates(kind):
     design, outcomes, calls = _batch_case(kind)
     # 450 draws: the stack crosses a block boundary
     treated = np.array([draw(design, 500 + r).assignment for r in range(450)])
+    if kind == "cluster units split":  # every third assignment splits units 0 and 1's cluster
+        treated[::3, 0] = 1 - treated[::3, 0]
     for specs, methods in calls:
         batch = batch_points(design, outcomes, treated, specs, methods)
         assert batch.points.shape == (450, len(methods), len(specs))

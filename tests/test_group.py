@@ -197,20 +197,26 @@ FIT_SHAPES = [
     ("bernoulli", "ht", "as"),
     ("cluster", "two_r", "borrowed-as"),
     ("cluster", "ols_cluster_totals", "cluster"),
+    ("unequal clusters", "two_r", "borrowed-as"),
+    ("unequal clusters", "wls_pi", "as"),
 ]
 
 
 @pytest.mark.parametrize("kind, estimator, bound", FIT_SHAPES,
                          ids=["/".join(shape) for shape in FIT_SHAPES])
 def test_analytic_fits_build_no_dense_array(kind, estimator, bound):
-    """One 2000 x 2000 float64 array takes 32 MB."""
+    """One 2000 x 2000 float64 array takes 32 MB; with unequal clusters, so
+    does padding each cluster's rows to the largest cluster's size."""
     x, y0, y1, pi1, clusters = _fit_inputs()
+    if kind == "unequal clusters":  # one cluster of 500 units beside 500 singletons
+        clusters = np.concatenate([np.zeros(500, int), np.arange(1, 501)])
     tracemalloc.start()
     try:
         design = {
             "complete": lambda: make_complete(1000, 500),
             "bernoulli": lambda: make_bernoulli(pi1),
             "cluster": lambda: make_cluster(clusters, 50),
+            "unequal clusters": lambda: make_cluster(clusters, 250),
         }[kind]()
         z = draw(design, 1).assignment
         model = AteEstimator(design, estimator=estimator, bound=bound)
