@@ -195,7 +195,9 @@ class DesignMatrix(_KindForm):
     variance of the inverse-probability estimator of the stacked mean.
     ``joint`` is the design's joint probability matrix p, the same array.
     ``certificate`` records how D was proved PSD: ``closed_form`` from 2 x 2
-    spectra, or ``dense`` by an eigendecomposition; None when built directly.
+    spectra or, for a design built from its support, by the multinomial proof
+    of ``Design._design_matrix``; ``dense`` by an eigendecomposition; None
+    when built directly.
     For a design in kind form, ``core`` is the :class:`GroupOperator` of D
     and the arrays are built on first read.
     """
@@ -246,6 +248,12 @@ class Design(_KindForm):
     ``_validate_joint``.  ``make_complete``, ``make_bernoulli`` and
     ``make_cluster`` validate from their parameters instead and keep the
     design in kind form (``_form``); its ``joint`` is built on first read.
+
+    ``make_from_sampler`` also marks its designs ``_from_support``: their
+    joint is, by construction, that of a probability vector over a support,
+    which proves D PSD (see ``_design_matrix``).  A joint given directly, or
+    read back from a Monte-Carlo file, carries no such construction and is
+    certified by an eigendecomposition.
     """
 
     n: int
@@ -254,6 +262,7 @@ class Design(_KindForm):
     provenance: AnalyticProvenance | EnumeratedProvenance | MonteCarloProvenance
 
     _dense_from = {"joint": lambda design: design._form.dense_joint}
+    _from_support = False
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writeable
@@ -283,14 +292,37 @@ class Design(_KindForm):
         with one 2 x 2 block per unit.  Either way the certificate is a
         handful of closed-form 2 x 2 eigenproblems on the kernels of the kind
         form, which has that structure by construction, and D stays in kind
-        form.  Any other design, or a kind form whose kernels are not finite,
-        is certified by a dense eigendecomposition.
+        form.
+
+        A design built by ``make_from_sampler`` (``_from_support``) has the
+        joint p_ij = sum_s q_s Z_si Z_sj of a probability vector q over the S
+        rows of its support, where Z is the S x 2n matrix of observation
+        indicators [1 - z_s, z_s]; for a Monte-Carlo design q is the empirical
+        law, count / draws.  Its marginals are pi = Z'q.  With G = Z diag(1/pi),
+        G'q = 1, so D = G' diag(q) G - 11' = G' (diag(q) - qq') G.  The middle
+        factor is the covariance of one multinomial draw:
+        x'(diag(q) - qq')x = sum_s q_s x_s**2 - (sum_s q_s x_s)**2 >= 0 by
+        Jensen's inequality, which needs q >= 0 and sum_s q_s = 1.  So D is
+        PSD with no eigendecomposition.  ``_collect_support`` rejects negative
+        and non-finite probabilities.  It allows a slack of 1e-9 in their sum
+        s, which the rule below does not absorb: weights summing to s give
+        D/s - ((s - 1)/s) 11', and where D annihilates 1 (complete
+        randomization) that is an eigenvalue near -2n (s - 1), about -6e-7 at
+        n = 300, against a tolerance of about 2e-8.  So ``make_from_sampler``
+        builds the joint from the probabilities divided by their sum.  What
+        is left is rounding: that sum is 1 to a few ulps, and each stored
+        entry is its exact value rounded (a Monte-Carlo entry is an integer
+        count over ``draws``), so the computed D is within rounding of a PSD
+        matrix, as for the kind-form spectra above.
+
+        Any other design, or a kind form whose kernels are not finite, is
+        certified by a dense eigendecomposition.
         """
         spectrum = _closed_form_spectrum(self)
         if spectrum is None:
             outer = np.outer(self.marginals, self.marginals)
             values = (self.joint - outer) / outer
-            lo, hi = min_max_eig(values)
+            lo, hi = (0.0, 0.0) if self._from_support else min_max_eig(values)
         else:
             lo, hi = float(spectrum.min()), float(spectrum.max())
         if lo < -1e-8 * max(abs(lo), abs(hi), 1.0):
@@ -298,7 +330,7 @@ class Design(_KindForm):
         if spectrum is not None:
             return DesignMatrix._lazy(n=self.n, certificate="closed_form", _form=self._form)
         return DesignMatrix(values=values, mask=self.joint == 0.0, n=self.n, joint=self.joint,
-                            certificate="dense")
+                            certificate="closed_form" if self._from_support else "dense")
 
     @cached_property
     def _cluster_level(self) -> tuple["Design", np.ndarray]:
@@ -645,14 +677,20 @@ def make_from_sampler(
     """Build a design from an assignment generator.
 
     In ``enumerate`` mode the sampler must be an iterable of
-    ``(assignment, probability)`` pairs spanning the full support; the joint
-    matrix is then exact.  In ``monte_carlo`` mode the sampler is a callable
+    ``(assignment, probability)`` pairs spanning the full support, with
+    finite, nonnegative probabilities summing to one within 1e-9; the joint
+    matrix is then exact, built by arm blocks from the probabilities divided
+    by their sum.  In ``monte_carlo`` mode the sampler is a callable
     ``sampler(rng) -> assignment`` and the joint matrix is the empirical
-    frequency over ``draws`` draws (deterministic given ``seed``).
+    frequency over ``draws`` draws (deterministic given ``seed``), each entry
+    an integer count divided by ``draws``: exactly symmetric, so
+    ``max_adjustment`` is 0.0.  Either way D is certified PSD by the
+    multinomial proof of ``Design._design_matrix``, not by an
+    eigendecomposition.
     """
     if mode == "enumerate":
         support, probs = _collect_support(sampler, n)
-        joint = _joint_from_support(support, probs)
+        joint = _joint_from_support(support, probs / probs.sum())
         prov = EnumeratedProvenance(assignments=support, probabilities=probs)
     elif mode == "monte_carlo":
         if draws <= 0:
@@ -666,17 +704,8 @@ def make_from_sampler(
             row[:] = z
         if not _zero_one(stack):
             raise DesignError("sampler must yield 0/1 vectors of length n")
-        # unique rows in lexicographic order, the order of the sorted tuples
-        support, counts = np.unique(stack.astype(np.int8), axis=0, return_counts=True)
-        probs = counts / draws
-        joint = _joint_from_support(support, probs)
-        # Accumulation over indicator outer products keeps the estimate
-        # symmetric and consistent by construction; record the (zero)
-        # adjustment anyway so callers can audit it.
-        adjustment = float(np.abs(joint - joint.T).max())
-        joint = (joint + joint.T) / 2.0
-        joint = np.clip(joint, 0.0, 1.0)
-        prov = MonteCarloProvenance(draws=draws, seed=seed, sampler=sampler, max_adjustment=adjustment)
+        joint = _joint_from_counts(stack.T @ stack, draws)
+        prov = MonteCarloProvenance(draws=draws, seed=seed, sampler=sampler)
     else:
         raise DesignError(f"unknown mode {mode!r}")
 
@@ -687,30 +716,74 @@ def make_from_sampler(
             "estimated treatment probability is 0 or 1 for units: "
             + ", ".join(str(int(i)) for i in bad)
         )
-    return Design(n, joint, marginals, prov)
+    design = Design(n, joint, marginals, prov)
+    object.__setattr__(design, "_from_support", True)
+    return design
 
 
 def _collect_support(pairs: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    support = []
+    """The (S, n) int8 support and its S probabilities, checked."""
+    message = "support assignments must be 0/1 vectors of length n"
+    rows = []
     probs = []
     for z, prob in pairs:
         z = np.asarray(z)
-        if z.shape != (n,) or not _zero_one(z):
-            raise DesignError("support assignments must be 0/1 vectors of length n")
-        support.append(z.astype(np.int8))
+        if z.shape != (n,):
+            raise DesignError(message)
+        rows.append(z)
         probs.append(float(prob))
-    if not support:
+    if not rows:
         raise DesignError("empty support")
+    support = np.array(rows)
+    if not _zero_one(support):
+        raise DesignError(message)
     probs_arr = np.asarray(probs, dtype=float)
+    if not (np.isfinite(probs_arr) & (probs_arr >= 0.0)).all():
+        raise DesignError("support probabilities must be finite and nonnegative")
     if abs(probs_arr.sum() - 1.0) > 1e-9:
         raise DesignError(f"support probabilities sum to {probs_arr.sum():.12g}, not 1")
-    return np.asarray(support, dtype=np.int8), probs_arr
+    return support.astype(np.int8), probs_arr
 
 
 def _joint_from_support(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    z = support.astype(float)
-    indicators = np.hstack([1.0 - z, z])  # (support, 2n)
-    return indicators.T @ (indicators * probs[:, None])
+    """The joint of the law ``probs`` over the rows of ``support``, by arm blocks.
+
+    With Z1 the support, Z0 = 1 - Z1 and P = diag(probs), the blocks are
+    Z0'PZ0, Z0'PZ1, its transpose and Z1'PZ1.  Each entry sums nonnegative
+    terms, so it is 0 exactly where no assignment of positive probability
+    observes both slots.
+    """
+    n = support.shape[1]
+    z1 = support.astype(float)
+    z0 = 1.0 - z1
+    pz1 = z1 * probs[:, None]
+    joint = np.empty((2 * n, 2 * n))
+    joint[:n, :n] = z0.T @ (z0 * probs[:, None])
+    joint[:n, n:] = z0.T @ pz1
+    joint[n:, :n] = joint[:n, n:].T
+    joint[n:, n:] = z1.T @ pz1
+    return joint
+
+
+def _joint_from_counts(both: np.ndarray, draws: int) -> np.ndarray:
+    """The empirical joint of ``draws`` assignments, from ``both``, the (n, n)
+    counts of draws that treat units i and j (its diagonal c counts each unit's).
+
+    The arm blocks are integer counts: both treated C_ij, i treated and j
+    control c_i - C_ij, both control draws - c_i - c_j + C_ij.  Integers below
+    2**53 are exact in float64, so every entry is its count over ``draws``
+    correctly rounded, the joint is exactly symmetric, and it is 0 exactly
+    where no draw observes both slots.
+    """
+    n = both.shape[0]
+    c = np.diag(both)
+    joint = np.empty((2 * n, 2 * n))
+    joint[:n, :n] = (draws - c[:, None] - c[None, :]) + both
+    joint[:n, n:] = c[None, :] - both
+    joint[n:, :n] = c[:, None] - both
+    joint[n:, n:] = both
+    joint /= draws
+    return joint
 
 
 def draw(design: Design, seed: int) -> AssignmentRealization:
@@ -829,7 +902,6 @@ def design_to_dict(design: Design) -> dict:
             "assignments": prov.assignments.tolist(),
             "probabilities": prov.probabilities.tolist(),
         }
-        out["p"] = design.joint.ravel().tolist()
     else:
         out["params"] = {"draws": prov.draws, "seed": prov.seed}
         out["p"] = design.joint.ravel().tolist()

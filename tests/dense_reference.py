@@ -1,10 +1,11 @@
 """Dense reference computations that the tests pin the fast paths against.
 
 Each function writes out on the full 2n x 2n arrays what the package computes
-in kind form, block by block or per mask component.
+in kind form, by arm blocks, block by block or per mask component.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -44,6 +45,27 @@ def dense_bernoulli(pi1):
         else:
             joint[a * n + i, b * n + j] = pi[a][i] * pi[b][j]
     return joint, np.concatenate(pi)
+
+
+# -- designs from their support -------------------------------------------------
+
+
+def dense_support_joint(support, probs):
+    """Joint of the law ``probs`` over the rows of ``support``: one product of
+    the (S, 2n) observation indicators [1 - z, z] with themselves."""
+    z = np.asarray(support, dtype=float)
+    indicators = np.hstack([1.0 - z, z])
+    return indicators.T @ (indicators * np.asarray(probs, dtype=float)[:, None])
+
+
+def counted_joint(rows, n):
+    """Empirical joint of sampled assignments, slot pair by slot pair: the number
+    of rows that observe both slots, counted in integers, over the row count."""
+    counts = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for z, count in Counter(tuple(int(v) for v in row) for row in rows).items():
+        slots = [arm * n + i for arm in (0, 1) for i in range(n) if z[i] == arm]
+        counts[np.ix_(slots, slots)] += count
+    return counts / len(rows)
 
 
 # -- the matrices derived from a joint --------------------------------------------

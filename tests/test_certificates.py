@@ -12,6 +12,7 @@ from dbexp import (
     DesignMatrix,
     as_bound,
     cluster_bound,
+    design_from_json,
     design_matrix,
     draw,
     make_bernoulli,
@@ -164,12 +165,43 @@ def test_analytic_fits_make_no_eigendecomposition(factory, estimators, bounds, e
 
 
 def test_enumerated_design_fit_is_certified_numerically(eig_calls):
-    # two blocks of three units, one treated per block
+    # two blocks of three units, one treated per block, given as a joint:
+    # a directly built Design carries no support, so no multinomial proof
     support = []
     for first in np.eye(3, dtype=np.int8):
         for second in np.eye(3, dtype=np.int8):
             support.append((np.concatenate([first, second]), 1.0 / 9.0))
-    design = make_from_sampler(iter(support), 6, mode="enumerate")
+    enumerated = make_from_sampler(iter(support), 6, mode="enumerate")
+    design = Design(6, enumerated.joint, enumerated.marginals, enumerated.provenance)
     outcome = np.arange(6.0)
     AteEstimator(design, estimator="ht", bound="as").fit(outcome, support[0][0])
     assert len(eig_calls) >= 1
+
+
+def _pair_sampler(n):
+    """One coin flip per pair of neighbouring units picks its treated member."""
+    def sample(rng):
+        z = np.zeros(n, dtype=np.int8)
+        z[2 * np.arange(n // 2) + rng.integers(0, 2, n // 2)] = 1
+        return z
+    return sample
+
+
+def test_support_designs_make_no_eigendecomposition_of_d(eig_calls):
+    n = 300
+    sampler = _pair_sampler(n)
+    rng = np.random.default_rng(5)
+    rows = np.unique([sampler(rng) for _ in range(400)], axis=0)
+    enumerated = make_from_sampler(((z, 1.0 / len(rows)) for z in rows), n, mode="enumerate")
+    monte_carlo = make_from_sampler(sampler, n, draws=400, seed=5, mode="monte_carlo")
+    for design in (enumerated, monte_carlo):
+        assert design_matrix(design).certificate == "closed_form"
+    assert eig_calls == []
+
+
+def test_deserialized_monte_carlo_design_is_certified_numerically(eig_calls):
+    n = 40
+    design = make_from_sampler(_pair_sampler(n), n, draws=400, seed=5, mode="monte_carlo")
+    clone = design_from_json(design.to_json())
+    assert design_matrix(clone).certificate == "dense"
+    assert ("eigvalsh", (2 * n, 2 * n)) in eig_calls

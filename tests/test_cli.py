@@ -365,6 +365,26 @@ def test_custom_design_descriptor(runner, tmp_path):
     assert float(row.split(",")[2]) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize(
+    "probs", ["0.3, 0.3, 0.3, 0.05, -0.05, 0.1", "0.3, 0.3, 0.3, 0.05, NaN, 0.05"],
+    ids=["negative", "nan"],
+)
+def test_custom_design_with_a_negative_or_nan_probability_exits_2(runner, tmp_path, probs):
+    # rows A = 110, B = 101, C = 011, E = 000, D = 100, ABC = 111; the negative
+    # probabilities sum to one.  JSON text, because NaN is not standard JSON
+    support = ('{"n": 3, "assignments": [[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0], '
+               '[1, 0, 0], [1, 1, 1]], "probabilities": [' + probs + ']}')
+    spec_path = _write(tmp_path / "support.json", support)
+    data = _write(tmp_path / "toy.csv", "outcome,treatment\n1,1\n2,0\n3,1\n")
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", f"custom:file={spec_path}",
+         "--estimator", "ht", "--out-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: support probabilities must be finite and nonnegative" in result.output
+
+
 def test_bounds_compare_max_iters_below_one_exits_2(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -1,7 +1,6 @@
 import itertools
 import json
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from dbexp import (
     spec_II,
 )
 from conftest import weighted_indicator_covariance
-from dense_reference import dense_bernoulli, dense_group_design
+from dense_reference import counted_joint, dense_bernoulli, dense_group_design
 from dbexp import design as design_module
 from dbexp.api import check_treatment
 from dbexp.design import cluster_level_design, in_support, support_size
@@ -167,13 +166,10 @@ def test_sampler_monte_carlo_counts_match_sorted_tuples():
 
     design = make_from_sampler(sampler, 5, draws=3000, seed=11, mode="monte_carlo")
     rng = np.random.default_rng(11)
-    counts = Counter(tuple(int(v) for v in sampler(rng)) for _ in range(3000))
-    support = np.array(sorted(counts), dtype=np.int8)
-    probs = np.array([counts[tuple(row)] for row in support], dtype=float) / 3000
-    z = support.astype(float)
-    indicators = np.hstack([1.0 - z, z])
-    joint = indicators.T @ (indicators * probs[:, None])
-    np.testing.assert_array_equal(design.joint, np.clip((joint + joint.T) / 2.0, 0.0, 1.0))
+    rows = [sampler(rng) for _ in range(3000)]
+    # each entry is exactly its integer pair count over the draws, in arm blocks
+    np.testing.assert_array_equal(design.joint, counted_joint(rows, 5))
+    assert design.provenance.max_adjustment == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.array([0, 1, 2]), np.array([0.0, 0.5, 1.0]), np.array([0, 1])])
@@ -214,6 +210,25 @@ def test_every_0_1_check_accepts_and_rejects_the_same_values(values, accepted):
         else:
             with pytest.raises(ValueError, match=message):
                 check()
+
+
+#: Rows A = 110, B = 101, C = 011, E = 000, D = 100 and ABC = 111.
+SIGNED_SUPPORT = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.3, 0.3, 0.3, 0.05, -0.05, 0.1],  # sums to one
+        [0.3, 0.3, 0.3, 0.05, np.nan, 0.05],
+        [0.3, 0.3, 0.3, 0.05, np.inf, 0.05],
+    ],
+    ids=["negative", "nan", "inf"],
+)
+def test_support_probabilities_must_be_finite_and_nonnegative(probs):
+    pairs = [(np.array(z), p) for z, p in zip(SIGNED_SUPPORT, probs)]
+    with pytest.raises(DesignError, match="support probabilities must be finite and nonnegative"):
+        make_from_sampler(iter(pairs), 3, mode="enumerate")
 
 
 def test_sampler_constant_assignment_is_unidentified():
@@ -336,6 +351,16 @@ def test_serialization_roundtrips():
     for design, clone in zip(designs, clones):
         np.testing.assert_allclose(clone.joint, design.joint, atol=1e-12)
         assert clone.kind == design.kind
+
+
+def test_enumerated_serialization_writes_its_support_not_its_joint():
+    support = [(np.array([1, 0, 0]), 0.25), (np.array([0, 1, 1]), 0.75)]
+    design = make_from_sampler(iter(support), 3, mode="enumerate")
+    payload = design_module.design_to_dict(design)
+    assert "p" not in payload
+    # files written with the joint under "p" still load, from their support
+    old = {**payload, "p": design.joint.ravel().tolist()}
+    np.testing.assert_array_equal(design_module.design_from_dict(old).joint, design.joint)
 
 
 def test_fewer_than_two_clusters_warning_points_at_the_caller():

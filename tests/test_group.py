@@ -165,7 +165,7 @@ def test_certificates_are_recorded():
     support = [(np.array(z, dtype=np.int8), 0.25) for z in ([1, 0, 1, 0], [1, 0, 0, 1],
                                                              [0, 1, 1, 0], [0, 1, 0, 1])]
     enumerated = make_from_sampler(iter(support), 4, mode="enumerate")
-    assert design_matrix(enumerated).certificate == "dense"
+    assert design_matrix(enumerated).certificate == "closed_form"  # the multinomial proof
     direct = Design(4, design.joint, design.marginals, design.provenance)
     assert design_matrix(direct).certificate == "dense"
 
