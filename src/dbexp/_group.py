@@ -131,18 +131,19 @@ class GroupOperator:
 
         Entry (a i) is the sum over arms b of ``(unit - same)[a, b, i] v[b i]``
         plus ``(same - diff)[a, b]`` times the sum of v over i's group in arm b,
-        plus ``diff[a, b]`` times the sum of v over arm b.
+        plus ``diff[a, b]`` times the sum of v over arm b.  With one unit per
+        group a unit's group sum is its own entry, so the first two terms are
+        ``(unit - diff)[a, b, i] v[b i]`` and no group sum is taken.
         """
         v = np.asarray(v, dtype=float)
         x = v.reshape(2, self.n, -1)
-        sums = self.groups.sum(x.reshape(2 * self.n, -1)).reshape(2, self.m, -1)  # (2, m, k)
-        own = sums[:, self.index]  # each unit's group sum
-        total = sums.sum(axis=1)
-        out = (
-            np.einsum("abi,bik->aik", self.unit - self.same[:, :, None], x)
-            + np.einsum("ab,bik->aik", self.same - self.diff, own)
-            + np.einsum("ab,bk->ak", self.diff, total)[:, None, :]
-        )
+        grouped = self.m < self.n
+        own = self.unit - (self.same if grouped else self.diff)[:, :, None]
+        out = own[:, 0, :, None] * x[0] + own[:, 1, :, None] * x[1]
+        if grouped:
+            sums = self.groups.sum(x.reshape(2 * self.n, -1)).reshape(2, -1)
+            out += ((self.same - self.diff) @ sums).reshape(2, self.m, -1)[:, self.index]
+        out += (self.diff @ x.sum(axis=1))[:, None, :]
         return out.reshape(v.shape)
 
     def gram(self, x: np.ndarray) -> np.ndarray:

@@ -64,6 +64,13 @@ def _run_guarded(out_dir, body):
         _fail(EXIT_INPUT, str(exc))
 
 
+def _write_timings(out_dir, timings: dict) -> None:
+    """Write a run's stage wall seconds to ``timings.json``, kept out of the manifest
+    so that the report files stay byte-identical on rerun."""
+    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
+        fh.write(json.dumps(timings) + "\n")
+
+
 @click.group(context_settings={"auto_envvar_prefix": "DBEXP"})
 def main():
     """Design-based estimation and inference for randomized experiments."""
@@ -83,10 +90,15 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
     """Estimate the average treatment effect from an experiment CSV."""
 
     def body():
+        start = time.perf_counter()
         table = read_experiment_csv(data_path)
+        timings = {"load": time.perf_counter() - start}
+        start = time.perf_counter()
         design = parse_design_descriptor(descriptor, table)
+        timings["design"] = time.perf_counter() - start
         rows = []
         for name in estimator_names:
+            start = time.perf_counter()
             model = AteEstimator(
                 design,
                 estimator=name,
@@ -114,6 +126,9 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
                 bound,
                 model.truncated_,
             ])
+            key = f"fit/{name}"  # a repeated estimator adds its fits' time
+            timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
+        start = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
         report = os.path.join(out_dir, "estimates.csv")
         write_csv(
@@ -125,6 +140,7 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
             "data": str(data_path), "design": descriptor, "estimators": list(estimator_names),
             "spec": spec, "bound": bound, "z": z, "center": not no_center,
         })
+        _write_timings(out_dir, {**timings, "report": time.perf_counter() - start})
         for row in rows:
             click.echo(f"{row[0]}: point={row[2]:.6g}" + (
                 f" ci=[{row[4]:.6g}, {row[5]:.6g}]" if row[4] != "" else ""))
@@ -191,8 +207,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             "failures": int(result.failures.sum()),
             "rank_deficient": result.rank_deficient,
         })
-        with open(os.path.join(out_dir, "timings.json"), "w") as fh:
-            fh.write(json.dumps({**result.timings, "report": time.perf_counter() - start}) + "\n")
+        _write_timings(out_dir, {**result.timings, "report": time.perf_counter() - start})
         for key, path in paths.items():
             click.echo(f"{key}: {path}")
 

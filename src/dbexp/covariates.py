@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._group import Groups
 from .design import Design, _cluster_index
 
 
@@ -25,7 +26,9 @@ class CovariateSpec:
     ``matrix`` has 2r rows where r is the number of rows per arm (n units, or
     m clusters for cluster-total layouts).  ``divisor`` is always the number
     of individuals, so cluster-level systems feed the same estimator code and
-    still estimate the individual-level average effect.
+    still estimate the individual-level average effect.  A cluster-level
+    layout derives ``clusters``, the partition of the units by
+    ``cluster_ids``, once; it collapses unit-level data to the layout's rows.
     """
 
     matrix: np.ndarray
@@ -36,6 +39,7 @@ class CovariateSpec:
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
+    clusters: Groups | None = field(default=None, init=False, repr=False, compare=False)
     # the layout's group sums, kept by the estimators for each grouping of its rows
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -47,6 +51,8 @@ class CovariateSpec:
         object.__setattr__(self, "matrix", matrix)
         if len(self.labels) != matrix.shape[1]:
             raise ValueError("one label per column required")
+        if self.level == "cluster" and self.cluster_ids is not None:
+            object.__setattr__(self, "clusters", Groups(_cluster_index(self.cluster_ids)[1]))
 
     @property
     def rows_per_arm(self) -> int:

@@ -696,14 +696,14 @@ def make_from_sampler(
         if draws <= 0:
             raise DesignError("monte_carlo mode needs a positive number of draws")
         rng = np.random.default_rng(seed)
-        stack = np.empty((draws, n))
-        for row in stack:
-            z = np.asarray(sampler(rng))
-            if z.shape != (n,):
-                raise DesignError("sampler must yield 0/1 vectors of length n")
-            row[:] = z
-        if not _zero_one(stack):
-            raise DesignError("sampler must yield 0/1 vectors of length n")
+        message = "sampler must yield 0/1 vectors of length n"
+        rows = [sampler(rng) for _ in range(draws)]
+        try:  # one conversion of all the draws; ragged draws raise ValueError
+            stack = np.array(rows, dtype=float)
+        except ValueError:
+            raise DesignError(message) from None
+        if stack.shape != (draws, n) or not _zero_one(stack):
+            raise DesignError(message)
         joint = _joint_from_counts(stack.T @ stack, draws)
         prov = MonteCarloProvenance(draws=draws, seed=seed, sampler=sampler)
     else:

@@ -9,7 +9,11 @@ divisor.
 Products run over (arm, group) columns.  A cluster design treats each
 cluster's units alike, so a unit-level layout is summed by cluster once per
 grouping and a realization costs 2m columns, not 2n; any other design's groups
-are its units, whose sums are the layout's own rows.
+are its units, whose sums are the layout's own rows.  A weighted Gram product
+``X'diag(w)X`` is the weights times the (group) sums of the rows' outer
+products on grouped columns and for a cluster-total layout's 2m rows; on the
+unit columns of a unit-level layout it is a direct product of the weighted
+rows, O(n l l') with no (2n, l l') array.
 
 One table, ``_METHODS``, says which weights each coefficient method fits with
 and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._group import Groups, outer_rows, quadratic, unit_groups
+from ._group import Groups, quadratic, unit_groups
 from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
@@ -143,11 +148,11 @@ def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSp
     """Return (observed, design, divisor) at the level the layout expects."""
     if spec is not None and spec.level == "cluster":
         if observed.n != spec.rows_per_arm:  # not yet collapsed by the caller
-            _, index = _cluster_index(spec.cluster_ids)
-            if observed.n != index.shape[0]:
+            clusters = spec.clusters
+            if clusters is None or observed.n != clusters.n:
                 raise ValueError("observed data does not match the layout's cluster ids")
-            treated = _collapse(observed.realization.assignment[None], Groups(index))[0]
-            totals = np.bincount(index, weights=observed.outcomes, minlength=spec.rows_per_arm)
+            treated = _collapse(observed.realization.assignment[None], clusters)[0]
+            totals = np.bincount(clusters.index, weights=observed.outcomes, minlength=clusters.m)
             observed = ObservedOutcomes(totals, AssignmentRealization(treated))
             design = cluster_level_design(design)[0] if design is not None else None
         return observed, design, spec.divisor
@@ -160,9 +165,13 @@ def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSp
 
 def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
     """Collapse a full schedule to cluster totals (oracle convenience)."""
-    _, index = _cluster_index(cluster_ids)
-    y0 = np.bincount(index, weights=outcomes.control)
-    y1 = np.bincount(index, weights=outcomes.treated)
+    return _stack(outcomes, Groups(_cluster_index(cluster_ids)[1]))
+
+
+def _stack(outcomes: StackedOutcomes, clusters: Groups) -> StackedOutcomes:
+    """A full schedule's cluster totals over a cluster-level layout's partition."""
+    y0 = np.bincount(clusters.index, weights=outcomes.control, minlength=clusters.m)
+    y1 = np.bincount(clusters.index, weights=outcomes.treated, minlength=clusters.m)
     return StackedOutcomes.from_arms(y0, y1)
 
 
@@ -170,8 +179,9 @@ def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
 # One implementation of each estimator.  A realization's weights are constant
 # on the design's assignment groups (clusters, else single units), so every
 # product runs over the 2m (arm, group) columns: (R, 2m) weights ``w`` against
-# a layout's rows summed by group once (``_summed``), row by row (``_rows``),
-# so a result does not depend on the block it was computed in.
+# a layout's rows summed by group once (``_summed``), row by row (``_rows``,
+# and ``_gram``'s stacked products), so a result does not depend on the block
+# it was computed in.
 
 
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -208,26 +218,47 @@ def _conjugate(ht: np.ndarray, adjustment: np.ndarray, b: np.ndarray) -> np.ndar
     return ht - (adjustment * b).sum(axis=-1)
 
 
-def _gram(w: np.ndarray, outer: np.ndarray, l: int) -> np.ndarray:
-    """``left' diag(w) right`` from the summed row-wise outer products of ``left``
-    (l columns) and ``right``: one product per weight row."""
-    return _rows(w, outer).reshape(w.shape[:-1] + (l, -1))
+def _gram(store: dict, groups: Groups, w: np.ndarray, left: np.ndarray, right: np.ndarray,
+          cluster_rows: bool = False):
+    """``left' diag(w) right`` (..., l, l') for each row of the weights ``w``
+    (..., 2m) over the columns of ``groups``.
+
+    On grouped columns, and for a layout of 2m cluster rows (``cluster_rows``),
+    it is each weight row times the (group) sums of the row-wise outer
+    products, 2m l l' entries, one matrix-vector product per row.  On the unit
+    columns of a unit-level layout, whose outer products would take l' times
+    its memory, each weight row's product is one product of the weighted rows
+    of ``left``, computed alike whatever the stack; l' rows run at a time, so
+    the weighted rows hold no more entries than those outer products.
+
+    The direct product is the faster for one weight row and the outer form for
+    a stack of them, but a single fit and a stack must round alike, so the
+    layout picks the form, not the stack: cluster-total layouts, whose 2m rows
+    are small and which simulation fits in stacks, keep the outer form."""
+    if cluster_rows or groups.m < groups.n:
+        outer = _summed(store, groups, left, right)
+        return _rows(w, outer).reshape(w.shape[:-1] + (left.shape[1], right.shape[1]))
+    a, b, rows = groups.sum(left).T, groups.sum(right), w.reshape(-1, w.shape[-1])
+    step = max(1, b.shape[1])
+    out = np.concatenate([(a * rows[i:i + step, None, :]) @ b for i in range(0, len(rows), step)])
+    return out.reshape(w.shape[:-1] + out.shape[1:])
 
 
-# a layout's shape, summed outer products and rows for ``w * scale`` (outcome_rows)
-_System = namedtuple("_System", "shape outer xy")
+# a layout's shape, its Gram ``w -> X'diag(w)X`` and its rows for ``w * scale`` (outcome_rows)
+_System = namedtuple("_System", "shape gram xy")
 
 
 def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
     """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s) and
     rank-deficiency flag(s).  With ``w >= 0`` the cutoff is relative,
     ``PINV_RCOND`` times each normal matrix's largest singular value."""
-    return pinv_solve(_gram(w, x.outer, x.shape[1]), _rows(wy, x.xy))
+    return pinv_solve(x.gram(w), _rows(wy, x.xy))
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
     """Unweighted least squares of ``y`` on the columns of ``x``."""
-    return _wls(_System(x.shape, outer_rows(x, x), x), np.ones(x.shape[0]), y)
+    gram = partial(_gram, {}, unit_groups(x.shape[0]), left=x, right=x)
+    return _wls(_System(x.shape, gram, x), np.ones(x.shape[0]), y)
 
 
 def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
@@ -237,8 +268,8 @@ def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
 
 def _two_r(cache: "AdjustmentCache", obs: "_Realizations", b3: np.ndarray, b_wls: np.ndarray):
     """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit."""
-    outer = _summed(cache._sums, obs.groups, cache.xd.T, cache.spec.matrix)
-    drift = _gram(obs.w, outer, cache.xdx.shape[0]) - cache.xdx
+    drift = _gram(cache._sums, obs.groups, obs.w, cache.xd.T, cache.spec.matrix,
+                  cache.spec.level == "cluster") - cache.xdx
     return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
 
 
@@ -332,9 +363,10 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
     for kind in dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0]):
         o = obs if kind != "indicator" or obs.groups.in_order else _Realizations(
             unit_groups(obs.groups.n), obs.treated, None, obs.signed)
-        w = o.weights(kind)  # no name keeps the system, whose unit outer products are large
-        fits[kind] = _fit(_System(x.shape, _summed(spec._sums, o.groups, x, x), o.outcome_rows(x)),
-                          w, w * o.scale)
+        w = o.weights(kind)
+        gram = partial(_gram, spec._sums, o.groups, left=x, right=x,
+                       cluster_rows=spec.level == "cluster")
+        fits[kind] = _fit(_System(x.shape, gram, o.outcome_rows(x)), w, w * o.scale)
     b3 = _three_ht(cache, obs) if any(_METHODS[m][1] for m in methods) else None
     unflagged = np.zeros(len(obs.indicator), dtype=bool)
     out = {}
@@ -413,7 +445,7 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
     """
     b = np.asarray(b, dtype=float)
     if spec.level == "cluster" and outcomes.n != spec.rows_per_arm:
-        outcomes = stack_clusters(outcomes, spec.cluster_ids)
+        outcomes = _stack(outcomes, spec.clusters)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
     divisor = spec.divisor or outcomes.n
@@ -463,9 +495,9 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
         ids = specs[0].cluster_ids
         if any(not np.array_equal(spec.cluster_ids, ids) for spec in specs):
             raise ValueError("the cluster-level layouts of one call must share their cluster ids")
-        collapse = Groups(_cluster_index(ids)[1])
+        collapse = specs[0].clusters
         sys_design = cluster_level_design(design)[0]
-        outcomes = stack_clusters(outcomes, ids)
+        outcomes = _stack(outcomes, collapse)
     if any(spec.rows_per_arm != sys_design.n for spec in specs):
         raise ValueError("layout and design sizes disagree")
     runs_3ht = any(_METHODS[m][1] for m in methods)

@@ -13,7 +13,7 @@ import numpy as np
 from ._linalg import normal_system
 from .covariates import CovariateSpec
 from .design import Design, DesignMatrix, StackedOutcomes, _groups
-from .estimators import _ols
+from .estimators import _ols, _stack
 
 FOC_RTOL = 1e-8
 PINV_FLOOR = 1e-12
@@ -134,9 +134,7 @@ def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes) -> StackedOutco
     if outcomes.n == spec.rows_per_arm:
         return outcomes
     if spec.level == "cluster":
-        from .estimators import stack_clusters
-
-        return stack_clusters(outcomes, spec.cluster_ids)
+        return _stack(outcomes, spec.clusters)
     raise ValueError("outcome schedule does not match the layout's row count")
 
 

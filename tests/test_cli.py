@@ -347,6 +347,22 @@ def test_estimate_rerun_byte_identical(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_estimate_writes_stage_timings_beside_byte_identical_reports(runner, tmp_path):
+    data = _write(tmp_path / "precision.csv", PRECISION_CSV)
+    args = ["estimate", "--data", data, "--design", "complete:n1=2", "--estimator", "ht",
+            "--estimator", "two_r", "--bound", "as", "--out-dir"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        result = runner.invoke(main, args + [str(out)])
+        assert result.exit_code == 0, result.output
+    timings = json.loads(open(runs[0] / "timings.json").read())
+    assert set(timings) == {"load", "design", "fit/ht", "fit/two_r", "report"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert "timings" not in json.loads(open(runs[0] / "manifest.json").read())["params"]
+    for name in ("estimates.csv", "manifest.json"):
+        assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
+
+
 def test_custom_design_descriptor(runner, tmp_path):
     support = {
         "n": 2,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbexp import (
+    CovariateSpec,
     add_invprop_column,
     cluster_totals,
     make_bernoulli,
@@ -93,6 +94,16 @@ def test_spec_cluster_layout_and_counts():
     assert spec.level == "cluster"
     assert spec_cluster(np.zeros((4, 1)), [1, 1, 2, 2], "II").n_columns == 6  # 2k+4
     assert spec_cluster(np.zeros((4, 1)), [1, 1, 2, 2], "I").n_columns == 4  # k+3
+
+
+def test_cluster_layout_derives_its_partition_from_its_cluster_ids():
+    spec = spec_cluster(np.zeros((5, 1)), [7, 3, 7, 5, 3], "II")
+    np.testing.assert_array_equal(spec.clusters.index, [2, 0, 2, 1, 0])
+    assert spec.clusters.m == spec.rows_per_arm == 3
+    with pytest.raises(TypeError):  # not a constructor argument, so it cannot disagree
+        CovariateSpec(spec.matrix, "II", spec.labels, level="cluster",
+                      cluster_ids=spec.cluster_ids, clusters=spec.clusters)
+    assert spec_II(np.zeros((5, 1))).clusters is None
 
 
 def test_spec_cluster_singletons_extend_unit_spec():

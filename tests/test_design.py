@@ -178,6 +178,25 @@ def test_sampler_rejects_draws_that_are_not_0_1_vectors_of_length_n(bad):
         make_from_sampler(lambda rng: bad, 3, draws=10, seed=0, mode="monte_carlo")
 
 
+def test_sampler_rejects_a_draw_of_another_length_after_good_ones():
+    count = itertools.count()
+
+    def sampler(rng):
+        z = (rng.random(3) < 0.5).astype(np.int8)
+        return np.append(z, 1) if next(count) == 2 else z  # the third draw has 4 units
+
+    with pytest.raises(DesignError, match="sampler must yield 0/1 vectors of length n"):
+        make_from_sampler(sampler, 3, draws=10, seed=0, mode="monte_carlo")
+
+
+def test_sampler_errors_propagate_unchanged():
+    def sampler(rng):
+        raise ValueError("the sampler's own error")
+
+    with pytest.raises(ValueError, match="the sampler's own error"):
+        make_from_sampler(sampler, 3, draws=10, seed=0, mode="monte_carlo")
+
+
 @pytest.mark.parametrize(
     "values, accepted",
     [

@@ -38,7 +38,7 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments, enumeration_vector_mean
-from dbexp._group import outer_rows, unit_groups
+from dbexp._group import Groups, outer_rows, unit_groups
 from dbexp._linalg import pinv_solve
 from dbexp.estimators import (
     _Realizations,
@@ -544,10 +544,11 @@ def test_batch_points_rejects_bad_input():
 
 def _unit_products(matrix, cache, w, wy, divisor, b_wls):
     """HT, adjustment, Gram, WLS right-hand side, 3HT and 2R drift as one-row
-    products of unit-level weights ``w`` and weighted outcomes ``wy``."""
+    products of unit-level weights ``w`` and weighted outcomes ``wy``; a Gram
+    is the stacked product of the weighted rows."""
 
     def gram(left, right):
-        return _rows(w, outer_rows(left, right)).reshape(len(w), left.shape[1], right.shape[1])
+        return (left.T * w[:, None, :]) @ right
 
     drift = gram(cache.xd.T, matrix) - cache.xdx
     return {
@@ -565,7 +566,7 @@ def _grouped_products(spec, cache, obs, divisor, b_wls):
     return {
         "ht": _ht(w * obs.y, divisor),
         "adjustment": _adjustment(_summed(spec._sums, obs.groups, x), w, divisor),
-        "gram": _gram(w, _summed(spec._sums, obs.groups, x, x), x.shape[1]),
+        "gram": _gram(spec._sums, obs.groups, w, x, x),
         "rhs": _rows(w * obs.scale, obs.outcome_rows(x)),
         "three_ht": _three_ht(cache, obs),
         "two_r": _two_r(cache, obs, np.zeros_like(b_wls), b_wls),
@@ -603,3 +604,23 @@ def test_group_column_products_equal_unit_products(ids, seed):
             else:
                 np.testing.assert_allclose(got[key], value, rtol=1e-12,
                                            atol=1e-12 * (1.0 + np.abs(value).max()), err_msg=key)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2**16))
+def test_unit_column_gram_equals_row_wise_outer_products(n, l, l2, r, in_order, seed):
+    """The direct weighted Gram on unit columns against the sum of row-wise outer
+    products, for l != l' (the 2R drift) and stacks of R weight rows; a unit
+    list out of order (singleton clusters with shuffled ids) permutes the rows."""
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal((2 * n, l)), rng.standard_normal((2 * n, l2))
+    w = rng.uniform(0.0, 5.0, (r, 2 * n))
+    groups = unit_groups(n) if in_order else Groups(rng.permutation(n))
+    got = _gram({}, groups, w, left, right)
+    a, b = groups.sum(left), groups.sum(right)
+    want = _rows(w, outer_rows(a, b)).reshape(r, l, l2)
+    magnitude = (np.abs(a).T * w[:, None, :]) @ np.abs(b)  # the sum of the terms' sizes
+    assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+    for i in range(r):  # a row of a stack is the product of that row alone
+        assert np.array_equal(got[i], _gram({}, groups, w[i : i + 1], left, right)[0])

@@ -226,3 +226,27 @@ def test_analytic_fits_build_no_dense_array(kind, estimator, bound):
         tracemalloc.stop()
     assert np.isfinite(model.variance_bound_)
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["complete", "bernoulli"])
+def test_unit_column_fits_build_no_outer_product_array(kind):
+    """On unit columns a weighted Gram is a direct product: at n = 20 000 with
+    four covariates (separate slopes, l = 10 columns) the fit stays below one
+    (2n, l * l) float64 array of row-wise outer products, 32 MB."""
+    n, l = 20_000, 10
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((n, 4))
+    y0 = x @ [1.0, -0.5, 0.25, 0.0] + rng.standard_normal(n)
+    pi1 = rng.uniform(0.2, 0.8, n)
+    tracemalloc.start()
+    try:
+        design = make_complete(n, n // 2) if kind == "complete" else make_bernoulli(pi1)
+        z = draw(design, 1).assignment
+        model = AteEstimator(design, estimator="two_r", spec="II", bound="borrowed-as")
+        model.fit(np.where(z == 1, y0 + 1.0, y0), z, covariates=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.coefficient_.values.shape == (l,)
+    assert np.isfinite(model.variance_bound_)
+    assert peak < 2 * n * l * l * 8
