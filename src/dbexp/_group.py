@@ -7,7 +7,9 @@ the reciprocal joint -- depends on a pair of stacked slots only through the
 two arms and the kind of the unit pair: the same unit, two units of one group,
 or units of different groups.  :class:`GroupOperator` stores one 2 x 2 arm
 kernel per kind (per unit for the same-unit kind) and works in O(n l^2) where
-the dense matrix costs O(n^2 l).
+the dense matrix costs O(n^2 l).  :class:`Groups` owns the unit -> cluster
+map: ``design._cluster_groups`` makes it from cluster ids and
+:meth:`Groups.totals` sums unit rows into cluster rows, for every caller.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ class Groups:
             order = np.argsort(index, kind="stable")
             self.first, self.slots = order[self.starts], np.concatenate([order, self.n + order])
         self._bounds = np.concatenate([self.starts, self.n + self.starts])  # of the 2m columns
+
+    def totals(self, v: np.ndarray) -> np.ndarray:
+        """Sums of unit rows (n, ...) over the groups (m, ...), each group's rows
+        added one at a time in unit order, which rounds unlike :meth:`sum`."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.n:
+            raise ValueError("one cluster id per row required")
+        out = np.zeros((self.m,) + v.shape[1:])
+        np.add.at(out, self.index, v)
+        return out
 
     def sum(self, v: np.ndarray) -> np.ndarray:
         """Sums of a stacked array (2n, ...) over the (arm, group) columns: (2m, ...)."""

@@ -45,7 +45,7 @@ from .covariates import CovariateSpec
 from .design import (
     Design,
     DesignMatrix,
-    _cluster_index,
+    _cluster_groups,
     _frozen,
     _KindForm,
     _same_joint,
@@ -55,8 +55,9 @@ from .estimators import (
     AdjustmentCache,
     CoefficientEstimate,
     ObservedOutcomes,
+    _coef,
+    _observe,
     _system,
-    coef_2r,
 )
 
 PSD_TOL = 1e-8
@@ -303,7 +304,7 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
     complete randomization of clusters; identified when each arm receives at
     least two clusters.
     """
-    _, index = _cluster_index(cluster_ids)
+    index = _cluster_groups(cluster_ids).index
     n = dmat.n
     if index.shape[0] != n:
         raise ValueError("cluster ids do not match the design size")
@@ -467,10 +468,11 @@ def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: Obs
     the two-stage point estimate keeps intervals conservative while typically
     much narrower than the plug-in alternative.
     """
-    sys_obs, sys_design, _ = _system(observed, design, spec)
+    obs, divisor, sys_obs, sys_design = _observe(observed, design, spec)
     bound._check_design(sys_design)
-    coefficient = coef_2r(spec, sys_obs, sys_design, cache=bound._adjustment(spec))
-    return bound_estimate_greg(bound, sys_design, sys_obs, spec, coefficient)
+    b = _coef("two_r", spec, bound._adjustment(spec), obs).values
+    residual = sys_obs.stacked() - spec.matrix @ b
+    return _observed_quadratic(bound, sys_design, residual, sys_obs.indicator(), divisor)
 
 
 # -- post-hoc precision test ---------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ._group import Groups
-from .design import Design, _cluster_index
+from .design import Design, _cluster_groups
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class CovariateSpec:
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
-    clusters: Groups | None = field(default=None, init=False, repr=False, compare=False)
     # the layout's group sums, kept by the estimators for each grouping of its rows
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -51,8 +51,13 @@ class CovariateSpec:
         object.__setattr__(self, "matrix", matrix)
         if len(self.labels) != matrix.shape[1]:
             raise ValueError("one label per column required")
-        if self.level == "cluster" and self.cluster_ids is not None:
-            object.__setattr__(self, "clusters", Groups(_cluster_index(self.cluster_ids)[1]))
+
+    @cached_property
+    def clusters(self) -> Groups | None:
+        """A cluster-level layout's partition of the units by ``cluster_ids``."""
+        if self.level != "cluster" or self.cluster_ids is None:
+            return None
+        return _cluster_groups(self.cluster_ids)
 
     @property
     def rows_per_arm(self) -> int:
@@ -132,16 +137,7 @@ spec_II = spec_separate_slopes
 
 def cluster_totals(x, cluster_ids: Sequence[int]) -> np.ndarray:
     """Per-cluster column totals, clusters ordered by ascending id."""
-    x = _as_matrix(x)
-    ids = np.asarray(cluster_ids)
-    if ids.shape[0] != x.shape[0]:
-        raise ValueError("one cluster id per row required")
-    if np.issubdtype(ids.dtype, np.floating) and np.isnan(ids).any():
-        raise ValueError("cluster ids contain missing values")
-    unique, index = _cluster_index(ids)
-    out = np.zeros((unique.shape[0], x.shape[1]))
-    np.add.at(out, index, x)
-    return out
+    return _cluster_groups(cluster_ids).totals(_as_matrix(x))
 
 
 def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> CovariateSpec:
@@ -154,9 +150,8 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
     """
     x = _as_matrix(x)
     n = x.shape[0]
-    ids = np.asarray(cluster_ids)
-    xt = np.hstack([np.ones((n, 1)), x])
-    totals = cluster_totals(xt, ids)  # m x (k+1), first column = cluster sizes
+    clusters = _cluster_groups(cluster_ids)
+    totals = clusters.totals(np.hstack([np.ones((n, 1)), x]))  # m x (k+1), sizes first
     m, kp1 = totals.shape
     one = np.ones((m, 1))
     zm = np.zeros((m, 1))
@@ -172,7 +167,6 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
             + ("cluster_size_treated",)
             + tuple(f"x{j}_treated_total" for j in range(kp1 - 1))
         )
-        kind = "II"
     elif spec_kind == "I":
         matrix = np.vstack(
             [np.hstack([-one, zm, -totals]), np.hstack([zm, one, totals])]
@@ -181,19 +175,20 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
             ("intercept_control", "intercept_treated", "cluster_size")
             + tuple(f"x{j}_total" for j in range(kp1 - 1))
         )
-        kind = "I"
     else:
         raise ValueError("spec_kind must be 'I' or 'II'")
-    return CovariateSpec(
+    spec = CovariateSpec(
         matrix,
-        kind,
+        spec_kind,
         labels,
         level="cluster",
         divisor=n,
-        cluster_ids=ids.astype(np.int64),
+        cluster_ids=np.asarray(cluster_ids).astype(np.int64),
         intercept_cols=(0, 1),
         x=totals,
     )
+    object.__setattr__(spec, "clusters", clusters)
+    return spec
 
 
 def add_invprop_column(spec: CovariateSpec, design: Design) -> CovariateSpec:

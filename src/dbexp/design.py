@@ -141,7 +141,6 @@ class MonteCarloProvenance:
     draws: int
     seed: int
     sampler: Callable | None = None
-    max_adjustment: float = 0.0
 
     @property
     def kind(self) -> str:
@@ -337,15 +336,17 @@ class Design(_KindForm):
         """See :func:`cluster_level_design`."""
         if self.kind != "cluster":
             raise DesignError("cluster-level collapse requires a cluster-randomized design")
-        index, m, m1 = _groups(self)
-        index.flags.writeable = False
-        return make_complete(m, m1), index
+        groups = self._assignment_groups
+        groups.index.flags.writeable = False
+        return make_complete(groups.m, self.provenance.params["m1"]), groups.index
 
     @cached_property
     def _assignment_groups(self) -> Groups:
-        """Units every assignment treats alike: those its kind form groups (the
-        clusters of a cluster design), else each unit alone."""
-        return self._form.values.groups if self._form is not None else unit_groups(self.n)
+        """Units every assignment treats alike, derived once from the provenance:
+        the clusters of a cluster design, else each unit alone."""
+        if self.kind == "cluster":
+            return _cluster_groups(self.provenance.params["cluster_ids"])
+        return unit_groups(self.n)
 
     def to_json(self) -> str:
         return json.dumps(design_to_dict(self))
@@ -509,16 +510,15 @@ def _own_joint(pi: np.ndarray) -> np.ndarray:
     return pi[:, None, :] * np.eye(2)[:, :, None]
 
 
-def _group_form(index: np.ndarray, pi: np.ndarray, pairs: np.ndarray) -> GroupForm:
+def _group_form(groups: Groups, pi: np.ndarray, pairs: np.ndarray) -> GroupForm:
     """Units inherit their group's arm: two slots of one group have the joint
     ``diag(pi)``, two slots of different groups ``pairs``."""
-    n = index.shape[0]
+    n = groups.n
     own = np.diag(pi)  # two units of one group always share its arm
 
     def per_unit(k):
         return np.broadcast_to(k[:, :, None], (2, 2, n))
 
-    groups = Groups(index)
     joint = GroupOperator(groups, per_unit(own), own, pairs)
     k_same, k_diff = _arm_kernel(own, pi), _arm_kernel(pairs, pi)
     values = GroupOperator(groups, per_unit(k_same), k_same, k_diff)
@@ -556,20 +556,15 @@ def _bernoulli_joint(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
 
 
 def _form_design(form: GroupForm, provenance: AnalyticProvenance) -> Design:
-    """A Design in kind form, validated by its constructor from its parameters."""
-    return Design._lazy(n=form.n, marginals=form.marginals, provenance=provenance, _form=form)
+    """A Design in kind form, validated from its parameters, keeping its form's partition."""
+    return Design._lazy(n=form.n, marginals=form.marginals, provenance=provenance, _form=form,
+                        _assignment_groups=form.values.groups)
 
 
-def _groups(design: Design) -> tuple[np.ndarray, int, int] | None:
-    """(unit -> group index, number of groups, number treated) of a complete or
-    cluster design, else None.  A complete design is n singleton groups."""
-    prov = design.provenance
-    if prov.kind == "complete":
-        return np.arange(design.n), design.n, prov.params["n1"]
-    if prov.kind == "cluster":
-        unique, index = _cluster_index(prov.params["cluster_ids"])
-        return index, unique.shape[0], prov.params["m1"]
-    return None
+def _treated_groups(design: Design) -> int | None:
+    """How many assignment groups a complete or cluster design treats, else None."""
+    key = {"complete": "n1", "cluster": "m1"}.get(design.kind)
+    return None if key is None else design.provenance.params[key]
 
 
 def _group_pairs(m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -581,23 +576,22 @@ def _group_pairs(m: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, pairs
 
 
-#: Group index of the smallest group design with every kind of joint entry: a
-#: unit with itself, two units of one group and two units of different groups.
-_ALL_ENTRY_KINDS = np.array([0, 0, 1])
+#: Groups of the smallest group design with every kind of joint entry: a unit
+#: with itself, two units of one group and two units of different groups.
+_ALL_ENTRY_KINDS = Groups(np.array([0, 0, 1]))
 
 
-def _group_design(index: np.ndarray, m1: int, provenance: AnalyticProvenance) -> Design:
+def _group_design(groups: Groups, m1: int, provenance: AnalyticProvenance) -> Design:
     """Complete randomization of ``m1`` groups; units inherit their group's arm.
 
     Every entry of the joint is an entry of ``diag(pi)`` or ``pairs`` at its
     kind of slot pair, and every marginal is ``pi``, so validating the 3-unit
     joint of ``_ALL_ENTRY_KINDS`` validates the full one.
     """
-    m = int(index.max()) + 1
-    pi, pairs = _group_pairs(m, m1)
+    pi, pairs = _group_pairs(groups.m, m1)
     small = _group_form(_ALL_ENTRY_KINDS, pi, pairs)
     _validate_joint(small.n, small.dense_joint, small.marginals)
-    return _form_design(_group_form(index, pi, pairs), provenance)
+    return _form_design(_group_form(groups, pi, pairs), provenance)
 
 
 def make_complete(n: int, n1: int) -> Design:
@@ -606,7 +600,7 @@ def make_complete(n: int, n1: int) -> Design:
         raise DesignError("complete randomization needs at least 2 units")
     if not 1 <= n1 <= n - 1:
         raise UnidentifiedDesignError("number treated must satisfy 1 <= n1 <= n - 1")
-    return _group_design(np.arange(n), n1, AnalyticProvenance("complete", {"n1": n1}))
+    return _group_design(unit_groups(n), n1, AnalyticProvenance("complete", {"n1": n1}))
 
 
 def make_bernoulli(pi1: Sequence[float]) -> Design:
@@ -625,18 +619,18 @@ def make_bernoulli(pi1: Sequence[float]) -> Design:
     return _form_design(_bernoulli_form(pi1), provenance)
 
 
-def _cluster_index(cluster_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_groups(cluster_ids: Sequence[int]) -> Groups:
+    """The units partitioned by cluster ids, which are integers or integer-valued
+    floats in any order, the clusters labelled in ascending id order."""
     ids = np.asarray(cluster_ids)
     if ids.ndim != 1 or ids.size == 0:
         raise DesignError("cluster ids must form a non-empty vector")
-    if not np.issubdtype(ids.dtype, np.integer):
-        as_int = ids.astype(np.int64, casting="unsafe")
-        if not np.array_equal(as_int, ids):
-            raise DesignError("cluster ids must be integers")
-        ids = as_int
-    unique = np.unique(ids)  # ascending id order, the canonical cluster order
-    index = np.searchsorted(unique, ids)
-    return unique, index
+    if np.issubdtype(ids.dtype, np.floating) and np.isnan(ids).any():
+        raise DesignError("cluster ids contain missing values")
+    integral = np.issubdtype(ids.dtype, np.integer)
+    if not (integral or np.array_equal(ids.astype(np.int64, casting="unsafe"), ids)):
+        raise DesignError("cluster ids must be integers")
+    return Groups(np.unique(ids, return_inverse=True)[1])
 
 
 def _outside_this_module() -> int:
@@ -651,8 +645,8 @@ def _outside_this_module() -> int:
 
 def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
     """Complete randomization of whole clusters; units inherit their cluster's arm."""
-    unique, index = _cluster_index(cluster_ids)
-    m = unique.shape[0]
+    groups = _cluster_groups(cluster_ids)
+    m = groups.m
     if m < 2:
         raise DesignError("cluster randomization needs at least 2 clusters")
     if not 1 <= m1 <= m - 1:
@@ -664,7 +658,7 @@ def make_cluster(cluster_ids: Sequence[int], m1: int) -> Design:
             stacklevel=_outside_this_module(),
         )
     params = {"cluster_ids": np.asarray(cluster_ids, dtype=np.int64), "m1": m1, "m": m}
-    return _group_design(index, m1, AnalyticProvenance("cluster", params))
+    return _group_design(groups, m1, AnalyticProvenance("cluster", params))
 
 
 def make_from_sampler(
@@ -683,8 +677,7 @@ def make_from_sampler(
     by their sum.  In ``monte_carlo`` mode the sampler is a callable
     ``sampler(rng) -> assignment`` and the joint matrix is the empirical
     frequency over ``draws`` draws (deterministic given ``seed``), each entry
-    an integer count divided by ``draws``: exactly symmetric, so
-    ``max_adjustment`` is 0.0.  Either way D is certified PSD by the
+    an integer count divided by ``draws``.  Either way D is certified PSD by the
     multinomial proof of ``Design._design_matrix``, not by an
     eigendecomposition.
     """
@@ -790,12 +783,12 @@ def draw(design: Design, seed: int) -> AssignmentRealization:
     """Sample one assignment from the design; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     prov = design.provenance
-    groups = _groups(design)
-    if groups is not None:
-        index, m, m1 = groups
-        z_group = np.zeros(m, dtype=np.int8)
-        z_group[rng.permutation(m)[:m1]] = 1
-        z = z_group[index]
+    m1 = _treated_groups(design)
+    if m1 is not None:
+        groups = design._assignment_groups
+        z_group = np.zeros(groups.m, dtype=np.int8)
+        z_group[rng.permutation(groups.m)[:m1]] = 1
+        z = z_group[groups.index]
     elif prov.kind == "bernoulli":
         z = (rng.random(design.n) < prov.params["pi1"]).astype(np.int8)
     elif isinstance(prov, EnumeratedProvenance):
@@ -811,10 +804,9 @@ def draw(design: Design, seed: int) -> AssignmentRealization:
 def support_size(design: Design) -> int | None:
     """Exact support size when it is cheaply known, else None."""
     prov = design.provenance
-    groups = _groups(design)
-    if groups is not None:
-        _, m, m1 = groups
-        return comb(m, m1)
+    m1 = _treated_groups(design)
+    if m1 is not None:
+        return comb(design._assignment_groups.m, m1)
     if prov.kind == "bernoulli":
         return 2**design.n
     if isinstance(prov, EnumeratedProvenance):
@@ -830,12 +822,12 @@ def in_support(design: Design, z) -> bool:
     """
     z = np.asarray(z)
     prov = design.provenance
-    groups = _groups(design)
-    if groups is not None:
-        index, m, m1 = groups
-        z_group = np.zeros(m, dtype=z.dtype)
-        z_group[index] = z
-        return bool(np.array_equal(z_group[index], z)) and int(z_group.sum()) == m1
+    m1 = _treated_groups(design)
+    if m1 is not None:
+        groups = design._assignment_groups
+        z_group = np.zeros(groups.m, dtype=z.dtype)
+        z_group[groups.index] = z
+        return bool(np.array_equal(z_group[groups.index], z)) and int(z_group.sum()) == m1
     if isinstance(prov, EnumeratedProvenance):
         rows = (prov.assignments == z).all(axis=1)
         return bool((prov.probabilities[rows] > 0).any())
@@ -857,13 +849,13 @@ def enumerate_assignments(
         )
     prov = design.provenance
     out: list[tuple[AssignmentRealization, float]] = []
-    groups = _groups(design)
-    if groups is not None:
-        index, m, m1 = groups
-        for chosen in itertools.combinations(range(m), m1):
-            z_group = np.zeros(m, dtype=np.int8)
+    m1 = _treated_groups(design)
+    if m1 is not None:
+        groups = design._assignment_groups
+        for chosen in itertools.combinations(range(groups.m), m1):
+            z_group = np.zeros(groups.m, dtype=np.int8)
             z_group[list(chosen)] = 1
-            out.append((AssignmentRealization(z_group[index]), 1.0 / size))
+            out.append((AssignmentRealization(z_group[groups.index]), 1.0 / size))
         return out
     if prov.kind == "bernoulli":
         pi1 = prov.params["pi1"]

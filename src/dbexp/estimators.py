@@ -4,7 +4,8 @@ Every coefficient estimator here induces a conjugate average-effect estimator
 through the same identity: the inverse-probability point estimate minus the
 covariate adjustment term.  Cluster-total layouts run through identical code
 on the collapsed m-cluster system while keeping the individual count as the
-divisor.
+divisor.  Unit-level data reaches a layout's level only through ``_at_level``,
+by the layout's partition (``CovariateSpec.clusters``) and ``Groups.totals``.
 
 Products run over (arm, group) columns.  A cluster design treats each
 cluster's units alike, so a unit-level layout is summed by cluster once per
@@ -39,7 +40,7 @@ from .design import (
     Design,
     DesignMatrix,
     StackedOutcomes,
-    _cluster_index,
+    _cluster_groups,
     _zero_one,
     cluster_level_design,
     design_matrix,
@@ -144,18 +145,26 @@ def _collapse(treated: np.ndarray, groups: Groups) -> np.ndarray:
     return treated.take(groups.first, axis=1)
 
 
+def _at_level(spec: CovariateSpec | None, design: Design | None, data, treated=None):
+    """(design, data, treated) at the level of the layout ``spec``: ``data`` is
+    an observed realization, or a full schedule with ``treated``, an (R, n)
+    assignment stack or None.  A cluster-level layout collapses data on the n
+    units of its partition, all-singleton clusters too; other data passes."""
+    clusters = None if spec is None else spec.clusters
+    if clusters is None or data.n != clusters.n:
+        return design, data, treated
+    if isinstance(data, ObservedOutcomes):
+        z = _collapse(data.realization.assignment[None], clusters)[0]
+        data = ObservedOutcomes(clusters.totals(data.outcomes), AssignmentRealization(z))
+    else:
+        data = _stack(data, clusters)
+        treated = None if treated is None else _collapse(treated, clusters)
+    return None if design is None else cluster_level_design(design)[0], data, treated
+
+
 def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
     """Return (observed, design, divisor) at the level the layout expects."""
-    if spec is not None and spec.level == "cluster":
-        if observed.n != spec.rows_per_arm:  # not yet collapsed by the caller
-            clusters = spec.clusters
-            if clusters is None or observed.n != clusters.n:
-                raise ValueError("observed data does not match the layout's cluster ids")
-            treated = _collapse(observed.realization.assignment[None], clusters)[0]
-            totals = np.bincount(clusters.index, weights=observed.outcomes, minlength=clusters.m)
-            observed = ObservedOutcomes(totals, AssignmentRealization(treated))
-            design = cluster_level_design(design)[0] if design is not None else None
-        return observed, design, spec.divisor
+    design, observed, _ = _at_level(spec, design, observed)
     if design is not None and observed.n != design.n:
         raise ValueError("observed data and design sizes disagree")
     if spec is not None and observed.n != spec.rows_per_arm:
@@ -165,14 +174,13 @@ def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSp
 
 def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
     """Collapse a full schedule to cluster totals (oracle convenience)."""
-    return _stack(outcomes, Groups(_cluster_index(cluster_ids)[1]))
+    return _stack(outcomes, _cluster_groups(cluster_ids))
 
 
 def _stack(outcomes: StackedOutcomes, clusters: Groups) -> StackedOutcomes:
-    """A full schedule's cluster totals over a cluster-level layout's partition."""
-    y0 = np.bincount(clusters.index, weights=outcomes.control, minlength=clusters.m)
-    y1 = np.bincount(clusters.index, weights=outcomes.treated, minlength=clusters.m)
-    return StackedOutcomes.from_arms(y0, y1)
+    """A full schedule's cluster totals."""
+    return StackedOutcomes.from_arms(clusters.totals(outcomes.control),
+                                     clusters.totals(outcomes.treated))
 
 
 # -- estimator arithmetic -----------------------------------------------------
@@ -329,16 +337,16 @@ class _Realizations:
 
 
 def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
-    """One realization, the divisor and the observed data at the layout's level;
-    an assignment the design cannot draw runs on unit columns."""
+    """One realization at the layout's level, the divisor, and the data and design
+    at that level; an assignment the design cannot draw runs on unit columns."""
     sys_obs, sys_design, divisor = _system(observed, design, spec)
     treated = sys_obs.realization.assignment[None] == 1
     groups = unit_groups(sys_obs.n) if sys_design is None else sys_design._assignment_groups
     if not groups.in_order and _varies(treated, groups).any():
         groups = unit_groups(sys_obs.n)
     marginals = None if sys_design is None else sys_design.marginals
-    y = sys_obs.outcomes
-    return _Realizations(groups, treated, marginals, np.concatenate([-y, y])), divisor, sys_obs
+    signed = np.concatenate([-sys_obs.outcomes, sys_obs.outcomes])
+    return _Realizations(groups, treated, marginals, signed), divisor, sys_obs, sys_design
 
 
 def _fit(x: _System, w: np.ndarray, wy: np.ndarray):
@@ -388,14 +396,14 @@ def ht_ate(observed: ObservedOutcomes, design: Design) -> float:
 def ht_cov_means(spec: CovariateSpec, realization: AssignmentRealization, design: Design):
     """Zero-mean adjustment-term vector: weighted minus full covariate sums."""
     dummy = ObservedOutcomes(np.zeros(realization.n), realization)
-    obs, divisor, _ = _observe(dummy, design, spec)
+    obs, divisor = _observe(dummy, design, spec)[:2]
     return _adjustment(_summed(spec._sums, obs.groups, spec.matrix), obs.w, divisor)[0]
 
 
 def greg(observed: ObservedOutcomes, design: Design, spec: CovariateSpec | None = None,
          coefficient: CoefficientEstimate | None = None) -> AteEstimate:
     """Generalized regression estimate: point = HT - (adjustment term) @ b."""
-    obs, divisor, sys_obs = _observe(observed, design, spec)
+    obs, divisor, sys_obs, _ = _observe(observed, design, spec)
     indicator = sys_obs.indicator()
     stacked = sys_obs.stacked()
     ht = _ht(obs.w * obs.y, divisor)[0]
@@ -444,8 +452,7 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
     simulation tool, not an estimator.
     """
     b = np.asarray(b, dtype=float)
-    if spec.level == "cluster" and outcomes.n != spec.rows_per_arm:
-        outcomes = _stack(outcomes, spec.clusters)
+    _, outcomes, _ = _at_level(spec, None, outcomes)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
     divisor = spec.divisor or outcomes.n
@@ -490,14 +497,9 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     for spec in specs:
         for method in methods:
             _check_method(method, spec)
-    sys_design, collapse = design, None
-    if specs and specs[0].level == "cluster":
-        ids = specs[0].cluster_ids
-        if any(not np.array_equal(spec.cluster_ids, ids) for spec in specs):
-            raise ValueError("the cluster-level layouts of one call must share their cluster ids")
-        collapse = specs[0].clusters
-        sys_design = cluster_level_design(design)[0]
-        outcomes = _stack(outcomes, collapse)
+    if len({spec.clusters.key for spec in specs if spec.clusters is not None}) > 1:
+        raise ValueError("the cluster-level layouts of one call must share their clusters")
+    sys_design, outcomes, z = _at_level(specs[0] if specs else None, design, outcomes, z)
     if any(spec.rows_per_arm != sys_design.n for spec in specs):
         raise ValueError("layout and design sizes disagree")
     runs_3ht = any(_METHODS[m][1] for m in methods)
@@ -506,8 +508,6 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
 
     shape = (z.shape[0], len(methods), len(specs))
     points, rank_deficient, failed = np.empty(shape), np.zeros(shape, bool), np.zeros(shape, bool)
-    if collapse is not None:
-        z = _collapse(z, collapse)
     # assignments that treat a group's units unlike, which the design cannot
     # draw, run on unit columns, as each does alone
     groups = sys_design._assignment_groups
@@ -575,8 +575,12 @@ def coef_by_name(method: str, spec: CovariateSpec, observed: ObservedOutcomes,
         cache = AdjustmentCache.build(spec, design)
     elif cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix):
         raise ValueError("cache was built for a different layout")
-    b, deficient, failed = _coefficients((method,), spec, cache,
-                                         _observe(observed, design, spec)[0])[method]
+    return _coef(method, spec, cache, _observe(observed, design, spec)[0])
+
+
+def _coef(method: str, spec: CovariateSpec, cache, obs: _Realizations) -> CoefficientEstimate:
+    """:func:`coef_by_name` on a realization already at the layout's level."""
+    b, deficient, failed = _coefficients((method,), spec, cache, obs)[method]
     if failed[0]:
         raise np.linalg.LinAlgError(f"the least-squares fit of the {method} coefficient failed")
     if method == "ols" and spec.level == "cluster":

@@ -12,8 +12,8 @@ import numpy as np
 
 from ._linalg import normal_system
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, StackedOutcomes, _groups
-from .estimators import _ols, _stack
+from .design import Design, DesignMatrix, StackedOutcomes
+from .estimators import _at_level, _ols
 
 FOC_RTOL = 1e-8
 PINV_FLOOR = 1e-12
@@ -131,11 +131,10 @@ def b_sep(
 
 
 def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes) -> StackedOutcomes:
-    if outcomes.n == spec.rows_per_arm:
-        return outcomes
-    if spec.level == "cluster":
-        return _stack(outcomes, spec.clusters)
-    raise ValueError("outcome schedule does not match the layout's row count")
+    outcomes = _at_level(spec, None, outcomes)[1]
+    if outcomes.n != spec.rows_per_arm:
+        raise ValueError("outcome schedule does not match the layout's row count")
+    return outcomes
 
 
 # -- finite-population moment formulas ----------------------------------------
@@ -190,13 +189,10 @@ def b_population(
     if method in ("ols_cluster_II", "tyranny_cluster"):
         if kind != "cluster":
             raise ValueError(f"{method} is defined for cluster randomization")
-        index, m, m1 = _groups(design)
-        m0 = m - m1
-        xt = np.hstack([np.ones((n, 1)), x])
-        totals = np.zeros((m, xt.shape[1]))
-        np.add.at(totals, index, xt)
-        y0c = np.bincount(index, weights=y0, minlength=m)
-        y1c = np.bincount(index, weights=y1, minlength=m)
+        clusters, m1 = design._assignment_groups, design.provenance.params["m1"]
+        m, m0 = clusters.m, clusters.m - m1
+        totals = clusters.totals(np.hstack([np.ones((n, 1)), x]))
+        y0c, y1c = clusters.totals(y0), clusters.totals(y1)
         if method == "ols_cluster_II":
             b = np.concatenate([_slopes(totals, y0c), _slopes(totals, y1c)])
         else:

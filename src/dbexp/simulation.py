@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators as _est
+from ._group import Groups
 from .covariates import spec_cluster, spec_separate_slopes
-from .design import Design, StackedOutcomes, make_cluster
+from .design import Design, StackedOutcomes, _cluster_groups, make_cluster
 from .estimators import batch_points
 
 ESTIMATOR_NAMES = ("wls_ols", "three_ht", "two_r", "ols_cluster_totals")
@@ -90,26 +91,24 @@ def build_population(config: SimConfig) -> Population:
     function of cluster size, and idiosyncratic noise.
     """
     cluster_ids = assign_cluster_ids(config.n_units, config.n_clusters)
-    unique, counts = np.unique(cluster_ids, return_counts=True)
-    index = np.searchsorted(unique, cluster_ids)
-    m = unique.shape[0]
+    clusters = _cluster_groups(cluster_ids)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(_POPULATION_STREAM,))
     )
-    alpha = rng.standard_normal(m)[index]
+    alpha = rng.standard_normal(clusters.m)[clusters.index]
     x = alpha + rng.standard_normal(config.n_units)
     noise_scale = math.sqrt(5.0) if config.noise_interpretation == "variance" else 5.0
     eps = noise_scale * rng.standard_normal(config.n_units)
-    n_c = counts[index].astype(float)
+    n_c = clusters.sizes[clusters.index].astype(float)
     y0 = -alpha + x + n_c - 0.025 * n_c**2 + eps
     y1 = y0.copy()
     return Population(
         outcomes=StackedOutcomes.from_arms(y0, y1),
         covariate=x,
         cluster_ids=cluster_ids,
-        cluster_index=index,
-        cluster_sizes=counts.astype(np.int64),
-        m=m,
+        cluster_index=clusters.index,
+        cluster_sizes=clusters.sizes,
+        m=clusters.m,
     )
 
 
@@ -117,8 +116,7 @@ def covariate_set(population: Population, set_id: int) -> np.ndarray:
     """Covariate sets 1..4: x; +cluster mean; +cluster size; +size squared."""
     x = population.covariate
     idx = population.cluster_index
-    sums = np.bincount(idx, weights=x, minlength=population.m)
-    xbar = (sums / population.cluster_sizes)[idx]
+    xbar = (Groups(idx).totals(x) / population.cluster_sizes)[idx]
     n_c = population.cluster_sizes[idx].astype(float)
     columns = {1: [x], 2: [x, xbar], 3: [x, xbar, n_c], 4: [x, xbar, n_c, n_c**2]}
     if set_id not in columns:

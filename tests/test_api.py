@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from dbexp import (
     zero_center,
 )
 from dbexp.api import check_lengths, check_treatment
+from dbexp.design import _cluster_groups
 from dbexp.estimators import AssignmentRealization, ObservedOutcomes
 
 
@@ -190,6 +192,35 @@ def test_validation_helpers():
         AteEstimator(make_complete(4, 2), bound="nope").fit(np.ones(4), [1, 0, 1, 0])
     with pytest.raises(ValueError, match="does not match"):
         AteEstimator(make_complete(6, 3), bound="none").fit(np.ones(4), [1, 0, 1, 0])
+
+
+def test_a_cluster_total_fit_partitions_cluster_ids_at_most_three_times(monkeypatch):
+    """make_cluster, spec_cluster and the cluster bound of the cluster-level
+    design each partition their ids once; the design and the layout keep
+    theirs for draw, in_support and the collapse to the cluster level."""
+    rng = np.random.default_rng(4)
+    n = 1000
+    ids = rng.permutation(np.repeat(np.arange(100), 10))
+    calls = []
+
+    def counting(cluster_ids):
+        calls.append(len(cluster_ids))
+        return _cluster_groups(cluster_ids)
+
+    importers = [module for name, module in list(sys.modules.items())
+                 if name.startswith("dbexp") and getattr(module, "_cluster_groups", None)
+                 is _cluster_groups]
+    assert {module.__name__ for module in importers} >= {"dbexp.design", "dbexp.covariates"}
+    for module in importers:
+        monkeypatch.setattr(module, "_cluster_groups", counting)
+    design = make_cluster(ids, 50)
+    z = draw(design, 0).assignment
+    x = rng.standard_normal((n, 2))
+    outcome = x[:, 0] + z + rng.standard_normal(n)
+    model = AteEstimator(design, "ols_cluster_totals", bound="cluster")
+    model.fit(outcome, z, covariates=x, cluster_ids=ids)
+    assert np.isfinite(model.variance_bound_)
+    assert len(calls) <= 3, calls
 
 
 def test_cluster_bound_requires_cluster_design():

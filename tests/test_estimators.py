@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from dbexp import (
     AdjustmentCache,
     AssignmentRealization,
+    AteEstimator,
     batch_points,
     ObservedOutcomes,
     StackedOutcomes,
     add_invprop_column,
+    b_opt,
     coef_2r,
     coef_3ht,
     coef_by_name,
@@ -40,6 +42,7 @@ from dbexp import (
 from conftest import enumeration_moments, enumeration_vector_mean
 from dbexp._group import Groups, outer_rows, unit_groups
 from dbexp._linalg import pinv_solve
+from dbexp.design import cluster_level_design
 from dbexp.estimators import (
     _Realizations,
     _adjustment,
@@ -456,6 +459,7 @@ def test_adjustment_cache_keeps_the_design_side_rank_flag():
 
 
 BATCH_IDS = np.array([1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6])
+SHUFFLED_SINGLETONS = np.array([9, 4, 11, 0, 7, 2, 10, 5, 1, 8, 3, 6])
 SINGLE = {
     "ols": lambda spec, obs, design, cache: coef_ols(spec, obs),
     "wls_pi": lambda spec, obs, design, cache: coef_wls_pi(spec, obs, design),
@@ -472,9 +476,10 @@ def _batch_case(kind):
     x = zero_center(rng.standard_normal((n, 2)))
     y0 = x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
     outcomes = StackedOutcomes.from_arms(y0, y0 + 1.0 + x[:, 0])
-    if kind == "cluster":  # the cluster-total layouts
-        design = make_cluster(BATCH_IDS, 3)
-        layouts = (spec_cluster(x, BATCH_IDS, "II"), spec_cluster(x, BATCH_IDS, "I"))
+    if kind in ("cluster", "cluster singletons shuffled"):  # the cluster-total layouts
+        ids = BATCH_IDS if kind == "cluster" else SHUFFLED_SINGLETONS
+        design = make_cluster(ids, 3)
+        layouts = (spec_cluster(x, ids, "II"), spec_cluster(x, ids, "I"))
         methods = ("ols_cluster_totals", "ols", "wls_pi", "three_ht", "two_r")
     else:
         design = make_complete(n, 5)
@@ -487,8 +492,8 @@ def _batch_case(kind):
     return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",))]
 
 
-@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster units",
-                                  "cluster units split"])
+@pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster singletons shuffled",
+                                  "cluster units", "cluster units split"])
 def test_batch_points_equal_single_realization_estimates(kind):
     design, outcomes, calls = _batch_case(kind)
     # 450 draws: the stack crosses a block boundary
@@ -509,6 +514,39 @@ def test_batch_points_equal_single_realization_estimates(kind):
                     assert batch.rank_deficient[r, m, s] == coef.rank_deficient
         if kind == "cluster" and "ols" in methods:  # 3 rows, 4 columns per arm
             assert batch.rank_deficient[:, methods.index("ols_cluster_totals"), 0].all()
+
+
+def _cluster_total_results(ids, x, y0, y1, z):
+    """An ols_cluster_totals fit under the cluster and AS bounds, and the
+    variance of the fixed coefficient b_opt on the same cluster-level layout."""
+    design = make_cluster(ids, 4)
+    outcome = np.where(z == 1, y1, y0)
+    out = []
+    for bound in ("cluster", "as"):
+        model = AteEstimator(design, "ols_cluster_totals", bound=bound)
+        model.fit(outcome, z, covariates=x, cluster_ids=ids)
+        out += [model.ate_, model.variance_bound_]
+    spec = spec_cluster(x, ids, "II")
+    outcomes = StackedOutcomes.from_arms(y0, y1)
+    dmat = design_matrix(cluster_level_design(design)[0])
+    b = b_opt(spec, dmat, outcomes).values
+    return np.array(out + [fixed_coef_variance(outcomes, spec, b, dmat)])
+
+
+def test_singleton_clusters_collapse_whatever_their_id_order():
+    """Every cluster a single unit, ids out of unit order: unit data still
+    collapses to the layout's rows in ascending id order, so reordering the
+    units to make the ids ascend changes nothing."""
+    rng = np.random.default_rng(8)
+    ids = np.array([5, 3, 8, 1, 7, 2, 6, 4])
+    x = zero_center(rng.standard_normal((8, 1)))
+    y0 = x[:, 0] + rng.standard_normal(8)
+    y1 = y0 + 1.0
+    z = draw(make_cluster(ids, 4), 3).assignment
+    order = np.argsort(ids)
+    shuffled = _cluster_total_results(ids, x, y0, y1, z)
+    ascending = _cluster_total_results(ids[order], x[order], y0[order], y1[order], z[order])
+    np.testing.assert_allclose(shuffled, ascending, rtol=1e-12, atol=0.0)
 
 
 def test_batch_points_rejects_bad_input():

@@ -2,9 +2,12 @@
 
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbexp import (
     AteEstimator,
@@ -14,6 +17,7 @@ from dbexp import (
     cluster_bound,
     design_matrix,
     draw,
+    enumerate_assignments,
     make_bernoulli,
     make_cluster,
     make_complete,
@@ -28,6 +32,7 @@ from dense_reference import (
     dense_weighted,
 )
 from dbexp.bounds import _observed_quadratic
+from dbexp.design import _cluster_groups, cluster_level_design, in_support
 
 
 def _quiet(make, *args):
@@ -250,3 +255,35 @@ def test_unit_column_fits_build_no_outer_product_array(kind):
     assert model.coefficient_.values.shape == (l,)
     assert np.isfinite(model.variance_bound_)
     assert peak < 2 * n * l * l * 8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 9), min_size=1, max_size=12), st.integers(0, 2**16))
+def test_cluster_ids_in_any_order_make_one_partition(ids, seed):
+    """Integer ids that may be negative, unsorted or have gaps: the clusters
+    are labelled in ascending id order, totals add each cluster's rows in unit
+    order, and a cluster design's support treats whole clusters."""
+    ids = np.array(ids)
+    groups = _cluster_groups(ids)
+    labels = np.unique(ids, return_inverse=True)[1]
+    assert np.array_equal(groups.index, labels)
+    rows = np.random.default_rng(seed).standard_normal((ids.size, 2))
+    for v in (rows, rows[:, 0]):
+        want = np.zeros((groups.m,) + v.shape[1:])
+        np.add.at(want, labels, v)
+        assert np.array_equal(groups.totals(v), want)
+    m = groups.m
+    if m < 2:
+        return
+    m1 = 1 + seed % (m - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one cluster in an arm
+        design = make_cluster(ids, m1)
+    support = enumerate_assignments(design)
+    assert len(support) == comb(m, m1)
+    for realization, _ in support:
+        z = realization.assignment
+        assert in_support(design, z)
+        assert np.array_equal(z, z[groups.first][groups.index])  # constant within clusters
+        assert z[groups.first].sum() == m1
+    assert np.array_equal(cluster_level_design(design)[1], groups.index)

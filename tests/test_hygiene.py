@@ -1,5 +1,6 @@
 """Static checks: no unused imports in the library and its tests, no blanket
-excepts in the library."""
+excepts in the library, one owner for decompositions and for the unit ->
+cluster map."""
 
 import ast
 from pathlib import Path
@@ -88,4 +89,42 @@ def test_decompositions_go_through_the_linalg_helpers(path):
     ]
     assert not calls + imports, (
         f"{path.name} uses numpy.linalg outside dbexp._linalg: {', '.join(calls + imports)}"
+    )
+
+
+#: Modules that may write out the unit -> cluster map.  Cluster ids become a
+#: partition in ``design._cluster_groups`` and unit rows become cluster totals
+#: in ``Groups.totals``.  A scatter-add, id search or weighted count anywhere
+#: else is a second copy of the map, free to label or round differently; such
+#: copies once collapsed all-singleton data in one place and not in another.
+CLUSTER_MAP_OWNERS = {"_group.py", "design.py"}
+
+
+def _cluster_map_call(node: ast.Call) -> str | None:
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "at" and isinstance(func.value, ast.Attribute) and func.value.attr == "add":
+        return "add.at"
+    if func.attr == "searchsorted":
+        return "searchsorted"
+    weighted = len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords)
+    if func.attr == "bincount" and weighted:
+        return "weighted bincount"
+    return None
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name not in CLUSTER_MAP_OWNERS],
+    ids=lambda path: path.name,
+)
+def test_cluster_totals_go_through_groups(path):
+    calls = [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and (name := _cluster_map_call(node))
+    ]
+    assert not calls, (
+        f"{path.name} maps units to clusters outside dbexp._group and dbexp.design: "
+        + ", ".join(calls)
     )
