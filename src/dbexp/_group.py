@@ -61,6 +61,18 @@ class Groups:
     def _sorted(self, v: np.ndarray) -> np.ndarray:
         return v if self.slots is None else v.take(self.slots, axis=0)
 
+    def same_partition(self, other: "Groups") -> bool:
+        """Whether ``other`` groups the units alike, whatever its labels: both
+        use m labels, and one map from these labels to the other's holds at
+        every unit (so it is one to one).  O(n), with no sort."""
+        if self is other:
+            return True
+        if self.n != other.n or self.m != other.m:
+            return False
+        labels = np.empty(self.m, dtype=other.index.dtype)
+        labels[self.index] = other.index
+        return bool((labels[self.index] == other.index).all())
+
 
 def outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise outer products (rows, l * l'), so that a Gram product is linear in row weights."""
@@ -183,19 +195,11 @@ class GroupOperator:
         """Whether both operators hold the same matrix: one partition, equal kernels."""
         return (
             self.n == other.n
-            and same_partition(self.index, other.index)
+            and self.groups.same_partition(other.groups)
             and np.array_equal(self.unit, other.unit)
             and (self.m == self.n or np.array_equal(self.same, other.same))
             and np.array_equal(self.diff, other.diff)
         )
-
-
-def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two unit -> group labellings of one length group the units alike."""
-    if a.shape != b.shape:
-        return False
-    joint = np.unique(np.stack([a, b]), axis=1).shape[1]
-    return joint == np.unique(a).shape[0] == np.unique(b).shape[0]
 
 
 def quadratic(core, v: np.ndarray) -> float:

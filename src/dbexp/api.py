@@ -154,15 +154,16 @@ class AteEstimator:
         raise ValueError(f"unknown spec {self.spec!r}")
 
     def _bound_matrix(self, method: str):
-        """The bound built over the system design, kept as ``bound_matrix_`` for later fits."""
+        """The bound built over the system design, kept as ``bound_matrix_`` for later fits.
+        A cluster-level layout's system design randomizes the clusters as its units."""
         if self.spec_ is not None and self.spec_.level == "cluster":
             sys_design, _ = cluster_level_design(self.design)
-            cluster_ids = np.arange(sys_design.n)
+            clusters = sys_design._assignment_groups
         else:
-            sys_design, cluster_ids = self.design, None
+            sys_design, clusters = self.design, None
         kept = getattr(self, "bound_matrix_", None)
         if kept is None or kept.method != method or kept._joint_key is not sys_design._joint_key:
-            kept = _bounds.build_bound(method, sys_design, cluster_ids=cluster_ids)
+            kept = _bounds.build_bound(method, sys_design, cluster_ids=clusters)
         self.bound_matrix_ = kept
         return kept
 

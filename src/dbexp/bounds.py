@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._group import GroupOperator, quadratic, same_partition
+from ._group import GroupOperator, Groups, quadratic, unit_groups
 from ._linalg import (
     block_eigvals,
     component_blocks,
@@ -45,6 +45,7 @@ from .covariates import CovariateSpec
 from .design import (
     Design,
     DesignMatrix,
+    _check_clusters,
     _cluster_groups,
     _frozen,
     _KindForm,
@@ -302,11 +303,13 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
 
     Exact under the sharp null and PSD-tighter than the universal bound for
     complete randomization of clusters; identified when each arm receives at
-    least two clusters.
+    least two clusters.  ``cluster_ids`` are ids or a partition already made
+    (a design's ``_assignment_groups``); given for a design in kind form, they
+    must name its clusters.
     """
-    index = _cluster_groups(cluster_ids).index
+    clusters = cluster_ids if isinstance(cluster_ids, Groups) else _cluster_groups(cluster_ids)
     n = dmat.n
-    if index.shape[0] != n:
+    if clusters.n != n:
         raise ValueError("cluster ids do not match the design size")
     if dmat._form is not None:
         d = dmat._form.values
@@ -314,13 +317,14 @@ def cluster_bound(dmat: DesignMatrix, cluster_ids) -> BoundMatrix:
         # one group when the same-group kernel says so, and never for units
         # of different groups, whose cross-arm joint is positive.
         grouped = d.same[0, 1] == -1.0
-        pattern = d.index if grouped else np.arange(n)
-        if not ((d.unit[0, 1] == -1.0).all() and same_partition(index, pattern)):
+        if not (d.unit[0, 1] == -1.0).all():
             raise ValueError("design is not complete randomization of these clusters")
+        _check_clusters(clusters, d.groups if grouped else unit_groups(n))
         ones = np.ones((2, 2))
         added = GroupOperator(d.groups, np.broadcast_to(ones[:, :, None], d.unit.shape),
                               ones * grouped, np.zeros((2, 2)))
         return _certify_kinds(d.kindwise(np.add, added), dmat, "cluster")
+    index = clusters.index
     same = (index[:, None] == index[None, :])
     # For complete randomization of clusters the cross-arm block is -1 exactly
     # on same-cluster pairs; anything else is not a cluster design.
@@ -349,15 +353,15 @@ def build_bound(
 ) -> BoundMatrix:
     """Construct the bound named ``as``, ``iterative`` or ``cluster`` for a design.
 
-    The cluster bound takes its cluster ids from ``cluster_ids`` or, when
-    that is None, from the provenance of a cluster-randomized design.
+    The cluster bound takes its clusters from ``cluster_ids`` or, when that is
+    None, from a cluster-randomized design's own partition.
     """
     check_bound_method(name)
     _check_max_iters(max_iters)
     if name == "cluster" and cluster_ids is None:
         if design.kind != "cluster":
             raise ValueError("the cluster bound needs a cluster-randomized design")
-        cluster_ids = design.provenance.params["cluster_ids"]
+        cluster_ids = design._assignment_groups
     dmat = design_matrix(design)
     if name == "as":
         return as_bound(dmat)

@@ -65,8 +65,9 @@ def _run_guarded(out_dir, body):
 
 
 def _write_timings(out_dir, timings: dict) -> None:
-    """Write a run's stage wall seconds to ``timings.json``, kept out of the manifest
-    so that the report files stay byte-identical on rerun."""
+    """Write a run's stage wall seconds (and any run facts such as ``workers``) to
+    ``timings.json``, kept out of the manifest so that the report files stay
+    byte-identical on rerun."""
     with open(os.path.join(out_dir, "timings.json"), "w") as fh:
         fh.write(json.dumps(timings) + "\n")
 

@@ -146,7 +146,8 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
     The totaled intercept column turns into cluster sizes, which is what lets
     these layouts absorb size-driven variation.  Row count is 2m; the stored
     divisor stays at n so conjugate estimates target the individual-level
-    average effect.
+    average effect.  Fitted with a cluster design, the ids must name its
+    clusters (``DesignError`` otherwise).
     """
     x = _as_matrix(x)
     n = x.shape[0]

@@ -89,8 +89,9 @@ class StackedOutcomes:
 
 
 def _zero_one(z: np.ndarray) -> bool:
-    """Whether every entry of ``z`` is 0 or 1 (booleans included, NaN not)."""
-    return bool(((z == 0) | (z == 1)).all())
+    """Whether every entry of ``z`` is 0 or 1 (booleans included, NaN not); a
+    boolean array is, with no pass over its entries."""
+    return z.dtype == bool or bool(((z == 0) | (z == 1)).all())
 
 
 @dataclass(frozen=True)
@@ -631,6 +632,13 @@ def _cluster_groups(cluster_ids: Sequence[int]) -> Groups:
     if not (integral or np.array_equal(ids.astype(np.int64, casting="unsafe"), ids)):
         raise DesignError("cluster ids must be integers")
     return Groups(np.unique(ids, return_inverse=True)[1])
+
+
+def _check_clusters(clusters: Groups, design_clusters: Groups) -> None:
+    """Raise unless cluster ids given for a design name its own clusters."""
+    if not clusters.same_partition(design_clusters):
+        raise DesignError("the cluster ids do not name the design's clusters, so the design is "
+                          "not complete randomization of these clusters")
 
 
 def _outside_this_module() -> int:

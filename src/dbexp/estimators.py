@@ -20,12 +20,15 @@ One table, ``_METHODS``, says which weights each coefficient method fits with
 and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
 :func:`batch_points` runs it over a stack of assignments in blocks, for several
 methods and layouts at once, re-solving a failed fit one realization at a
-time.  :func:`coef_by_name` and the ``coef_*`` functions run the same code on
-a stack of one.
+time; the blocks run concurrently on the process's CPUs, each into its own
+rows, so the results do not depend on how many run at once.
+:func:`coef_by_name` and the ``coef_*`` functions run the same code on a stack
+of one.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
@@ -40,6 +43,7 @@ from .design import (
     Design,
     DesignMatrix,
     StackedOutcomes,
+    _check_clusters,
     _cluster_groups,
     _zero_one,
     cluster_level_design,
@@ -149,17 +153,22 @@ def _at_level(spec: CovariateSpec | None, design: Design | None, data, treated=N
     """(design, data, treated) at the level of the layout ``spec``: ``data`` is
     an observed realization, or a full schedule with ``treated``, an (R, n)
     assignment stack or None.  A cluster-level layout collapses data on the n
-    units of its partition, all-singleton clusters too; other data passes."""
+    units of its partition, all-singleton clusters too; other data passes.  The
+    layout's clusters must be the design's."""
     clusters = None if spec is None else spec.clusters
     if clusters is None or data.n != clusters.n:
         return design, data, treated
+    if design is not None:
+        collapsed = cluster_level_design(design)[0]  # only a cluster design has one
+        _check_clusters(clusters, design._assignment_groups)
+        design = collapsed
     if isinstance(data, ObservedOutcomes):
         z = _collapse(data.realization.assignment[None], clusters)[0]
         data = ObservedOutcomes(clusters.totals(data.outcomes), AssignmentRealization(z))
     else:
         data = _stack(data, clusters)
         treated = None if treated is None else _collapse(treated, clusters)
-    return None if design is None else cluster_level_design(design)[0], data, treated
+    return design, data, treated
 
 
 def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
@@ -465,15 +474,25 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
 _BLOCK = 200  # realizations per stacked solve; larger blocks raise peak memory
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class BatchPoints:
     """Results of :func:`batch_points`, each of shape (R, methods, layouts).  ``rank_deficient``
     flags a method's least-squares fit (3HT has none); ``failed`` marks a fit that raised
-    ``LinAlgError`` even when solved alone, whose point is NaN."""
+    ``LinAlgError`` even when solved alone, whose point is NaN.  ``workers`` is the
+    number of threads that ran the blocks; the results do not depend on it."""
 
     points: np.ndarray
     rank_deficient: np.ndarray
     failed: np.ndarray
+    workers: int = field(compare=False)
 
 
 def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, methods) -> BatchPoints:
@@ -512,10 +531,14 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     # draw, run on unit columns, as each does alone
     groups = sys_design._assignment_groups
     split = np.zeros(z.shape[0], bool) if groups.in_order else _varies(z, groups).any(axis=1)
-    for columns, where in ((groups, ~split), (unit_groups(sys_design.n), split)):
-        where = np.flatnonzero(where)
-        for start in range(0, where.size, _BLOCK):
-            rows = where[start:start + _BLOCK]
+    blocks = [(columns, where[start:start + _BLOCK])
+              for columns, where in ((groups, np.flatnonzero(~split)),
+                                     (unit_groups(sys_design.n), np.flatnonzero(split)))
+              for start in range(0, where.size, _BLOCK)]
+
+    def run(share):
+        """Each block of ``share``, written to its own rows of the results."""
+        for columns, rows in share:
             obs = _Realizations(columns, z[rows], sys_design.marginals, outcomes.values)
             ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
             for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
@@ -524,7 +547,22 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
                 for m, method in enumerate(methods):
                     b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
                     points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
-    return BatchPoints(points, rank_deficient, failed)
+
+    # The first block fills the group sums kept on the layouts and caches;
+    # the rest are dealt out in turn to this thread and a pool of workers - 1.
+    run(blocks[:1])
+    rest = blocks[1:]
+    workers = max(1, min(len(rest), _cpus()))
+    shares = [rest[k::workers] for k in range(workers)]
+    # imported here: at the top it would add about 8 ms to every import of dbexp
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # no thread starts unless submitted
+        pending = [pool.submit(run, share) for share in shares[1:]]
+        run(shares[0])
+        for done in pending:
+            done.result()
+    return BatchPoints(points, rank_deficient, failed, workers)
 
 
 # -- coefficient estimators ----------------------------------------------------

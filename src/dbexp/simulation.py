@@ -153,7 +153,8 @@ class SimResult:
     # "estimator/set" -> replications whose least-squares fit was rank deficient
     rank_deficient: dict[str, int]
     metrics: tuple[MetricsRow, ...] = field(default=())
-    # stage -> wall seconds; varies between runs, so it is kept out of the reports
+    # stage -> wall seconds, and ``workers``, the most threads a batch_points call
+    # ran on; they vary between runs and machines, so they are kept out of the reports
     timings: dict[str, float] = field(default_factory=dict, compare=False)
 
 
@@ -201,6 +202,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     estimates = np.full(shape, np.nan)
     failures = np.zeros(shape[1:], dtype=np.int64)
     deficient = np.zeros(shape[1:], dtype=np.int64)
+    workers = 1
     for cluster_level in (False, True):
         marks.append(time.perf_counter())
         chosen = [e for e, name in enumerate(est_names)
@@ -219,6 +221,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
         estimates[:, chosen] = batch.points
         failures[chosen] = batch.failed.sum(axis=0)
         deficient[chosen] = batch.rank_deficient.sum(axis=0)
+        workers = max(workers, batch.workers)
     marks.append(time.perf_counter())
     rank_deficient = {  # the estimators with a least-squares fit per replication
         f"{name}/{set_id}": int(deficient[e_pos, s_pos])
@@ -228,7 +231,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     }
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
-    timings = dict(zip(_STAGES, np.diff(marks).tolist()))
+    timings = {**dict(zip(_STAGES, np.diff(marks).tolist())), "workers": workers}
     return SimResult(config, population, design, estimates, failures, rank_deficient, metrics,
                      timings)
 

@@ -7,8 +7,11 @@ import pytest
 import dbexp.bounds
 from dbexp import (
     AteEstimator,
+    DesignError,
     bound_estimate_greg,
     build_bound,
+    cluster_bound,
+    coef_by_name,
     coef_wls_pi,
     design_matrix,
     draw,
@@ -18,6 +21,7 @@ from dbexp import (
     make_complete,
     make_from_sampler,
     spec_II,
+    spec_cluster,
     zero_center,
 )
 from dbexp.api import check_lengths, check_treatment
@@ -221,6 +225,45 @@ def test_a_cluster_total_fit_partitions_cluster_ids_at_most_three_times(monkeypa
     model.fit(outcome, z, covariates=x, cluster_ids=ids)
     assert np.isfinite(model.variance_bound_)
     assert len(calls) <= 3, calls
+
+
+PAIRED_IDS = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
+CROSSED_IDS = np.array([1, 2, 1, 2, 3, 4, 3, 4, 5, 6, 5, 6])  # a pair of each cluster per id
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_ids_that_do_not_name_the_design_clusters_raise(seed):
+    """At draw 0 the assignment is constant on the crossed ids too, so a fit
+    once ran on them and answered 1.248 against the design's 0.689; at draws
+    1-5 it failed with a message naming neither input."""
+    design = make_cluster(PAIRED_IDS, 2)
+    rng = np.random.default_rng(1)
+    y, x = rng.standard_normal(12), rng.standard_normal((12, 1))
+    z = draw(design, seed).assignment
+    model = AteEstimator(design, "ols_cluster_totals", bound="cluster")
+    with pytest.raises(DesignError, match="do not name the design's clusters"):
+        model.fit(y, z, covariates=x, cluster_ids=CROSSED_IDS)
+    observed = ObservedOutcomes(y, AssignmentRealization(z))
+    with pytest.raises(DesignError, match="do not name the design's clusters"):
+        coef_by_name("wls_pi", spec_cluster(x, CROSSED_IDS), observed, design)
+    with pytest.raises(DesignError, match="do not name the design's clusters"):
+        cluster_bound(design_matrix(design), CROSSED_IDS)
+    # other ids that name the same clusters give the same fit, up to the order
+    # of the cluster rows
+    own = model.fit(y, z, covariates=x, cluster_ids=PAIRED_IDS).ate_
+    relabelled = model.fit(y, z, covariates=x, cluster_ids=70 - 7 * PAIRED_IDS).ate_
+    assert relabelled == pytest.approx(own, rel=1e-12)
+    if seed == 0:
+        assert own == pytest.approx(0.689, abs=1e-3)
+
+
+def test_the_cluster_bound_of_a_design_reads_its_partition(monkeypatch):
+    def partition_again(cluster_ids):
+        raise AssertionError("cluster ids partitioned again")
+
+    monkeypatch.setattr(dbexp.bounds, "_cluster_groups", partition_again)
+    design = make_cluster(PAIRED_IDS, 2)
+    assert build_bound("cluster", design).identified
 
 
 def test_cluster_bound_requires_cluster_design():

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import dbexp.bounds
+import dbexp.estimators
 from dbexp import AteEstimator, build_bound, make_complete
 from dbexp.cli import main
 
@@ -150,11 +151,26 @@ def test_simulate_writes_stage_timings_beside_byte_identical_reports(runner, tmp
         assert result.exit_code == 0, result.output
     timings = json.loads(open(runs[0] / "timings.json").read())
     assert set(timings) == {"population", "draws", "unit_batch_points",
-                            "cluster_batch_points", "report"}
+                            "cluster_batch_points", "report", "workers"}
+    workers = timings.pop("workers")
+    assert isinstance(workers, int) and workers >= 1
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert "timings" not in json.loads(open(runs[0] / "manifest.json").read())["params"]
     for name in ("metrics.csv", "replications.csv", "figure.svg", "manifest.json"):
         assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
+
+
+def test_simulate_reports_do_not_depend_on_the_worker_count(runner, tmp_path, monkeypatch):
+    args = ["simulate", "--n-units", "60", "--n-clusters", "12", "--m1", "5",
+            "--replications", "450", "--seed", "7", "--out-dir"]  # three blocks
+    for workers in (1, 2):
+        monkeypatch.setattr(dbexp.estimators, "_cpus", lambda workers=workers: workers)
+        result = runner.invoke(main, args + [str(tmp_path / str(workers))])
+        assert result.exit_code == 0, result.output
+        timings = json.loads((tmp_path / str(workers) / "timings.json").read_text())
+        assert timings["workers"] == workers
+    for name in ("metrics.csv", "replications.csv", "figure.svg", "manifest.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_simulate_invalid_config_exits_2(runner, tmp_path):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments, enumeration_vector_mean
+from dbexp import estimators
 from dbexp._group import Groups, outer_rows, unit_groups
 from dbexp._linalg import pinv_solve
 from dbexp.design import cluster_level_design
@@ -492,14 +494,19 @@ def _batch_case(kind):
     return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",))]
 
 
+def _batch_treated(design, kind, draws=450):
+    """450 draws by default, so the stack crosses a block boundary."""
+    treated = np.array([draw(design, 500 + r).assignment for r in range(draws)])
+    if kind == "cluster units split":  # every third assignment splits units 0 and 1's cluster
+        treated[::3, 0] = 1 - treated[::3, 0]
+    return treated
+
+
 @pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster singletons shuffled",
                                   "cluster units", "cluster units split"])
 def test_batch_points_equal_single_realization_estimates(kind):
     design, outcomes, calls = _batch_case(kind)
-    # 450 draws: the stack crosses a block boundary
-    treated = np.array([draw(design, 500 + r).assignment for r in range(450)])
-    if kind == "cluster units split":  # every third assignment splits units 0 and 1's cluster
-        treated[::3, 0] = 1 - treated[::3, 0]
+    treated = _batch_treated(design, kind)
     for specs, methods in calls:
         batch = batch_points(design, outcomes, treated, specs, methods)
         assert batch.points.shape == (450, len(methods), len(specs))
@@ -514,6 +521,40 @@ def test_batch_points_equal_single_realization_estimates(kind):
                     assert batch.rank_deficient[r, m, s] == coef.rank_deficient
         if kind == "cluster" and "ols" in methods:  # 3 rows, 4 columns per arm
             assert batch.rank_deficient[:, methods.index("ols_cluster_totals"), 0].all()
+
+
+def _batch_runs(kind, draws, worker_counts, monkeypatch):
+    """``batch_points`` of the case's first call at each worker count, each on
+    fresh layouts, whose kept group sums the first block fills."""
+    runs = []
+    for workers in worker_counts:
+        design, outcomes, calls = _batch_case(kind)
+        specs, methods = calls[0]
+        monkeypatch.setattr(estimators, "_cpus", lambda workers=workers: workers)
+        runs.append(batch_points(design, outcomes, _batch_treated(design, kind, draws),
+                                 specs, methods))
+    assert [run.workers for run in runs] == list(worker_counts)
+    for run in runs[1:]:
+        for name in ("points", "rank_deficient", "failed"):
+            assert np.array_equal(getattr(runs[0], name), getattr(run, name))
+
+
+@pytest.mark.parametrize("kind", ["cluster", "cluster units split"])
+def test_batch_points_do_not_depend_on_the_worker_count(kind, monkeypatch):
+    """Three blocks, run by one thread and then dealt out to two."""
+    _batch_runs(kind, 450, (1, 2), monkeypatch)
+
+
+def test_batch_points_under_thread_stress(monkeypatch):
+    """Nine blocks dealt out to eight threads, more than the cores, switching
+    every microsecond: a block that wrote another's rows, or read sums the
+    first block had not kept yet, would change a result."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _batch_runs("cluster units split", 1800, (1, 8), monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _cluster_total_results(ids, x, y0, y1, z):

@@ -169,6 +169,71 @@ def test_simulation_counts_a_failed_wls_solve_against_its_two_estimators(monkeyp
     np.testing.assert_array_equal(result.estimates[~lost], expected.estimates[~lost])
 
 
+def _lone_replication_of_the_last_block(config):
+    """A replication in the last of three blocks whose treated clusters no other
+    replication shares, and those clusters: blocks interleave between threads,
+    so a fit is told by its weights, not by the order of the calls."""
+    population = build_population(config)
+    picked = simulation._treated_clusters(config.seed, population.m, config.m1,
+                                          range(config.replications))
+    for r in range(2 * estimators._BLOCK, config.replications):
+        if (picked == picked[r]).all(axis=1).sum() == 1:
+            return r, picked[r]
+    raise AssertionError("every replication of the last block shares its clusters")
+
+
+def _treats(w, clusters):
+    """Which rows of a fit's (R, 2m) cluster-column weights treat exactly ``clusters``."""
+    m = clusters.size
+    return w.shape[-1] == 2 * m and ((w[:, m:] > 0) == clusters).all(axis=1)
+
+
+THREE_BLOCKS = {**TINY, "replications": 450}
+
+
+def test_simulation_propagates_an_error_from_a_later_block(monkeypatch):
+    config = SimConfig(**{**THREE_BLOCKS, "spec_sets": (1,), "estimators": ("ols_cluster_totals",)})
+    _, clusters = _lone_replication_of_the_last_block(config)
+    wls = estimators._wls
+
+    def broken_at_one_replication(x, w, wy):
+        if np.any(_treats(w, clusters)):
+            raise RuntimeError("broken solver")
+        return wls(x, w, wy)
+
+    monkeypatch.setattr(estimators, "_cpus", lambda: 2)  # the last block runs on the pool
+    monkeypatch.setattr(estimators, "_wls", broken_at_one_replication)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        run_simulation(config)
+
+
+def test_simulation_counts_a_failed_solve_in_a_later_block(monkeypatch):
+    config = SimConfig(**{**THREE_BLOCKS, "spec_sets": (1, 2)})
+    expected = run_simulation(config)
+    r, clusters = _lone_replication_of_the_last_block(config)
+    wls = estimators._wls
+
+    def singular_at_one_replication_of_set_2(x, w, wy):
+        # the unit-level layout of covariate set 2 (6 columns) fails, in its
+        # block's stacked solve and alone
+        if x.shape == (2 * config.n_units, 6) and np.any(_treats(w, clusters)):
+            raise np.linalg.LinAlgError("singular")
+        return wls(x, w, wy)
+
+    monkeypatch.setattr(estimators, "_cpus", lambda: 2)
+    monkeypatch.setattr(estimators, "_wls", singular_at_one_replication_of_set_2)
+    result = run_simulation(config)
+    names = list(config.estimators)
+    hit = [names.index("wls_ols"), names.index("two_r")]
+    failures = np.zeros_like(result.failures)
+    failures[hit, 1] = 1
+    np.testing.assert_array_equal(result.failures, failures)
+    lost = np.zeros(result.estimates.shape, dtype=bool)
+    lost[r, hit, 1] = True
+    assert np.isnan(result.estimates[lost]).all()
+    np.testing.assert_array_equal(result.estimates[~lost], expected.estimates[~lost])
+
+
 def test_simulation_tiny_bias_profile():
     result = run_simulation(SimConfig(**{**TINY, "replications": 500}))
     shares = {
