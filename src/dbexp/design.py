@@ -20,7 +20,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -589,10 +589,16 @@ def _group_design(groups: Groups, m1: int, provenance: AnalyticProvenance) -> De
     kind of slot pair, and every marginal is ``pi``, so validating the 3-unit
     joint of ``_ALL_ENTRY_KINDS`` validates the full one.
     """
-    pi, pairs = _group_pairs(groups.m, m1)
-    small = _group_form(_ALL_ENTRY_KINDS, pi, pairs)
+    _validate_group_joint(groups.m, m1)
+    return _form_design(_group_form(groups, *_group_pairs(groups.m, m1)), provenance)
+
+
+@lru_cache(maxsize=64)
+def _validate_group_joint(m: int, m1: int) -> None:
+    """Validate the 3-unit joint of complete randomization of ``m1`` of ``m``
+    groups, once per ``(m, m1)``: the joint depends on nothing else."""
+    small = _group_form(_ALL_ENTRY_KINDS, *_group_pairs(m, m1))
     _validate_joint(small.n, small.dense_joint, small.marginals)
-    return _form_design(_group_form(groups, pi, pairs), provenance)
 
 
 def make_complete(n: int, n1: int) -> Design:

@@ -46,6 +46,12 @@ class SimConfig:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self):
+        for name in ("n_units", "n_clusters", "m1", "replications", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.noise_interpretation not in ("variance", "sd"):
             raise ValueError("noise_interpretation must be 'variance' or 'sd'")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -164,17 +170,84 @@ _STAGES = ("population", "draws", "unit_batch_points", "cluster_batch_points")
 _METHOD = {"wls_ols": "wls_pi"}
 
 
-def _replication_rng(seed: int, replication: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_REPLICATION_STREAM, replication))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (numpy/random/src/pcg64) constants, which _replication_states reproduces
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+#: Replications whose states _treated_clusters holds at once, as Python ints:
+#: all 5000 of the study's at once grew a pass's peak RSS by about 2 MB.
+_SEEDED_AT_ONCE = 200
+
+
+def _replication_states(prefix: np.random.SeedSequence,
+                        replications: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(seed, spawn_key=(1, r)))``
+    for each uint32 replication index ``r``, all computed at once, given
+    ``prefix = SeedSequence(seed, spawn_key=(1,))``.
+
+    A SeedSequence hashes its entropy words into a pool of four uint32 words in
+    order, so every replication's sequence holds the prefix's pool before it
+    reaches its last word, ``r``.  Only ``r``'s four mixing steps and
+    ``generate_state(4, uint64)`` run per replication, as uint32 array
+    arithmetic that wraps as numpy's does; the hash constant of each step is
+    the same for every replication.
+    """
+    seed_words = max(1, -(-prefix.entropy.bit_length() // 32))
+    # hash steps before r: 4 to fill the pool and 12 to cross-mix it, then 4 per
+    # entropy word beyond it (the seed, padded to the pool's size, and the stream)
+    steps = 16 + _POOL_SIZE * (max(_POOL_SIZE, seed_words) + 1 - _POOL_SIZE)
+    hash_a = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    pool = []
+    for word in prefix.pool.tolist():
+        value = replications ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= hash_a
+        value ^= value >> 16
+        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * value
+        pool.append(mixed ^ (mixed >> 16))
+    hash_b, state_words = _INIT_B, []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= hash_b
+        state_words.append((value ^ (value >> 16)).astype(np.uint64))
+    # little-endian pairs of uint32 words are the uint64 words (init hi, lo, seq hi, lo)
+    init_hi, init_lo, seq_hi, seq_lo = (
+        (state_words[2 * k] | state_words[2 * k + 1] << 32).tolist() for k in range(4)
     )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
-    """(R, m) treated-cluster flags, one row per replication index."""
+    """(R, m) treated-cluster flags, one row per replication index.
+
+    Replication ``r`` treats the first ``m1`` of ``default_rng(SeedSequence(
+    seed, spawn_key=(1, r))).permutation(m)``; one generator takes each
+    replication's state in turn, so none is built per replication.
+    """
+    if len(replications) and not (min(replications) >= 0 and max(replications) < 1 << 32):
+        raise ValueError("replication indices must lie in [0, 2**32)")
+    prefix = np.random.SeedSequence(seed, spawn_key=(_REPLICATION_STREAM,))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
     picked = np.zeros((len(replications), m), dtype=bool)
-    for row, r in enumerate(replications):
-        picked[row, _replication_rng(seed, r).permutation(m)[:m1]] = True
+    for start in range(0, len(replications), _SEEDED_AT_ONCE):
+        chunk = np.array(replications[start:start + _SEEDED_AT_ONCE], dtype=np.uint32)
+        treated = np.empty((len(chunk), m1), dtype=np.intp)
+        for row, (state, inc) in enumerate(_replication_states(prefix, chunk)):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            treated[row] = generator.permutation(m)[:m1]
+        np.put_along_axis(picked[start:start + len(chunk)], treated, True, axis=1)
     return picked
 
 

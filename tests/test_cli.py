@@ -180,6 +180,16 @@ def test_simulate_invalid_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("config", [{"seed": 1.5}, {"seed": True}, {"seed": -1},
+                                    {"replications": 2.5}, {"m1": 4.0}])
+def test_simulate_non_integer_or_negative_config_value_exits_2(runner, tmp_path, config):
+    cfg_path = _write(tmp_path / "config.json", json.dumps(config))
+    result = runner.invoke(main, ["simulate", "--config", cfg_path,
+                                  "--out-dir", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    assert "must be" in result.output
+
+
 def test_bounds_compare_cluster_vs_universal(runner, tmp_path):
     rows = ["outcome,treatment,cluster_id"]
     z_by_cluster = {1: 1, 2: 1, 3: 0, 4: 0}

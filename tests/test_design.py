@@ -508,7 +508,9 @@ def test_analytic_designs_equal_their_dense_construction_bit_for_bit(case):
 
 @pytest.fixture
 def dense_scans(monkeypatch):
-    """Orders n of the _validate_joint calls made while the test runs."""
+    """Orders n of the _validate_joint calls made while the test runs, from a
+    cold cache of validated group designs."""
+    design_module._validate_group_joint.cache_clear()
     orders = []
     original = design_module._validate_joint
 
@@ -526,6 +528,16 @@ def test_analytic_constructors_run_no_dense_scan(dense_scans):
     make_bernoulli(np.linspace(0.2, 0.8, n))
     make_cluster(np.repeat(np.arange(100), n // 100), 50)
     # complete and cluster designs each validate one 3-unit joint
+    assert dense_scans == [3, 3]
+
+
+def test_group_designs_validate_once_per_group_count_and_treated_count(dense_scans):
+    make_complete(1000, 500)
+    make_complete(1000, 500)
+    assert dense_scans == [3]
+    make_complete(1000, 400)
+    assert dense_scans == [3, 3]
+    make_cluster(np.repeat(np.arange(1000), 2), 500)  # 1000 groups, 500 treated
     assert dense_scans == [3, 3]
 
 

@@ -1,6 +1,6 @@
 """Static checks: no unused imports in the library and its tests, no blanket
 excepts in the library, one owner for decompositions and for the unit ->
-cluster map."""
+cluster map, and no random generator built inside a loop."""
 
 import ast
 from pathlib import Path
@@ -128,3 +128,59 @@ def test_cluster_totals_go_through_groups(path):
         f"{path.name} maps units to clusters outside dbexp._group and dbexp.design: "
         + ", ".join(calls)
     )
+
+
+#: Calls that build a random generator or its seed.  Building one per
+#: replication cost more than the draws it made; one generator that takes each
+#: replication's state in turn (``simulation._treated_clusters``) gives the
+#: same streams.
+GENERATOR_CONSTRUCTORS = {"default_rng", "SeedSequence", "Generator", "PCG64"}
+
+
+def _per_iteration(tree: ast.Module):
+    """The nodes that run once per iteration of a loop or comprehension."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield from node.body
+        elif isinstance(node, ast.While):
+            yield node.test
+            yield from node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            # only the first iterable is evaluated once
+            yield from (node.key, node.value) if isinstance(node, ast.DictComp) else (node.elt,)
+            yield from node.generators[0].ifs
+            yield from node.generators[1:]
+
+
+def _called_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _builders(tree: ast.Module) -> set[str]:
+    """The constructors and the module's functions that call one, directly or
+    through one another."""
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    builders = set(GENERATOR_CONSTRUCTORS)
+    while more := {
+        function.name for function in functions
+        if function.name not in builders
+        and any(isinstance(call, ast.Call) and _called_name(call) in builders
+                for call in ast.walk(function))
+    }:
+        builders |= more
+    return builders
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_generator_is_built_in_a_loop(path):
+    tree = _tree(path)
+    builders = _builders(tree)
+    calls = sorted({
+        f"{name} (line {call.lineno})"
+        for node in _per_iteration(tree)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and (name := _called_name(call)) in builders
+    })
+    assert not calls, f"{path.name} builds a random generator inside a loop: {', '.join(calls)}"

@@ -309,6 +309,24 @@ def test_simulation_subset_of_sets_and_estimators():
     assert table["wls_ols"].pct_mse_reduction_vs_benchmark == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 14, 2**32 - 1, 2**32 + 7, 2**64 + 1, 2**96 + 5, 2**128 + 3])
+@pytest.mark.parametrize("replications", [range(450), [449, 0, 17]], ids=["range", "unsorted"])
+@pytest.mark.parametrize("m, m1", [(100, 40), (2, 1)])
+def test_treated_clusters_are_numpys_per_replication_draws(seed, replications, m, m1):
+    want = np.zeros((len(replications), m), dtype=bool)
+    for row, r in enumerate(replications):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, r)))
+        want[row, rng.permutation(m)[:m1]] = True
+    got = simulation._treated_clusters(seed, m, m1, replications)
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("replication", [2**32, -1])
+def test_treated_clusters_reject_an_index_outside_one_seed_word(replication):
+    with pytest.raises(ValueError, match="replication indices"):
+        simulation._treated_clusters(0, 10, 4, [replication])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(noise_interpretation="precision")
@@ -318,3 +336,9 @@ def test_config_validation():
         SimConfig(spec_sets=(9,))
     with pytest.raises(ValueError):
         run_simulation(SimConfig(n_units=60, n_clusters=12, m1=12, replications=2))
+    for field_name in ("n_units", "n_clusters", "m1", "replications", "seed"):
+        for value in (2.5, 4.0, True, "4", None):
+            with pytest.raises(ValueError, match=field_name):
+                SimConfig(**{field_name: value})
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(seed=-1)
