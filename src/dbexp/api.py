@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import covariates as _cov
 from . import estimators as _est
-from .design import Design, _zero_one, cluster_level_design, in_support
+from .design import Design, _zero_one, cluster_level_design, design_matrix, in_support
 from .estimators import AssignmentRealization, ObservedOutcomes
 
 POINT_ESTIMATORS = ("ht", *_est.COEFFICIENT_METHODS[1:])
@@ -96,6 +96,8 @@ class AteEstimator:
             raise TypeError("design must be a Design instance")
         if self.estimator not in POINT_ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.spec not in ("I", "II"):
+            raise ValueError(f"unknown spec {self.spec!r}; choose from I, II")
         if self.bound not in BOUND_CHOICES:
             raise ValueError(f"unknown bound {self.bound!r}")
         if self.bound.startswith("borrowed") and self.estimator != "two_r":
@@ -146,12 +148,10 @@ class AteEstimator:
         if self.estimator == "ols_cluster_totals":
             if cluster_ids is None:
                 raise ValueError("ols_cluster_totals needs cluster ids")
-            return _cov.spec_cluster(x, cluster_ids, "II" if self.spec == "II" else "I")
+            return _cov.spec_cluster(x, cluster_ids, self.spec)
         if self.estimator == "tyranny" or self.spec == "I":
             return _cov.spec_common_slopes(x)
-        if self.spec == "II":
-            return _cov.spec_separate_slopes(x)
-        raise ValueError(f"unknown spec {self.spec!r}")
+        return _cov.spec_separate_slopes(x)
 
     def _bound_matrix(self, method: str):
         """The bound built over the system design, kept as ``bound_matrix_`` for later fits.
@@ -162,7 +162,8 @@ class AteEstimator:
         else:
             sys_design, clusters = self.design, None
         kept = getattr(self, "bound_matrix_", None)
-        if kept is None or kept.method != method or kept._joint_key is not sys_design._joint_key:
+        dmat = design_matrix(sys_design)
+        if kept is None or kept.method != method or kept.design_matrix is not dmat:
             kept = _bounds.build_bound(method, sys_design, cluster_ids=clusters)
         self.bound_matrix_ = kept
         return kept

@@ -13,8 +13,8 @@ eigenvalues are its spectrum.  The PSD-order comparison of two bounds
 decomposes their difference over the connected components of its nonzero
 pattern the same way; a dense difference is the one-component case.
 
-A bound records the joint probabilities of the design it was built over, and
-is estimated on and compared within that design only.  It keeps its
+A bound holds the design matrix it was certified against, and is estimated on
+and compared within that matrix's design only.  It keeps its
 estimation state: the bound weighted by the reciprocal joint probabilities,
 built on first use, and the normal system of the last layout it served.
 
@@ -80,43 +80,55 @@ class BoundConvergenceError(RuntimeError):
 class BoundMatrix(_KindForm):
     """A certified variance-bound matrix.
 
-    ``identification_mask`` marks the jointly unobservable pairs; ``identified``
-    is False when the construction could not zero all of them (for example the
-    cluster bound with a single cluster in some arm), in which case the bound
-    quadratic is still valid but cannot be estimated from observed data.
-    ``joint`` is the joint probability matrix of the design the bound was
-    built over, the design's own array.  ``certificate`` records how its
-    dominance was proved: ``closed_form`` (the added term is PSD by
-    construction), ``blocks`` (eigenvalues block by block) or ``dense`` (one
-    eigendecomposition); None when built directly.  A bound over a design in
-    kind form is built in kind form too (``core``) and its arrays on first read.
+    ``design_matrix`` is the design matrix D the bound was certified against:
+    the bound's ``identification_mask``, ``joint`` and size are D's, so the
+    bound is estimated on and compared within D's design only.  ``identified``
+    is False when the construction could not zero all the jointly unobservable
+    pairs (for example the cluster bound with a single cluster in some arm), in
+    which case the bound quadratic is still valid but cannot be estimated from
+    observed data.  ``certificate`` records how its dominance was proved:
+    ``closed_form`` (the added term is PSD by construction), ``blocks``
+    (eigenvalues block by block) or ``dense`` (one eigendecomposition); None
+    when built directly.  A bound over a design in kind form is built in kind
+    form too (``core``) and its values on first read.
     """
 
     values: np.ndarray = field(repr=False)
     method: str  # "as" | "iterative" | "cluster" | "custom"
-    identification_mask: np.ndarray = field(repr=False)
     identified: bool
-    joint: np.ndarray = field(repr=False)
+    design_matrix: DesignMatrix = field(repr=False)
     iterations: int = 0
     min_eig_trace: tuple[float, ...] = field(default=(), repr=False)
     certificate: str | None = None
 
     _op = None  # the bound's GroupOperator, in kind form
-    _dense_from = {
-        "values": lambda bound: _frozen(bound._op.dense()),
-        "identification_mask": lambda bound: bound._form.dense_mask,
-        "joint": lambda bound: bound._form.dense_joint,
-    }
+    _dense_from = {"values": lambda bound: _frozen(bound._op.dense())}
 
     def __post_init__(self):
-        for name in ("values", "identification_mask", "joint"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        values = np.ascontiguousarray(self.values)
+        n = self.design_matrix.n
+        if values.shape != (2 * n, 2 * n):
+            raise ValueError(f"bound values must be {2 * n} x {2 * n}, like its design matrix")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def _form(self):
+        return self.design_matrix._form
+
+    @property
+    def identification_mask(self) -> np.ndarray:
+        """The jointly unobservable pairs of the bound's design."""
+        return self.design_matrix.mask
+
+    @property
+    def joint(self) -> np.ndarray:
+        """The joint probability matrix of the bound's design, the design's own array."""
+        return self.design_matrix.joint
 
     @property
     def n(self) -> int:
-        return self._op.n if self._op is not None else self.values.shape[0] // 2
+        return self.design_matrix.n
 
     @property
     def core(self) -> np.ndarray | GroupOperator:
@@ -152,7 +164,7 @@ class BoundMatrix(_KindForm):
 
     def _check_design(self, design: Design) -> None:
         """Raise unless ``design`` is the design the bound was built over."""
-        if not _same_joint(self, design):
+        if not _same_joint(self.design_matrix, design):
             raise ValueError("the bound was built over a different design")
 
 
@@ -185,21 +197,16 @@ def _certify(
             raise ValueError(
                 f"candidate {method!r} matrix is not a bound: difference has eigenvalue {lo:g}"
             )
-    mask = dmat.mask
-    identified = _identified(values[mask], method)
-    bound = BoundMatrix(
-        values=values, method=method, identification_mask=mask, identified=identified,
-        joint=dmat.joint, certificate=proof or "dense", **kw
-    )
-    object.__setattr__(bound, "_form", dmat._form)  # its design, without reading the joint
-    return bound
+    identified = _identified(values[dmat.mask], method)
+    return BoundMatrix(values=values, method=method, identified=identified, design_matrix=dmat,
+                       certificate=proof or "dense", **kw)
 
 
 def _certify_kinds(op: GroupOperator, dmat: DesignMatrix, method: str) -> BoundMatrix:
     """``_certify`` in kind form, for a bound whose added term is PSD by construction."""
     identified = _identified(op.kinds_where(dmat._form.mask), method)
-    return BoundMatrix._lazy(method=method, identified=identified, iterations=0,
-                             min_eig_trace=(), certificate="closed_form", _form=dmat._form, _op=op)
+    return BoundMatrix._lazy(method=method, identified=identified, design_matrix=dmat,
+                             iterations=0, min_eig_trace=(), certificate="closed_form", _op=op)
 
 
 def as_bound(dmat: DesignMatrix) -> BoundMatrix:
@@ -413,7 +420,7 @@ def compare_bounds(a: BoundMatrix, b: BoundMatrix) -> BoundComparison:
     and a slot outside every component contributes eigenvalue 0, as in the
     dense spectrum; ``eig_sum`` counts every component.
     """
-    if not _same_joint(a, b):
+    if not _same_joint(a.design_matrix, b.design_matrix):
         raise ValueError("bounds must be built over the same design")
     verdict, lo, hi, total = _order_verdict(b.values - a.values)
     sharp_verdict, _, _, _ = _order_verdict(b.sharp_null_form() - a.sharp_null_form())
@@ -502,20 +509,20 @@ class PrecisionTestResult:
     scaled_threshold: float
 
 
-def precision_test(design: Design, dmat: DesignMatrix, observed: ObservedOutcomes,
-                   spec: CovariateSpec, b_f, bound: BoundMatrix) -> PrecisionTestResult:
+def precision_test(design: Design, observed: ObservedOutcomes, spec: CovariateSpec, b_f,
+                   bound: BoundMatrix) -> PrecisionTestResult:
     """Test whether adjusting by the fixed coefficient ``b_f`` reduces variance.
 
     The variance difference decomposes into an identified part (estimable by
     inverse-probability weighting of a fixed derived vector) plus a known
     quadratic; the null of no improvement is rejected for large statistics.
     Fix the coefficient before seeing outcome data: this is a retrospective
-    diagnostic, not a licence to pick adjustments after the fact.
+    diagnostic, not a licence to pick adjustments after the fact.  The known
+    quadratic is over the design matrix of ``design`` at the layout's level.
     """
     b_f = np.asarray(b_f, dtype=float)
     sys_obs, sys_design, divisor = _system(observed, design, spec)
-    if dmat.n != spec.rows_per_arm:
-        raise ValueError("design matrix level does not match the layout")
+    dmat = design_matrix(sys_design)
     fitted = spec.matrix @ b_f
     dxb = dmat.values @ fitted  # fixed 2r vector
     indicator = sys_obs.indicator()

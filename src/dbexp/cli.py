@@ -86,8 +86,7 @@ def main():
 @click.option("--bound", default="as", type=click.Choice(BOUND_CHOICES), show_default=True)
 @click.option("--z", default=1.96, show_default=True, help="normal quantile for intervals")
 @click.option("--out-dir", default="dbexp-out", show_default=True)
-@click.option("--no-center", is_flag=True, help="skip zero-centering of covariates")
-def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no_center):
+def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir):
     """Estimate the average treatment effect from an experiment CSV."""
 
     def body():
@@ -100,14 +99,7 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
         rows = []
         for name in estimator_names:
             start = time.perf_counter()
-            model = AteEstimator(
-                design,
-                estimator=name,
-                spec=spec,
-                bound=bound,
-                z=z,
-                center=not no_center,
-            )
+            model = AteEstimator(design, estimator=name, spec=spec, bound=bound, z=z)
             model.fit(
                 table.outcome,
                 table.treatment,
@@ -139,7 +131,7 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir, no
         )
         write_manifest(out_dir, "estimate", {
             "data": str(data_path), "design": descriptor, "estimators": list(estimator_names),
-            "spec": spec, "bound": bound, "z": z, "center": not no_center,
+            "spec": spec, "bound": bound, "z": z,
         })
         _write_timings(out_dir, {**timings, "report": time.perf_counter() - start})
         for row in rows:
@@ -302,8 +294,7 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
             )
         bound_matrix = build_bound(bound, design)
         observed = ObservedOutcomes(table.outcome, AssignmentRealization(table.treatment))
-        dmat = design_matrix(design)
-        result = precision_test(design, dmat, observed, layout, b_f, bound_matrix)
+        result = precision_test(design, observed, layout, b_f, bound_matrix)
         os.makedirs(out_dir, exist_ok=True)
         report = {
             **asdict(result),

@@ -117,9 +117,6 @@ class AssignmentRealization:
         z = self.assignment.astype(float)
         return np.concatenate([1.0 - z, z])
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.assignment)
-
 
 @dataclass(frozen=True)
 class AnalyticProvenance:
@@ -149,7 +146,8 @@ class MonteCarloProvenance:
 
 
 class _KindForm:
-    """Base of the objects that may hold a design's kind form (``_form``).
+    """Base of the objects that may hold a design's kind form (``_form``), or
+    read it from their design matrix (a bound).
 
     Such an object is built without its dense arrays; ``_dense_from`` maps
     each array attribute to the function that builds it, which runs on the
@@ -161,7 +159,7 @@ class _KindForm:
 
     @classmethod
     def _lazy(cls, **fields):
-        """An instance holding ``fields``, ``_form`` among them, and no dense array."""
+        """An instance holding ``fields``, which give it a kind form, and no dense array."""
         obj = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(obj, name, value)
@@ -174,11 +172,6 @@ class _KindForm:
         value = build(self)
         object.__setattr__(self, name, value)
         return value
-
-    @property
-    def _joint_key(self):
-        """The object that identifies the design's joint: its kind form, else its array."""
-        return self._form if self._form is not None else self.joint
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -354,13 +347,11 @@ class Design(_KindForm):
 
 
 def _same_joint(a, b) -> bool:
-    """Whether two holders of a joint (designs, design matrices, bounds) hold
-    one design's: their kind forms by identity or equal parameters, else
-    their dense joints by identity or value."""
-    if a._joint_key is b._joint_key:
-        return True
+    """Whether two holders of a joint (designs, design matrices) hold one
+    design's: their kind forms by identity or equal parameters, else their
+    dense joints by identity or value."""
     if a._form is not None and b._form is not None:
-        return a._form.equals(b._form)
+        return a._form is b._form or a._form.equals(b._form)
     return a.joint is b.joint or bool(np.array_equal(a.joint, b.joint))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._linalg import normal_system
 from .covariates import CovariateSpec
-from .design import Design, DesignMatrix, StackedOutcomes
+from .design import Design, DesignMatrix, StackedOutcomes, design_matrix
 from .estimators import _at_level, _ols
 
 FOC_RTOL = 1e-8
@@ -94,35 +94,31 @@ def b_tilde_opt(spec: CovariateSpec, bound, outcomes: StackedOutcomes) -> Optima
     return OptimalCoefficient(b, f"bound:{bound.method}")
 
 
-def b_sep(
-    spec: CovariateSpec,
-    dmat: DesignMatrix,
-    outcomes: StackedOutcomes,
-    design: Design,
-) -> OptimalCoefficient:
+def b_sep(spec: CovariateSpec, outcomes: StackedOutcomes, design: Design) -> OptimalCoefficient:
     """Arm-separated optimal coefficient for equal-probability designs.
 
     Each arm's block is fit against its own diagonal block of the covariance
-    structure; valid only when every unit shares the same treatment
-    probability (separability fails otherwise).
+    structure of ``design`` at the layout's level; valid only when every unit
+    shares the same treatment probability (separability fails otherwise).
     """
     if spec.kind != "II":
         raise ValueError("the separated solution is defined for separate-slopes layouts")
+    design, outcomes, _ = _at_level(spec, design, outcomes)
     pi1 = design.marginals[design.n :]
     if not np.allclose(pi1, pi1[0], atol=1e-12):
         raise ValueError("separated solution requires equal treatment probabilities")
-    outcomes = _match_level(spec, outcomes)
+    if outcomes.n != spec.rows_per_arm:
+        raise ValueError("outcome schedule does not match the layout's row count")
+    dmat = design_matrix(design)
     if spec.x is None:
         raise ValueError("layout does not carry its raw covariates")
-    r = spec.rows_per_arm
-    if spec.level == "cluster":
-        xt = spec.x  # already [sizes | totals]
-    else:
-        xt = np.hstack([np.ones((r, 1)), spec.x])
+    xt = np.hstack([np.ones((spec.rows_per_arm, 1)), spec.x])  # cluster x: [sizes | totals]
     arms = []
     for block, y in ((dmat.block(0, 0), outcomes.control), (dmat.block(1, 1), outcomes.treated)):
         xtd, _, ginv, _ = normal_system(xt, block)
         arms.append(ginv @ (xtd @ y))
+    if spec.level == "cluster":  # its layout puts both intercepts first
+        arms = [arms[0][:1], arms[1][:1], arms[0][1:], arms[1][1:]]
     b = np.concatenate(arms)
     xd = spec.matrix.T @ dmat.values
     floor = _foc_floor(spec.matrix, dmat.values, outcomes.values)

@@ -525,7 +525,7 @@ def test_c12_precision_test():
         mean, _ = enumeration_moments(
             design,
             lambda r: precision_test(
-                design, dmat, ObservedOutcomes.from_schedule(outcomes, r), spec, b, bound
+                design, ObservedOutcomes.from_schedule(outcomes, r), spec, b, bound
             ).statistic,
         )
         assert abs(mean - expected_mean) <= 1e-10
@@ -536,7 +536,6 @@ def test_c12_precision_test():
         # the reported threshold matches on every draw
         result = precision_test(
             design,
-            dmat,
             ObservedOutcomes.from_schedule(outcomes, draw(design, 0)),
             spec,
             b,

@@ -12,6 +12,7 @@ from dbexp import (
     build_bound,
     cluster_bound,
     coef_by_name,
+    coef_tyranny,
     coef_wls_pi,
     design_matrix,
     draw,
@@ -22,9 +23,10 @@ from dbexp import (
     make_from_sampler,
     spec_II,
     spec_cluster,
+    spec_common_slopes,
     zero_center,
 )
-from dbexp.api import check_lengths, check_treatment
+from dbexp.api import POINT_ESTIMATORS, check_lengths, check_treatment
 from dbexp.design import _cluster_groups
 from dbexp.estimators import AssignmentRealization, ObservedOutcomes
 
@@ -112,6 +114,34 @@ def test_fit_sets_sklearn_style_attributes():
     from dbexp import as_bound
 
     vb = bound_estimate_greg(as_bound(design_matrix(design)), design, obs, spec, coef)
+    assert model.variance_bound_ == pytest.approx(vb, abs=1e-12)
+
+
+@pytest.mark.parametrize("estimator", POINT_ESTIMATORS)
+def test_fit_rejects_an_unknown_spec_before_any_work(estimator):
+    ids = np.repeat(np.arange(6), 2)
+    design = make_cluster(ids, 3)
+    z = draw(design, 0).assignment
+    x = np.random.default_rng(3).standard_normal((12, 1))
+    model = AteEstimator(design, estimator=estimator, spec="bogus")
+    with pytest.raises(ValueError, match="unknown spec 'bogus'"):
+        model.fit(np.ones(12), z, covariates=x, cluster_ids=ids)
+    assert not hasattr(model, "ate_") and not hasattr(model, "bound_matrix_")
+
+
+@pytest.mark.parametrize("spec", ["I", "II"])
+def test_tyranny_fits_common_slopes_like_the_functional_path(spec):
+    design, outcome, z, x = _toy()
+    model = AteEstimator(design, estimator="tyranny", spec=spec, bound="as").fit(
+        outcome, z, covariates=x
+    )
+    layout = spec_common_slopes(zero_center(x))
+    obs = ObservedOutcomes(outcome, AssignmentRealization(z))
+    coef = coef_tyranny(layout, obs, design)
+    np.testing.assert_allclose(model.coefficient_.values, coef.values, rtol=0, atol=1e-12)
+    assert model.ate_ == pytest.approx(greg(obs, design, layout, coef).point, abs=1e-12)
+    bound = build_bound("as", design)
+    vb = bound_estimate_greg(bound, design, obs, layout, coef)
     assert model.variance_bound_ == pytest.approx(vb, abs=1e-12)
 
 

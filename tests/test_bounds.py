@@ -201,8 +201,8 @@ def test_compare_bounds_incomparable_with_heuristics():
     v = np.array([0, 0, 3.0, 1.0, 0, 0, 0, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bound_u = BoundMatrix(base.values + np.outer(u, u), "custom", dmat.mask, True, dmat.joint)
-        bound_v = BoundMatrix(base.values + np.outer(v, v), "custom", dmat.mask, True, dmat.joint)
+        bound_u = BoundMatrix(base.values + np.outer(u, u), "custom", True, dmat)
+        bound_v = BoundMatrix(base.values + np.outer(v, v), "custom", True, dmat)
     comparison = compare_bounds(bound_u, bound_v)
     assert comparison.verdict == "incomparable"
     assert comparison.min_eig < 0 < comparison.max_eig
@@ -304,7 +304,7 @@ def test_borrowed_estimate_reduces_to_plugin_when_bound_is_the_structure():
     obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        degenerate = BoundMatrix(dmat.values, "custom", np.zeros_like(dmat.mask), True, dmat.joint)
+        degenerate = BoundMatrix(dmat.values, "custom", True, dmat)
     borrowed = bound_estimate_2r_borrowed(degenerate, design, obs, spec)
     direct = bound_estimate_greg(
         degenerate, design, obs, spec, coef_2r(spec, obs, design)
@@ -374,9 +374,7 @@ def test_bound_estimates_reject_a_bound_built_for_another_design():
             lambda: bound_estimate_ht(bound, design, obs),
             lambda: bound_estimate_greg(bound, design, obs, spec, coefficient),
             lambda: bound_estimate_2r_borrowed(bound, design, obs, spec),
-            lambda: precision_test(
-                design, design_matrix(design), obs, spec, coefficient.values, bound
-            ),
+            lambda: precision_test(design, obs, spec, coefficient.values, bound),
         ]
         for estimate in estimates:
             with pytest.raises(ValueError, match="the bound was built over a different design"):
@@ -407,7 +405,7 @@ def test_precision_test_degenerate_zero_coefficient():
     spec = spec_II(x)
     outcomes = StackedOutcomes.from_arms(np.ones(4), 2 * np.ones(4))
     obs = ObservedOutcomes.from_schedule(outcomes, draw(design, 0))
-    result = precision_test(design, dmat, obs, spec, np.zeros(spec.n_columns), bound)
+    result = precision_test(design, obs, spec, np.zeros(spec.n_columns), bound)
     assert result.degenerate
     assert result.statistic == 0.0
     assert result.threshold == 0.0
@@ -430,7 +428,7 @@ def test_precision_test_enumeration_mean_and_directions():
     def statistic(b):
         def run(realization):
             obs = ObservedOutcomes.from_schedule(outcomes, realization)
-            return precision_test(design, dmat, obs, spec, b, bound).statistic
+            return precision_test(design, obs, spec, b, bound).statistic
 
         return run
 
@@ -564,8 +562,7 @@ def test_compare_bounds_with_a_dense_custom_bound():
     u = np.random.default_rng(12).standard_normal(12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        custom = BoundMatrix(universal.values + np.outer(u, u), "custom", dmat.mask, True,
-                             dmat.joint)
+        custom = BoundMatrix(universal.values + np.outer(u, u), "custom", True, dmat)
     # the added rank-one term couples every slot: one component, the dense case
     assert components(custom.values - universal.values != 0.0).max() == 0
     for a, b in ((universal, custom), (custom, universal), (custom, iterative_bound(dmat))):

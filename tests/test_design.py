@@ -114,8 +114,8 @@ def test_singleton_clusters_reduce_to_complete():
                 draw(complete, seed).assignment, draw(cluster, seed).assignment
             )
         assert support_size(complete) == support_size(cluster)
-        assert [(z.as_tuple(), p) for z, p in enumerate_assignments(complete)] == [
-            (z.as_tuple(), p) for z, p in enumerate_assignments(cluster)
+        assert [(z.assignment.tolist(), p) for z, p in enumerate_assignments(complete)] == [
+            (z.assignment.tolist(), p) for z, p in enumerate_assignments(cluster)
         ]
         for z in itertools.product((0, 1), repeat=n):
             assert in_support(complete, z) == in_support(cluster, z) == (sum(z) == n1)
@@ -304,7 +304,7 @@ def test_enumerate_complete_and_bernoulli_supports():
     assert len(support) == 6
     np.testing.assert_allclose([p for _, p in support], 1 / 6)
     probs = {
-        r.as_tuple(): p for r, p in enumerate_assignments(make_bernoulli([0.2, 0.5]))
+        tuple(r.assignment.tolist()): p for r, p in enumerate_assignments(make_bernoulli([0.2, 0.5]))
     }
     assert probs[(0, 0)] == pytest.approx(0.4)
     assert probs[(0, 1)] == pytest.approx(0.4)

@@ -1,5 +1,6 @@
 """The kind form of analytic designs, pinned to the dense path at small n."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from math import comb
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dbexp import (
     AteEstimator,
+    BoundMatrix,
     Design,
     as_bound,
     build_bound,
@@ -159,6 +161,56 @@ def test_cluster_bound_rejects_other_clusters_in_kind_form():
     design = make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2)
     relabelled = cluster_bound(design_matrix(design), [9, 9, 4, 4, 7, 7, 5, 5])
     assert relabelled.values.tobytes() == build_bound("cluster", design).values.tobytes()
+
+
+def _dense_copy(design):
+    """A directly built copy of ``design``: its dense arrays, no kind form."""
+    return Design(design.n, design.joint, design.marginals, design.provenance)
+
+
+@pytest.mark.parametrize("design, ids", [
+    (make_complete(7, 3), np.arange(7)),
+    (make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2), [9, 9, 4, 4, 7, 7, 5, 5]),
+    (make_cluster([3, 1, 2, 1, 3, 2, 4, 4, 1], 2), [3, 1, 2, 1, 3, 2, 4, 4, 1]),
+    (_quiet(make_cluster, ONE_IN_AN_ARM, 1), ONE_IN_AN_ARM),
+], ids=["complete", "cluster", "cluster unordered", "one cluster in an arm"])
+def test_dense_cluster_bound_equals_the_kind_form(design, ids):
+    dense = design_matrix(_dense_copy(design))
+    assert dense._form is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one cluster in an arm
+        kind, direct = cluster_bound(design_matrix(design), ids), cluster_bound(dense, ids)
+    np.testing.assert_allclose(direct.values, kind.values, rtol=0, atol=1e-12)
+    assert (direct.identified, direct.certificate) == (kind.identified, kind.certificate)
+
+
+def test_dense_cluster_bound_rejects_other_clusters():
+    for design, ids in ((make_complete(6, 3), [1, 1, 2, 3, 4, 5]),
+                        (make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2), np.arange(8)),
+                        (make_bernoulli([0.3, 0.5, 0.6, 0.4]), [1, 1, 2, 3])):
+        with pytest.raises(ValueError, match="not complete randomization of these clusters"):
+            cluster_bound(design_matrix(_dense_copy(design)), ids)
+    dense = design_matrix(_dense_copy(make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2)))
+    for ids in ([1, 1, 2, 2, 3, 3, 4], np.arange(9)):
+        with pytest.raises(ValueError, match="cluster ids do not match the design size"):
+            cluster_bound(dense, ids)
+
+
+@pytest.mark.parametrize("kind_form", [True, False], ids=["kind form", "dense"])
+def test_a_bound_holds_the_design_matrix_it_was_certified_against(kind_form):
+    design = make_cluster([1, 1, 2, 2, 3, 3, 4, 4], 2)
+    design = design if kind_form else _dense_copy(design)
+    dmat = design_matrix(design)
+    for method in ("as", "iterative", "cluster"):
+        bound = build_bound(method, design)
+        assert bound.design_matrix is dmat
+        assert bound.identification_mask is dmat.mask
+        assert bound.joint is design.joint
+        assert bound.n == design.n
+    names = {field.name for field in dataclasses.fields(BoundMatrix)}
+    assert "design_matrix" in names and not names & {"identification_mask", "joint"}
+    with pytest.raises(ValueError, match="must be 16 x 16"):
+        BoundMatrix(np.eye(12), "custom", True, dmat)
 
 
 def test_certificates_are_recorded():

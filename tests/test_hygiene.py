@@ -1,8 +1,11 @@
 """Static checks: no unused imports in the library and its tests, no blanket
 excepts in the library, one owner for decompositions and for the unit ->
-cluster map, and no random generator built inside a loop."""
+cluster map, no random generator built inside a loop, and no function that
+takes both a design and its design matrix."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -184,3 +187,30 @@ def test_no_generator_is_built_in_a_loop(path):
         if isinstance(call, ast.Call) and (name := _called_name(call)) in builders
     })
     assert not calls, f"{path.name} builds a random generator inside a loop: {', '.join(calls)}"
+
+
+def _public_callables(module):
+    """The public functions and public methods of the classes defined in ``module``."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class- and staticmethods
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_a_function_given_a_design_derives_its_design_matrix(path):
+    """A design determines its design matrix D, so a function that takes a
+    design and also a D takes a second copy that nothing ties to the first:
+    one built from another design gave wrong answers without an error."""
+    module = importlib.import_module(f"dbexp.{path.stem}")
+    both = sorted(
+        name for name, function in _public_callables(module)
+        if {"design", "dmat"} <= set(inspect.signature(function).parameters)
+    )
+    assert not both, f"{path.name} takes a design and a design matrix in: {', '.join(both)}"

@@ -18,9 +18,11 @@ from dbexp import (
     make_cluster,
     make_complete,
     spec_II,
+    spec_cluster,
     stack_clusters,
     zero_center,
 )
+from dbexp.design import cluster_level_design
 
 RNG = np.random.default_rng(2024)
 
@@ -180,9 +182,8 @@ def test_b_tilde_opt_degenerate_equals_b_opt():
         degenerate = BoundMatrix(
             values=dmat.values,
             method="custom",
-            identification_mask=dmat.mask,
             identified=False,
-            joint=dmat.joint,
+            design_matrix=dmat,
         )
     np.testing.assert_allclose(
         b_tilde_opt(spec, degenerate, outcomes).values,
@@ -229,7 +230,7 @@ def test_b_sep_complete_and_cluster_equivalence():
     x = zero_center(rng.standard_normal((6, 1)))
     spec = spec_II(x)
     outcomes = StackedOutcomes.from_arms(rng.standard_normal(6), rng.standard_normal(6))
-    sep = b_sep(spec, dmat, outcomes, design)
+    sep = b_sep(spec, outcomes, design)
     vopt = fixed_coef_variance(outcomes, spec, b_opt(spec, dmat, outcomes).values, dmat)
     vsep = fixed_coef_variance(outcomes, spec, sep.values, dmat)
     assert vsep == pytest.approx(vopt, abs=1e-10)
@@ -237,7 +238,7 @@ def test_b_sep_complete_and_cluster_equivalence():
     design_c, x_c, outcomes_c = _cluster_setup()
     dmat_c = design_matrix(design_c)
     spec_c = spec_II(x_c)
-    sep_c = b_sep(spec_c, dmat_c, outcomes_c, design_c)
+    sep_c = b_sep(spec_c, outcomes_c, design_c)
     vopt_c = fixed_coef_variance(
         outcomes_c, spec_c, b_opt(spec_c, dmat_c, outcomes_c).values, dmat_c
     )
@@ -246,7 +247,20 @@ def test_b_sep_complete_and_cluster_equivalence():
 
     uneven = make_bernoulli([0.3, 0.5, 0.7, 0.4, 0.6, 0.5])
     with pytest.raises(ValueError):
-        b_sep(spec, design_matrix(uneven), outcomes, uneven)
+        b_sep(spec, outcomes, uneven)
+
+
+def test_b_sep_on_a_cluster_total_layout_uses_the_cluster_level_matrix():
+    ids = [1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6]
+    design = make_cluster(ids, 3)
+    rng = np.random.default_rng(1)
+    spec = spec_cluster(zero_center(rng.standard_normal((12, 1))), ids, "II")
+    outcomes = StackedOutcomes.from_arms(rng.standard_normal(12), rng.standard_normal(12))
+    dmat = design_matrix(cluster_level_design(design)[0])
+    totals = stack_clusters(outcomes, ids)
+    vsep = fixed_coef_variance(totals, spec, b_sep(spec, outcomes, design).values, dmat)
+    vopt = fixed_coef_variance(totals, spec, b_opt(spec, dmat, outcomes).values, dmat)
+    assert vsep == pytest.approx(vopt, rel=1e-10)
 
 
 def test_demeaning_and_covariance_identities_complete():
