@@ -1,6 +1,8 @@
 """Shared linear-algebra helpers: pseudo-inverses, PSD certification, and the
 connected components that split a symmetric matrix into diagonal blocks."""
 
+import math
+
 import numpy as np
 
 from ._group import GroupOperator
@@ -39,23 +41,84 @@ def pinv(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     return _pinv_flagged(a, scale)[0]
 
 
-def pinv_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Minimum-norm least-squares solution of ``a @ x = b`` via an SVD.
+# A matrix whose Frobenius bound ``||A||_F ||A^-1||_F``, which caps its 2-norm
+# condition number, is at most CERTIFIED_COND is solved by its inverse: the bound
+# is a hundredfold inside 1 / PINV_RCOND, so the SVD would keep every singular
+# value of it, and the inverse's own rounding (relative cond * eps) cannot carry
+# a matrix across the cutoff.
+CERTIFIED_COND = 1e-2 / PINV_RCOND
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (r, l, l), one row reduction each."""
+    flat = a.reshape(len(a), a.shape[-2] * a.shape[-1])
+    return np.sqrt((flat * flat).sum(axis=-1))
+
+
+def certified_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (r, l, l) and where each is certified, its Frobenius
+    bound at most ``CERTIFIED_COND``.  A stack whose ``inv`` raises (an exactly
+    singular matrix) is inverted one matrix at a time, and a matrix that raises
+    alone is not certified, so each flag depends on its matrix alone."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros_like(a), np.zeros(1, dtype=bool)
+        parts = [certified_inverse(a[k : k + 1]) for k in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _frobenius(a) * _frobenius(inv)
+    return inv, bound <= CERTIFIED_COND  # False at a non-finite bound
+
+
+def _svd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solutions of a stack (r, l, l) against (r, l), each matrix cut
+    at ``PINV_RCOND`` times its own largest singular value, and their flags."""
+    u, s, vt, keep = _svd_cut(a, None)
+    ub = (b[..., None, :] @ u)[..., 0, :]
+    x = (np.divide(ub, s, out=np.zeros_like(s), where=keep)[..., None, :] @ vt)[..., 0, :]
+    return x, ~keep.all(axis=-1)
+
+
+def pinv_solve(a: np.ndarray, b: np.ndarray, certify: bool = True):
+    """Minimum-norm least-squares solution of ``a @ x = b``.
 
     ``a`` is one ``(l, l)`` matrix with ``b`` of shape ``(l,)``, or a stack
     ``(..., l, l)`` with right-hand sides ``(..., l)``; a single matrix is a
-    stack of one.  Each matrix is cut at ``PINV_RCOND`` times its own largest
-    singular value, with no anchor: the solver serves normal matrices
-    ``X'diag(w)X`` with ``w >= 0``, sums of PSD rank-one terms whose largest
-    singular value is their own scale, so they cannot cancel to float residue.
-    Returns the solutions and the rank-deficiency flags (a bool for one
-    matrix, a bool array for a stack).
+    stack of one.  The stack is inverted at once (:func:`certified_inverse`),
+    and a certified matrix, whose condition number is at most
+    ``CERTIFIED_COND``, gets ``A^-1 b``: the SVD would keep all its singular
+    values, so this is the minimum-norm solution, to a relative
+    ``l * cond * eps``.  Every other matrix, a non-finite one included, and
+    every matrix with ``certify=False`` (a caller that knows the attempt would
+    fail), gets an SVD cut at ``PINV_RCOND`` times its own largest singular
+    value, with no anchor: the solver serves normal matrices ``X'diag(w)X``
+    with ``w >= 0``, sums of PSD rank-one terms whose largest singular value is
+    their own scale, so they cannot cancel to float residue.  A matrix's route
+    and bits depend on it alone, not on its stack.
+
+    Returns the solutions, the rank-deficiency flags and the certified flags
+    (bools for one matrix, bool arrays for a stack).
     """
-    u, s, vt, keep = _svd_cut(a, None)
-    ub = (np.asarray(b, dtype=float)[..., None, :] @ u)[..., 0, :]
-    x = (np.divide(ub, s, out=np.zeros_like(s), where=keep)[..., None, :] @ vt)[..., 0, :]
-    deficient = ~keep.all(axis=-1)
-    return x, (bool(deficient) if deficient.ndim == 0 else deficient)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape, l = a.shape[:-2], a.shape[-1]
+    a, b = a.reshape((math.prod(shape), l, l)), b.reshape((math.prod(shape), l))
+    if certify:
+        inv, certified = certified_inverse(a)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows the SVD replaces
+            x = (inv @ b[..., None])[..., 0]
+    else:
+        certified = np.zeros(len(a), dtype=bool)
+    deficient = np.zeros(len(a), dtype=bool)
+    if not certified.any():  # a stack the SVD solves whole is not copied
+        x, deficient = _svd_solve(a, b)
+    elif not certified.all():
+        rest = np.flatnonzero(~certified)
+        x[rest], deficient[rest] = _svd_solve(a[rest], b[rest])
+    if not shape:
+        return x[0], bool(deficient[0]), bool(certified[0])
+    return x.reshape(shape + (l,)), deficient.reshape(shape), certified.reshape(shape)
 
 
 def normal_system(

@@ -64,6 +64,20 @@ def _run_guarded(out_dir, body):
         _fail(EXIT_INPUT, str(exc))
 
 
+class _Stages(dict):
+    """Stage wall seconds: ``lap(name)`` adds the time since the previous lap (or
+    since the clock was made) to the stage ``name``."""
+
+    def __init__(self):
+        super().__init__()
+        self._mark = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self[name] = self.get(name, 0.0) + now - self._mark
+        self._mark = now
+
+
 def _write_timings(out_dir, timings: dict) -> None:
     """Write a run's stage wall seconds (and any run facts such as ``workers``) to
     ``timings.json``, kept out of the manifest so that the report files stay
@@ -90,15 +104,13 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir):
     """Estimate the average treatment effect from an experiment CSV."""
 
     def body():
-        start = time.perf_counter()
+        stages = _Stages()
         table = read_experiment_csv(data_path)
-        timings = {"load": time.perf_counter() - start}
-        start = time.perf_counter()
+        stages.lap("load")
         design = parse_design_descriptor(descriptor, table)
-        timings["design"] = time.perf_counter() - start
+        stages.lap("design")
         rows = []
         for name in estimator_names:
-            start = time.perf_counter()
             model = AteEstimator(design, estimator=name, spec=spec, bound=bound, z=z)
             model.fit(
                 table.outcome,
@@ -119,9 +131,7 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir):
                 bound,
                 model.truncated_,
             ])
-            key = f"fit/{name}"  # a repeated estimator adds its fits' time
-            timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
-        start = time.perf_counter()
+            stages.lap(f"fit/{name}")  # a repeated estimator adds its fits' time
         os.makedirs(out_dir, exist_ok=True)
         report = os.path.join(out_dir, "estimates.csv")
         write_csv(
@@ -133,7 +143,8 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir):
             "data": str(data_path), "design": descriptor, "estimators": list(estimator_names),
             "spec": spec, "bound": bound, "z": z,
         })
-        _write_timings(out_dir, {**timings, "report": time.perf_counter() - start})
+        stages.lap("report")
+        _write_timings(out_dir, stages)
         for row in rows:
             click.echo(f"{row[0]}: point={row[2]:.6g}" + (
                 f" ci=[{row[4]:.6g}, {row[5]:.6g}]" if row[4] != "" else ""))
@@ -190,7 +201,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             resolved["estimators"] = tuple(resolved["estimators"])
         config = SimConfig(**resolved)
         result = run_simulation(config)
-        start = time.perf_counter()
+        stages = _Stages()
         paths = emit_report(result, out_dir)
         write_manifest(out_dir, "simulate", {
             "config_file": file_config,
@@ -199,8 +210,10 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
             "calibration_r2": calibration_r2(result.population),
             "failures": int(result.failures.sum()),
             "rank_deficient": result.rank_deficient,
+            "certified_solves": result.certified_solves,
         })
-        _write_timings(out_dir, {**result.timings, "report": time.perf_counter() - start})
+        stages.lap("report")
+        _write_timings(out_dir, {**result.timings, **stages})
         for key, path in paths.items():
             click.echo(f"{key}: {path}")
 
@@ -228,9 +241,15 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
         for name in names:
             check_bound_method(name)
         _check_max_iters(max_iters)
+        stages = _Stages()
         table = read_experiment_csv(data_path) if data_path else None
+        stages.lap("load")
         design = parse_design_descriptor(descriptor, table)
-        built = {name: build_bound(name, design, max_iters=max_iters) for name in names}
+        stages.lap("design")
+        built = {}
+        for name in names:
+            built[name] = build_bound(name, design, max_iters=max_iters)
+            stages.lap(f"bound/{name}")
         rows = []
         for a in names:
             for b in names:
@@ -241,6 +260,7 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
                     a, b, comparison.verdict, comparison.sharp_null_verdict,
                     comparison.min_eig, comparison.max_eig, comparison.eig_sum,
                 ])
+        stages.lap("compare")
         os.makedirs(out_dir, exist_ok=True)
         report = os.path.join(out_dir, "bounds_compare.csv")
         write_csv(
@@ -266,6 +286,8 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
                 for name, bound in built.items()
             },
         })
+        stages.lap("report")
+        _write_timings(out_dir, stages)
         click.echo(f"report: {report}")
 
     _run_guarded(out_dir, body)
@@ -283,8 +305,11 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
     """Test whether a pre-registered fixed adjustment improves precision."""
 
     def body():
+        stages = _Stages()
         table = read_experiment_csv(data_path)
+        stages.lap("load")
         design = parse_design_descriptor(descriptor, table)
+        stages.lap("design")
         x = zero_center(table.covariates) if table.covariates.size else table.covariates
         layout = spec_common_slopes(x) if spec == "I" else spec_separate_slopes(x)
         b_f = load_numeric_vector(coef_path)
@@ -292,9 +317,12 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
             raise ValueError(
                 f"coefficient has {b_f.shape[0]} entries but the layout has {layout.n_columns} columns"
             )
+        stages.lap("layout")
         bound_matrix = build_bound(bound, design)
+        stages.lap("bound")
         observed = ObservedOutcomes(table.outcome, AssignmentRealization(table.treatment))
         result = precision_test(design, observed, layout, b_f, bound_matrix)
+        stages.lap("test")
         os.makedirs(out_dir, exist_ok=True)
         report = {
             **asdict(result),
@@ -311,6 +339,8 @@ def precision_cmd(data_path, descriptor, coef_path, spec, bound, out_dir):
             "data": str(data_path), "design": descriptor, "coefficient": str(coef_path),
             "spec": spec, "bound": bound,
         })
+        stages.lap("report")
+        _write_timings(out_dir, stages)
         if result.degenerate:
             click.echo("degenerate: zero coefficient, no adjustment tested")
         click.echo(

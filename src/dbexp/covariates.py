@@ -40,7 +40,8 @@ class CovariateSpec:
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
-    # the layout's group sums, kept by the estimators for each grouping of its rows
+    # kept by the estimators: the layout's group sums for each grouping of its
+    # rows, and whether its X'X passes the certified inverse's gate
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from ._group import Groups, quadratic, unit_groups
-from ._linalg import normal_system, pinv_solve
+from ._linalg import certified_inverse, normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
     AssignmentRealization,
@@ -261,21 +261,39 @@ def _gram(store: dict, groups: Groups, w: np.ndarray, left: np.ndarray, right: n
     return out.reshape(w.shape[:-1] + out.shape[1:])
 
 
-# a layout's shape, its Gram ``w -> X'diag(w)X`` and its rows for ``w * scale`` (outcome_rows)
-_System = namedtuple("_System", "shape gram xy")
+# a layout's shape, its Gram ``w -> X'diag(w)X``, its rows for ``w * scale``
+# (outcome_rows) and whether its fits attempt the certified inverse (_certifiable)
+_System = namedtuple("_System", "shape gram xy certify")
 
 
 def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
-    """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s) and
-    rank-deficiency flag(s).  With ``w >= 0`` the cutoff is relative,
-    ``PINV_RCOND`` times each normal matrix's largest singular value."""
-    return pinv_solve(x.gram(w), _rows(wy, x.xy))
+    """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s),
+    rank-deficiency flag(s) and certified flag(s).  A layout that passes
+    :func:`_certifiable` solves each normal matrix by its inverse where that is
+    certified, and every other matrix by an SVD whose cutoff, with ``w >= 0``,
+    is relative: ``PINV_RCOND`` times the matrix's largest singular value.  A
+    layout that fails the gate never attempts the inverse.  Its columns are
+    (near) dependent, as are the simulation study's cluster totals of
+    covariate sets 2-4, and then so are those of every weighted normal matrix,
+    so the attempt would be wasted.  The gate only saves work: each matrix's
+    own certificate decides its route, and its flags are the SVD's."""
+    return pinv_solve(x.gram(w), _rows(wy, x.xy), x.certify)
+
+
+def _certifiable(spec: CovariateSpec) -> bool:
+    """Whether the layout's own ``X'X`` passes the inverse's certificate; kept
+    with the layout, so a single fit and every block take the same route."""
+    if "certified" not in spec._sums:
+        x = spec.matrix
+        spec._sums["certified"] = bool(certified_inverse((x.T @ x)[None])[1][0])
+    return spec._sums["certified"]
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    """Unweighted least squares of ``y`` on the columns of ``x``."""
+    """Unweighted least squares of ``y`` on the columns of ``x``; its one normal
+    matrix is the layout's own ``X'X``, so the attempt is its own gate."""
     gram = partial(_gram, {}, unit_groups(x.shape[0]), left=x, right=x)
-    return _wls(_System(x.shape, gram, x), np.ones(x.shape[0]), y)
+    return _wls(_System(x.shape, gram, x, True), np.ones(x.shape[0]), y)
 
 
 def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
@@ -359,23 +377,24 @@ def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateS
 
 
 def _fit(x: _System, w: np.ndarray, wy: np.ndarray):
-    """Stacked ``_wls`` fits with rank-deficiency and failure flags; a stack
-    whose solve raises ``LinAlgError`` is re-solved one realization at a time,
-    and one that fails alone gets NaN coefficients."""
+    """Stacked ``_wls`` fits with rank-deficiency, certified and failure flags;
+    a stack whose solve raises ``LinAlgError`` is re-solved one realization at
+    a time, and one that fails alone gets NaN coefficients."""
     try:
         return (*_wls(x, w, wy), np.zeros(len(w), dtype=bool))
     except np.linalg.LinAlgError:
         if len(w) == 1:
-            return np.full((1, x.shape[1]), np.nan), np.zeros(1, bool), np.ones(1, bool)
+            unflagged = np.zeros(1, bool)
+            return np.full((1, x.shape[1]), np.nan), unflagged, unflagged, np.ones(1, bool)
     fits = [_fit(x, w[i : i + 1], wy[i : i + 1]) for i in range(len(w))]
     return tuple(np.concatenate(parts) for parts in zip(*fits))
 
 
 def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> dict:
-    """``method -> (b, rank_deficient, failed)`` stacks on one layout.  Each
-    fit weighting and 3HT runs once, and 2R reuses both; 3HT has no fit, so
-    its flags are False.  The indicator-weighted fit needs no design, so it
-    runs on unit columns, as it does without one."""
+    """``method -> (b, rank_deficient, certified, failed)`` stacks on one
+    layout.  Each fit weighting and 3HT runs once, and 2R reuses both; 3HT has
+    no fit, so its flags are False.  The indicator-weighted fit needs no
+    design, so it runs on unit columns, as it does without one."""
     fits, x = {}, spec.matrix
     for kind in dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0]):
         o = obs if kind != "indicator" or obs.groups.in_order else _Realizations(
@@ -383,14 +402,15 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
         w = o.weights(kind)
         gram = partial(_gram, spec._sums, o.groups, left=x, right=x,
                        cluster_rows=spec.level == "cluster")
-        fits[kind] = _fit(_System(x.shape, gram, o.outcome_rows(x)), w, w * o.scale)
+        system = _System(x.shape, gram, o.outcome_rows(x), _certifiable(spec))
+        fits[kind] = _fit(system, w, w * o.scale)
     b3 = _three_ht(cache, obs) if any(_METHODS[m][1] for m in methods) else None
     unflagged = np.zeros(len(obs.indicator), dtype=bool)
     out = {}
     for method in methods:
         kind, runs_3ht = _METHODS[method]
-        b, deficient, failed = fits[kind] if kind else (b3, unflagged, unflagged)
-        out[method] = (_two_r(cache, obs, b3, b) if kind and runs_3ht else b, deficient, failed)
+        b, *flags = fits[kind] if kind else (b3, unflagged, unflagged, unflagged)
+        out[method] = (_two_r(cache, obs, b3, b) if kind and runs_3ht else b, *flags)
     return out
 
 
@@ -485,12 +505,14 @@ def _cpus() -> int:
 @dataclass(frozen=True)
 class BatchPoints:
     """Results of :func:`batch_points`, each of shape (R, methods, layouts).  ``rank_deficient``
-    flags a method's least-squares fit (3HT has none); ``failed`` marks a fit that raised
+    flags a method's least-squares fit (3HT has none); ``certified`` marks a fit solved by
+    its certified inverse rather than an SVD; ``failed`` marks a fit that raised
     ``LinAlgError`` even when solved alone, whose point is NaN.  ``workers`` is the
     number of threads that ran the blocks; the results do not depend on it."""
 
     points: np.ndarray
     rank_deficient: np.ndarray
+    certified: np.ndarray
     failed: np.ndarray
     workers: int = field(compare=False)
 
@@ -526,7 +548,8 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     divisors = [spec.divisor or design.n for spec in specs]
 
     shape = (z.shape[0], len(methods), len(specs))
-    points, rank_deficient, failed = np.empty(shape), np.zeros(shape, bool), np.zeros(shape, bool)
+    points = np.empty(shape)
+    rank_deficient, certified, failed = (np.zeros(shape, bool) for _ in range(3))
     # assignments that treat a group's units unlike, which the design cannot
     # draw, run on unit columns, as each does alone
     groups = sys_design._assignment_groups
@@ -545,7 +568,8 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
                 adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
                 fits = _coefficients(methods, spec, cache, obs)
                 for m, method in enumerate(methods):
-                    b, rank_deficient[rows, m, s], failed[rows, m, s] = fits[method]
+                    b, rank_deficient[rows, m, s], certified[rows, m, s], failed[rows, m, s] = (
+                        fits[method])
                     points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
 
     # The first block fills the group sums kept on the layouts and caches;
@@ -562,7 +586,7 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
         run(shares[0])
         for done in pending:
             done.result()
-    return BatchPoints(points, rank_deficient, failed, workers)
+    return BatchPoints(points, rank_deficient, certified, failed, workers)
 
 
 # -- coefficient estimators ----------------------------------------------------
@@ -618,7 +642,7 @@ def coef_by_name(method: str, spec: CovariateSpec, observed: ObservedOutcomes,
 
 def _coef(method: str, spec: CovariateSpec, cache, obs: _Realizations) -> CoefficientEstimate:
     """:func:`coef_by_name` on a realization already at the layout's level."""
-    b, deficient, failed = _coefficients((method,), spec, cache, obs)[method]
+    b, deficient, _, failed = _coefficients((method,), spec, cache, obs)[method]
     if failed[0]:
         raise np.linalg.LinAlgError(f"the least-squares fit of the {method} coefficient failed")
     if method == "ols" and spec.level == "cluster":

@@ -134,7 +134,7 @@ def calibration_r2(population: Population) -> float:
     """R-squared of outcomes on the full covariate set (noise-scale diagnostic)."""
     y0 = population.outcomes.control
     x = np.column_stack([np.ones(population.n), covariate_set(population, 4)])
-    beta, _ = _est._ols(x, y0)
+    beta = _est._ols(x, y0)[0]
     resid = y0 - x @ beta
     return 1.0 - float(resid.var() / y0.var())
 
@@ -156,8 +156,10 @@ class SimResult:
     design: Design
     estimates: np.ndarray  # (replications, estimators, spec_sets)
     failures: np.ndarray  # failure counts, same trailing shape
-    # "estimator/set" -> replications whose least-squares fit was rank deficient
+    # "estimator/set" -> replications whose least-squares fit was rank deficient,
+    # and those whose fit was solved by its certified inverse instead of an SVD
     rank_deficient: dict[str, int]
+    certified_solves: dict[str, int]
     metrics: tuple[MetricsRow, ...] = field(default=())
     # stage -> wall seconds, and ``workers``, the most threads a batch_points call
     # ran on; they vary between runs and machines, so they are kept out of the reports
@@ -275,6 +277,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     estimates = np.full(shape, np.nan)
     failures = np.zeros(shape[1:], dtype=np.int64)
     deficient = np.zeros(shape[1:], dtype=np.int64)
+    certified = np.zeros(shape[1:], dtype=np.int64)
     workers = 1
     for cluster_level in (False, True):
         marks.append(time.perf_counter())
@@ -294,19 +297,20 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
         estimates[:, chosen] = batch.points
         failures[chosen] = batch.failed.sum(axis=0)
         deficient[chosen] = batch.rank_deficient.sum(axis=0)
+        certified[chosen] = batch.certified.sum(axis=0)
         workers = max(workers, batch.workers)
     marks.append(time.perf_counter())
-    rank_deficient = {  # the estimators with a least-squares fit per replication
-        f"{name}/{set_id}": int(deficient[e_pos, s_pos])
+    rank_deficient, certified_solves = ({  # the estimators with a least-squares fit
+        f"{name}/{set_id}": int(counts[e_pos, s_pos])
         for s_pos, set_id in enumerate(set_ids)
         for e_pos, name in enumerate(est_names)
         if name != "three_ht"
-    }
+    } for counts in (deficient, certified))
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
     timings = {**dict(zip(_STAGES, np.diff(marks).tolist())), "workers": workers}
-    return SimResult(config, population, design, estimates, failures, rank_deficient, metrics,
-                     timings)
+    return SimResult(config, population, design, estimates, failures, rank_deficient,
+                     certified_solves, metrics, timings)
 
 
 def _aggregate(config, population, estimates, est_names, set_ids):

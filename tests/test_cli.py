@@ -140,6 +140,13 @@ def test_simulate_manifest_reports_rank_deficient_solves(runner, tmp_path):
     # the cluster totals of the cluster-mean column duplicate those of x
     assert deficient["ols_cluster_totals/2"] == 200
     assert deficient["wls_ols/1"] == 0
+    # a fit is solved by its certified inverse or by an SVD, never both; the
+    # cluster totals of sets 2-4 are dependent, so they never attempt the inverse
+    certified = params["certified_solves"]
+    assert set(certified) == set(deficient)
+    assert all(certified[key] + deficient[key] <= 200 for key in certified)
+    assert [certified[f"ols_cluster_totals/{s}"] for s in (2, 3, 4)] == [0, 0, 0]
+    assert certified["wls_ols/1"] == certified["two_r/1"] == 200
 
 
 def test_simulate_writes_stage_timings_beside_byte_identical_reports(runner, tmp_path):
@@ -386,6 +393,28 @@ def test_estimate_writes_stage_timings_beside_byte_identical_reports(runner, tmp
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert "timings" not in json.loads(open(runs[0] / "manifest.json").read())["params"]
     for name in ("estimates.csv", "manifest.json"):
+        assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
+
+
+@pytest.mark.parametrize("args, report, stages", [
+    (["bounds-compare", "--design", "complete:n=4,n1=2", "--methods", "as,iterative"],
+     "bounds_compare.csv", {"load", "design", "bound/as", "bound/iterative", "compare", "report"}),
+    (["precision-test", "--data", "{data}", "--design", "complete:n1=2", "--coefficient", "{coef}"],
+     "precision_test.json", {"load", "design", "layout", "bound", "test", "report"}),
+])
+def test_bounds_and_precision_write_stage_timings_beside_byte_identical_reports(
+        runner, tmp_path, args, report, stages):
+    paths = {"data": _write(tmp_path / "precision.csv", PRECISION_CSV),
+             "coef": _write(tmp_path / "b.json", HELPFUL_B)}
+    args = [arg.format(**paths) for arg in args]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        result = runner.invoke(main, args + ["--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+    timings = json.loads(open(runs[0] / "timings.json").read())
+    assert set(timings) == stages
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    for name in (report, "manifest.json"):
         assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
 
 

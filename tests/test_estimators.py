@@ -43,7 +43,7 @@ from dbexp import (
 from conftest import enumeration_moments, enumeration_vector_mean
 from dbexp import estimators
 from dbexp._group import Groups, outer_rows, unit_groups
-from dbexp._linalg import pinv_solve
+from dbexp._linalg import CERTIFIED_COND, PINV_RCOND, pinv_solve
 from dbexp.design import cluster_level_design
 from dbexp.estimators import (
     _Realizations,
@@ -206,14 +206,70 @@ def test_stacked_pinv_solve_matches_single_solves():
             f[:, 3] = f[:, 0] + f[:, 1]  # rank 3
         a[k] = f.T @ f
     b = rng.standard_normal((3, 4))
-    x, flags = pinv_solve(a, b)
+    x, flags, certified = pinv_solve(a, b)
     assert flags.tolist() == [False, True, False]
+    assert certified.tolist() == [True, False, True]
     for k in range(3):
-        single, flag = pinv_solve(a[k], b[k])
+        single, flag, _ = pinv_solve(a[k], b[k])
         assert isinstance(flag, bool) and flag == flags[k]
         np.testing.assert_allclose(x[k], single, rtol=1e-14, atol=1e-14)
     # the rank-deficient system gets the minimum-norm solution
     np.testing.assert_allclose(x[1], np.linalg.pinv(a[1], rcond=1e-12) @ b[1], rtol=1e-10)
+
+
+def _psd_matrix(rng, l, kind):
+    """A PSD (l, l) normal matrix of one kind: well conditioned, condition number
+    near the certificate's 1e10 and the cutoff's 1e12, rounded duplicate
+    columns, or exactly singular."""
+    f = rng.standard_normal((l + 3, l))
+    if kind == "near" and l > 1:
+        q = np.linalg.qr(rng.standard_normal((l, l)))[0]
+        s = np.logspace(0.0, -rng.uniform(9.0, 13.0), l)  # singular values, cond 1e9..1e13
+        a = (q * s) @ q.T
+        return (a + a.T) / 2.0
+    if kind == "duplicate" and l > 1:
+        i, j = rng.choice(l, 2, replace=False)
+        f[:, j] = f[:, i] * 0.1 / 0.1  # equal up to rounding
+    if kind == "singular":
+        f[:, rng.integers(l)] = 0.0  # a zero row and column: LU meets an exact zero pivot
+    a = f.T @ f
+    if kind == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(a)
+    return a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.lists(st.sampled_from(["well", "near", "duplicate", "singular"]),
+                                    min_size=1, max_size=6),
+       st.integers(-6, 6), st.integers(0, 2**16))
+def test_pinv_solve_certified_inverse_against_the_svd(l, kinds, exponent, seed):
+    """Each matrix of a PSD stack takes the inverse only where its certificate
+    holds, with the SVD rule's flags and its solution to ``l cond eps``, and
+    gets the same bits alone as in its stack, even when the stacked ``inv``
+    raises on an exactly singular member."""
+    rng = np.random.default_rng(seed)
+    a = np.stack([_psd_matrix(rng, l, kind) for kind in kinds]) * 10.0**exponent
+    b = rng.standard_normal((len(kinds), l)) * 10.0**exponent
+    x, deficient, certified = pinv_solve(a, b)
+    svd_x, svd_deficient, svd_certified = pinv_solve(a, b, certify=False)
+    assert not svd_certified.any()
+    s = np.linalg.svd(a, compute_uv=False)
+    assert np.array_equal(deficient, (s <= PINV_RCOND * s[:, :1]).any(axis=1))
+    assert np.array_equal(deficient, svd_deficient)
+    assert not (certified & deficient).any()
+    for k in range(len(kinds)):
+        if certified[k]:
+            cond = s[k, 0] / s[k, -1]
+            assert cond <= CERTIFIED_COND
+            gap = np.linalg.norm(x[k] - svd_x[k])
+            assert gap <= l * cond * np.finfo(float).eps * np.linalg.norm(svd_x[k])
+        else:
+            assert np.array_equal(x[k], svd_x[k])
+        alone = pinv_solve(a[k], b[k])
+        assert np.array_equal(alone[0], x[k]) and alone[1:] == (deficient[k], certified[k])
+    if "singular" in kinds:
+        assert not certified[kinds.index("singular")]
 
 
 def test_coef_wls_pi_identities():

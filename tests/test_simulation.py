@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dbexp import estimators, simulation
+from dbexp import _linalg, estimators, simulation
 from dbexp import (
     AdjustmentCache,
     AssignmentRealization,
@@ -127,6 +127,32 @@ def test_simulation_cluster_totals_use_the_library_cutoff():
     assert estimate == pytest.approx(-1.3916382738209403, abs=1e-6)
     library = _library_estimates(result, 4, [932])[0, 0]
     assert library == pytest.approx(estimate, abs=1e-6)
+
+
+def test_certified_solves_match_an_svd_only_run(monkeypatch):
+    """The study against a run whose certificate refuses every matrix, so that
+    every solve is an SVD.  The flags are equal, and so are the cluster-total
+    estimates of sets 2-4, whose layouts never attempt the inverse; the other
+    estimates move by the two routes' rounding."""
+    config = SimConfig(**TINY)
+    fast = run_simulation(config)
+    monkeypatch.setattr(_linalg, "CERTIFIED_COND", -np.inf)
+    svd = run_simulation(config)
+    assert sum(svd.certified_solves.values()) == 0
+    assert sum(fast.certified_solves.values()) > 0
+    assert fast.rank_deficient == svd.rank_deficient
+    totals = config.estimators.index("ols_cluster_totals")
+    sets = [config.spec_sets.index(s) for s in (2, 3, 4)]
+    assert np.array_equal(fast.estimates[:, totals][:, sets], svd.estimates[:, totals][:, sets])
+    # unit-level set 4 has certified normal matrices up to cond ~1e8 here: its
+    # estimates move by ~1e-9 of their largest magnitude, depending on the BLAS kernel
+    unit_4 = np.zeros(fast.estimates.shape[1:], bool)
+    unit_4[:, config.spec_sets.index(4)] = True
+    unit_4[totals] = False
+    np.testing.assert_allclose(fast.estimates[:, ~unit_4], svd.estimates[:, ~unit_4],
+                               rtol=1e-9, atol=0.0)
+    gap = np.abs(fast.estimates[:, unit_4] - svd.estimates[:, unit_4]).max(axis=0)
+    assert np.all(gap <= 1e-8 * np.abs(svd.estimates[:, unit_4]).max(axis=0))
 
 
 def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
