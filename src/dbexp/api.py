@@ -16,7 +16,8 @@ import numpy as np
 from . import bounds as _bounds
 from . import covariates as _cov
 from . import estimators as _est
-from .design import Design, _zero_one, cluster_level_design, design_matrix, in_support
+from .design import (Design, _check_clusters, _cluster_groups, _zero_one, cluster_level_design,
+                     design_matrix, in_support)
 from .estimators import AssignmentRealization, ObservedOutcomes
 
 POINT_ESTIMATORS = ("ht", *_est.COEFFICIENT_METHODS[1:])
@@ -60,18 +61,18 @@ class AteEstimator:
         only), or ``none``.
     z : float
         Normal quantile for the interval half-width.
-    center : bool
-        Zero-center covariates before building the layout.
+
+    ``fit`` zero-centers the covariates, and its ``cluster_ids``, given with a
+    cluster design, must name the design's clusters (``DesignError`` otherwise).
     """
 
     def __init__(self, design: Design, estimator: str = "two_r", spec: str = "II",
-                 bound: str = "as", z: float = 1.96, center: bool = True):
+                 bound: str = "as", z: float = 1.96):
         self.design = design
         self.estimator = estimator
         self.spec = spec
         self.bound = bound
         self.z = z
-        self.center = center
 
     # -- sklearn-style parameter plumbing --------------------------------
     @classmethod
@@ -118,6 +119,11 @@ class AteEstimator:
         observed = ObservedOutcomes(outcome, AssignmentRealization(z))
 
         spec = self._build_spec(covariates, cluster_ids)
+        if cluster_ids is not None and self.design.kind == "cluster":
+            # a cluster-level layout has partitioned the ids already
+            clusters = spec.clusters if spec is not None and spec.level == "cluster" else (
+                _cluster_groups(cluster_ids))
+            _check_clusters(clusters, self.design._assignment_groups)
         coefficient = None if spec is None else _est.coef_by_name(
             self.estimator, spec, observed, self.design
         )
@@ -143,7 +149,7 @@ class AteEstimator:
         x = np.empty((self.design.n, 0)) if covariates is None else np.asarray(covariates, float)
         if x.ndim == 1:
             x = x[:, None]
-        if self.center and x.size:
+        if x.size:
             x = _cov.zero_center(x)
         if self.estimator == "ols_cluster_totals":
             if cluster_ids is None:

@@ -58,7 +58,6 @@ from .estimators import (
     ObservedOutcomes,
     _coef,
     _observe,
-    _system,
 )
 
 PSD_TOL = 1e-8
@@ -452,8 +451,8 @@ def bound_estimate_ht(bound: BoundMatrix, design: Design, observed: ObservedOutc
     probability.  Individual draws can come out negative; only the mean is
     pinned to the bound.
     """
-    observed, design, divisor = _system(observed, design, None)
-    return _observed_quadratic(bound, design, observed.stacked(), observed.indicator(), divisor)
+    _, divisor, sys_obs, sys_design = _observe(observed, design, None)
+    return _observed_quadratic(bound, sys_design, sys_obs.stacked(), sys_obs.indicator(), divisor)
 
 
 def bound_estimate_greg(bound: BoundMatrix, design: Design, observed: ObservedOutcomes,
@@ -463,7 +462,7 @@ def bound_estimate_greg(bound: BoundMatrix, design: Design, observed: ObservedOu
     Exactly unbiased for the bound at a fixed coefficient; with an estimated
     coefficient it is a plug-in without an exactness guarantee.
     """
-    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    _, divisor, sys_obs, sys_design = _observe(observed, design, spec)
     residual = sys_obs.stacked() - spec.matrix @ coefficient.values
     return _observed_quadratic(bound, sys_design, residual, sys_obs.indicator(), divisor)
 
@@ -521,7 +520,7 @@ def precision_test(design: Design, observed: ObservedOutcomes, spec: CovariateSp
     quadratic is over the design matrix of ``design`` at the layout's level.
     """
     b_f = np.asarray(b_f, dtype=float)
-    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    _, divisor, sys_obs, sys_design = _observe(observed, design, spec)
     dmat = design_matrix(sys_design)
     fitted = spec.matrix @ b_f
     dxb = dmat.values @ fitted  # fixed 2r vector

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 
@@ -153,6 +153,22 @@ def estimate(data_path, descriptor, estimator_names, spec, bound, z, out_dir):
     _run_guarded(out_dir, body)
 
 
+def _sim_config(file_config, flags: dict) -> SimConfig:
+    """The ``SimConfig`` of a ``--config`` JSON object, the flags given winning."""
+    if not isinstance(file_config, dict):
+        raise ValueError(f"--config must hold a JSON object, not a {type(file_config).__name__}")
+    known = [f.name for f in fields(SimConfig)]
+    resolved = {**file_config, **{key: value for key, value in flags.items() if value is not None}}
+    for key, value in resolved.items():
+        if key not in known:
+            raise ValueError(f"--config has an unknown key {key!r}; choose from {', '.join(known)}")
+        if key in ("spec_sets", "estimators"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list, not {value!r}")
+            resolved[key] = tuple(value)
+    return SimConfig(**resolved)
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), help="JSON SimConfig (flags win)")
 @click.option("--defaults", is_flag=True, help="run the full default configuration")
@@ -191,15 +207,7 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
                 v.strip() for v in estimator_csv.split(",") if v.strip()
             ),
         }
-        resolved = dict(file_config)
-        for key, value in flags.items():
-            if value is not None:
-                resolved[key] = value
-        if "spec_sets" in resolved:
-            resolved["spec_sets"] = tuple(resolved["spec_sets"])
-        if "estimators" in resolved:
-            resolved["estimators"] = tuple(resolved["estimators"])
-        config = SimConfig(**resolved)
+        config = _sim_config(file_config, flags)
         result = run_simulation(config)
         stages = _Stages()
         paths = emit_report(result, out_dir)

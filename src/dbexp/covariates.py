@@ -25,9 +25,11 @@ class CovariateSpec:
     """A signed covariate layout plus the metadata estimators need.
 
     ``matrix`` has 2r rows where r is the number of rows per arm (n units, or
-    m clusters for cluster-total layouts).  ``divisor`` is always the number
-    of individuals, so cluster-level systems feed the same estimator code and
-    still estimate the individual-level average effect.  A cluster-level
+    m clusters for cluster-total layouts).  ``divisor`` is the number of
+    individuals: left out, it is r, which is n for a unit-level layout, and
+    ``spec_cluster`` sets it to n, so cluster-level systems feed the same
+    estimator code and still estimate the individual-level average effect.
+    It is the one divisor of every estimate on the layout.  A cluster-level
     layout derives ``clusters``, the partition of the units by
     ``cluster_ids``, once; it collapses unit-level data to the layout's rows.
     """
@@ -36,7 +38,7 @@ class CovariateSpec:
     kind: str  # "I" | "II" | "custom"
     labels: tuple[str, ...]
     level: str = "unit"  # "unit" | "cluster"
-    divisor: int | None = None
+    divisor: int | None = None  # r when not given
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
@@ -52,6 +54,8 @@ class CovariateSpec:
         object.__setattr__(self, "matrix", matrix)
         if len(self.labels) != matrix.shape[1]:
             raise ValueError("one label per column required")
+        if self.divisor is None:
+            object.__setattr__(self, "divisor", self.rows_per_arm)
 
     @cached_property
     def clusters(self) -> Groups | None:

@@ -156,6 +156,8 @@ def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = Non
     if kind == "custom":
         with open(_key(params, "file", what)) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{what} file must hold a JSON object, not a {type(payload).__name__}")
         if "kind" not in payload:  # a bare enumerated support
             payload = {**payload, "kind": "enumerated", "params": payload}
         return design_from_dict(payload)

@@ -119,11 +119,10 @@ class CoefficientEstimate:
 
 @dataclass(frozen=True)
 class AteEstimate:
+    """A point estimate and the coefficient it was adjusted at (None for HT)."""
+
     point: float
     coefficient: CoefficientEstimate | None
-    residuals: np.ndarray  # stacked, zeros at unobserved slots
-    observed_mask: np.ndarray
-    divisor: int
 
 
 def coef_fixed(values, spec: CovariateSpec | None = None) -> CoefficientEstimate:
@@ -169,16 +168,6 @@ def _at_level(spec: CovariateSpec | None, design: Design | None, data, treated=N
         data = _stack(data, clusters)
         treated = None if treated is None else _collapse(treated, clusters)
     return design, data, treated
-
-
-def _system(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
-    """Return (observed, design, divisor) at the level the layout expects."""
-    design, observed, _ = _at_level(spec, design, observed)
-    if design is not None and observed.n != design.n:
-        raise ValueError("observed data and design sizes disagree")
-    if spec is not None and observed.n != spec.rows_per_arm:
-        raise ValueError("observed data and layout sizes disagree")
-    return observed, design, spec.divisor if spec is not None and spec.divisor else observed.n
 
 
 def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
@@ -365,8 +354,15 @@ class _Realizations:
 
 def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateSpec | None):
     """One realization at the layout's level, the divisor, and the data and design
-    at that level; an assignment the design cannot draw runs on unit columns."""
-    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    at that level: the one way a single fit reaches its layout's level.  The
+    divisor is the layout's, or the number of units without one; an assignment
+    the design cannot draw runs on unit columns."""
+    sys_design, sys_obs, _ = _at_level(spec, design, observed)
+    if sys_design is not None and sys_obs.n != sys_design.n:
+        raise ValueError("observed data and design sizes disagree")
+    if spec is not None and sys_obs.n != spec.rows_per_arm:
+        raise ValueError("observed data and layout sizes disagree")
+    divisor = sys_obs.n if spec is None else spec.divisor
     treated = sys_obs.realization.assignment[None] == 1
     groups = unit_groups(sys_obs.n) if sys_design is None else sys_design._assignment_groups
     if not groups.in_order and _varies(treated, groups).any():
@@ -432,21 +428,17 @@ def ht_cov_means(spec: CovariateSpec, realization: AssignmentRealization, design
 def greg(observed: ObservedOutcomes, design: Design, spec: CovariateSpec | None = None,
          coefficient: CoefficientEstimate | None = None) -> AteEstimate:
     """Generalized regression estimate: point = HT - (adjustment term) @ b."""
-    obs, divisor, sys_obs, _ = _observe(observed, design, spec)
-    indicator = sys_obs.indicator()
-    stacked = sys_obs.stacked()
+    obs, divisor = _observe(observed, design, spec)[:2]
     ht = _ht(obs.w * obs.y, divisor)[0]
     if coefficient is None:
-        return AteEstimate(float(ht), None, stacked, indicator.astype(bool), divisor)
+        return AteEstimate(float(ht), None)
     if spec is None:
         raise ValueError("a coefficient needs a covariate layout")
     b = coefficient.values
     if b.shape != (spec.n_columns,):
         raise ValueError("coefficient length must match the layout's column count")
     adjustment = _adjustment(_summed(spec._sums, obs.groups, spec.matrix), obs.w, divisor)[0]
-    point = float(_conjugate(ht, adjustment, b))
-    residuals = (stacked - spec.matrix @ b) * indicator
-    return AteEstimate(point, coefficient, residuals, indicator.astype(bool), divisor)
+    return AteEstimate(float(_conjugate(ht, adjustment, b)), coefficient)
 
 
 def greg_forms(observed: ObservedOutcomes, design: Design, spec: CovariateSpec,
@@ -457,7 +449,7 @@ def greg_forms(observed: ObservedOutcomes, design: Design, spec: CovariateSpec,
     residuals; it vanishes exactly in the estimator/design/layout combinations
     covered by the intercept-contrast identity.
     """
-    sys_obs, sys_design, divisor = _system(observed, design, spec)
+    _, divisor, sys_obs, sys_design = _observe(observed, design, spec)
     stacked = sys_obs.stacked()
     w = sys_obs.indicator() / sys_design.marginals
     b = coefficient.values
@@ -484,9 +476,8 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
     _, outcomes, _ = _at_level(spec, None, outcomes)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
-    divisor = spec.divisor or outcomes.n
     u = outcomes.values - spec.matrix @ b
-    return quadratic(dmat.core, u) / divisor**2
+    return quadratic(dmat.core, u) / spec.divisor**2
 
 
 # -- stacks of assignments -------------------------------------------------------
@@ -545,7 +536,7 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
         raise ValueError("layout and design sizes disagree")
     runs_3ht = any(_METHODS[m][1] for m in methods)
     caches = [AdjustmentCache.build(spec, design) if runs_3ht else None for spec in specs]
-    divisors = [spec.divisor or design.n for spec in specs]
+    divisors = [spec.divisor for spec in specs]
 
     shape = (z.shape[0], len(methods), len(specs))
     points = np.empty(shape)

@@ -29,36 +29,30 @@ class OptimalCoefficient:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def _check_foc(normal, rhs, b, what: str, floor: float) -> None:
-    # a numerically-zero right-hand side (the structure annihilates the
-    # layout) satisfies the condition within float residue
+def _solve_normal(core, matrix, target, what: str, z=None, b=None):
+    """Solve (X' core X) b = X' core target through the shared normal system
+    and check its first-order condition.  The solution is the minimum-norm
+    one, the family member ``ginv rhs + (I - ginv N) z`` indexed by ``z``, or
+    ``b`` when the caller solved the system otherwise."""
+    xd, normal, ginv, deficient = normal_system(matrix, core)
+    rhs = xd @ target
+    if b is None:
+        b = ginv @ rhs
+        if z is not None:
+            b = b + (np.eye(len(b)) - ginv @ normal) @ z
+    # below ``floor`` a first-order residual is float residue: a numerically-zero
+    # right-hand side (the structure annihilates the layout) satisfies the condition
+    floor = (float(np.linalg.norm(matrix)) * float(np.linalg.norm(core))
+             * max(float(np.linalg.norm(target)), 1.0))
     resid = float(np.linalg.norm(normal @ b - rhs))
     if resid > max(FOC_RTOL * float(np.linalg.norm(rhs)), PINV_FLOOR * floor):
         raise RuntimeError(f"{what}: first-order condition violated (residual {resid:g})")
-
-
-def _solve_normal(core, matrix, target, what: str):
-    """Solve (X' core X) b = X' core target through the shared normal system
-    and check its first-order condition."""
-    xd, normal, ginv, deficient = normal_system(matrix, core)
-    rhs = xd @ target
-    b = ginv @ rhs
-    _check_foc(normal, rhs, b, what, floor=_foc_floor(matrix, core, target))
     return b, deficient
-
-
-def _foc_floor(matrix, core, target) -> float:
-    # the scale below which a first-order residual is float residue
-    return (
-        float(np.linalg.norm(matrix))
-        * float(np.linalg.norm(core))
-        * max(float(np.linalg.norm(target)), 1.0)
-    )
 
 
 def b_opt(spec: CovariateSpec, dmat: DesignMatrix, outcomes: StackedOutcomes) -> OptimalCoefficient:
     """Variance-minimizing fixed coefficient for this design and layout."""
-    outcomes = _match_level(spec, outcomes)
+    outcomes = _match_level(spec, outcomes)[1]
     b, deficient = _solve_normal(dmat.values, spec.matrix, outcomes.values, "optimal coefficient")
     note = "normal matrix rank deficient; minimum-norm member returned" if deficient else ""
     return OptimalCoefficient(b, "true_variance", note)
@@ -75,21 +69,17 @@ def b_opt_family(
     Every member solves the same first-order condition, so all conjugate
     variances coincide; ``z`` picks the representative.
     """
-    outcomes = _match_level(spec, outcomes)
+    outcomes = _match_level(spec, outcomes)[1]
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n_columns,):
         raise ValueError("family parameter must have one entry per layout column")
-    xd, normal, ginv, _ = normal_system(spec.matrix, dmat.values)
-    rhs = xd @ outcomes.values
-    b = ginv @ rhs + (np.eye(spec.n_columns) - ginv @ normal) @ z
-    floor = _foc_floor(spec.matrix, dmat.values, outcomes.values)
-    _check_foc(normal, rhs, b, "optimal-family coefficient", floor=floor)
+    b, _ = _solve_normal(dmat.values, spec.matrix, outcomes.values, "optimal-family coefficient", z)
     return OptimalCoefficient(b, "true_variance", "family member")
 
 
 def b_tilde_opt(spec: CovariateSpec, bound, outcomes: StackedOutcomes) -> OptimalCoefficient:
     """Coefficient minimizing the *bound* quadratic rather than the variance."""
-    outcomes = _match_level(spec, outcomes)
+    outcomes = _match_level(spec, outcomes)[1]
     b, _ = _solve_normal(bound.values, spec.matrix, outcomes.values, "bound-minimizing coefficient")
     return OptimalCoefficient(b, f"bound:{bound.method}")
 
@@ -103,34 +93,29 @@ def b_sep(spec: CovariateSpec, outcomes: StackedOutcomes, design: Design) -> Opt
     """
     if spec.kind != "II":
         raise ValueError("the separated solution is defined for separate-slopes layouts")
-    design, outcomes, _ = _at_level(spec, design, outcomes)
+    design, outcomes = _match_level(spec, outcomes, design)
     pi1 = design.marginals[design.n :]
     if not np.allclose(pi1, pi1[0], atol=1e-12):
         raise ValueError("separated solution requires equal treatment probabilities")
-    if outcomes.n != spec.rows_per_arm:
-        raise ValueError("outcome schedule does not match the layout's row count")
     dmat = design_matrix(design)
     if spec.x is None:
         raise ValueError("layout does not carry its raw covariates")
     xt = np.hstack([np.ones((spec.rows_per_arm, 1)), spec.x])  # cluster x: [sizes | totals]
-    arms = []
-    for block, y in ((dmat.block(0, 0), outcomes.control), (dmat.block(1, 1), outcomes.treated)):
-        xtd, _, ginv, _ = normal_system(xt, block)
-        arms.append(ginv @ (xtd @ y))
+    arms = [_solve_normal(block, xt, y, "separated coefficient")[0] for block, y in
+            ((dmat.block(0, 0), outcomes.control), (dmat.block(1, 1), outcomes.treated))]
     if spec.level == "cluster":  # its layout puts both intercepts first
         arms = [arms[0][:1], arms[1][:1], arms[0][1:], arms[1][1:]]
-    b = np.concatenate(arms)
-    xd = spec.matrix.T @ dmat.values
-    floor = _foc_floor(spec.matrix, dmat.values, outcomes.values)
-    _check_foc(xd @ spec.matrix, xd @ outcomes.values, b, "separated coefficient", floor=floor)
+    b, _ = _solve_normal(dmat.values, spec.matrix, outcomes.values, "separated coefficient",
+                         b=np.concatenate(arms))
     return OptimalCoefficient(b, "true_variance", "arm-separated solution")
 
 
-def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes) -> StackedOutcomes:
-    outcomes = _at_level(spec, None, outcomes)[1]
+def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes, design: Design | None = None):
+    """(design, outcomes) at the layout's level."""
+    design, outcomes, _ = _at_level(spec, design, outcomes)
     if outcomes.n != spec.rows_per_arm:
         raise ValueError("outcome schedule does not match the layout's row count")
-    return outcomes
+    return design, outcomes
 
 
 # -- finite-population moment formulas ----------------------------------------

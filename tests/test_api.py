@@ -265,14 +265,22 @@ CROSSED_IDS = np.array([1, 2, 1, 2, 3, 4, 3, 4, 5, 6, 5, 6])  # a pair of each c
 def test_cluster_ids_that_do_not_name_the_design_clusters_raise(seed):
     """At draw 0 the assignment is constant on the crossed ids too, so a fit
     once ran on them and answered 1.248 against the design's 0.689; at draws
-    1-5 it failed with a message naming neither input."""
+    1-5 it failed with a message naming neither input.  The unit-level
+    estimators once ignored the ids: ``two_r`` answered 0.3892 at draw 1, as
+    with the design's own ids."""
     design = make_cluster(PAIRED_IDS, 2)
     rng = np.random.default_rng(1)
     y, x = rng.standard_normal(12), rng.standard_normal((12, 1))
     z = draw(design, seed).assignment
+    for estimator in POINT_ESTIMATORS:
+        with pytest.raises(DesignError, match="do not name the design's clusters"):
+            AteEstimator(design, estimator, bound="cluster").fit(
+                y, z, covariates=x, cluster_ids=CROSSED_IDS)
+        if estimator != "ols_cluster_totals":  # ids naming the design's clusters pass
+            unit_level = AteEstimator(design, estimator, bound="cluster")
+            assert unit_level.fit(y, z, covariates=x, cluster_ids=70 - 7 * PAIRED_IDS).ate_ == (
+                unit_level.fit(y, z, covariates=x).ate_)
     model = AteEstimator(design, "ols_cluster_totals", bound="cluster")
-    with pytest.raises(DesignError, match="do not name the design's clusters"):
-        model.fit(y, z, covariates=x, cluster_ids=CROSSED_IDS)
     observed = ObservedOutcomes(y, AssignmentRealization(z))
     with pytest.raises(DesignError, match="do not name the design's clusters"):
         coef_by_name("wls_pi", spec_cluster(x, CROSSED_IDS), observed, design)

@@ -42,7 +42,7 @@ from conftest import enumeration_moments
 from dense_reference import dense_iterative, dense_order_verdict
 from dbexp._linalg import block_eigvals, component_blocks, components, pinv, sym_eigvals
 from dbexp.bounds import BOUND_METHODS, _order_verdict
-from dbexp.estimators import _system
+from dbexp.estimators import _observe
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
 
@@ -314,7 +314,7 @@ def test_borrowed_estimate_reduces_to_plugin_when_bound_is_the_structure():
 
 def _coef_2r_for_bound_reference(bound, spec, observed, design):
     """The two-stage recursion written out over the bound matrix."""
-    sys_obs, sys_design, _ = _system(observed, design, spec)
+    _, _, sys_obs, sys_design = _observe(observed, design, spec)
     w = sys_obs.indicator() / sys_design.marginals
     xd = spec.matrix.T @ bound.values
     xdx = xd @ spec.matrix

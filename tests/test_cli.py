@@ -553,3 +553,116 @@ def test_bounds_compare_max_iters_below_one_exits_2_before_reading_data(runner, 
     assert result.exit_code == 2
     assert "error: max_iters must be at least 1, got 0" in result.output
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("simulate", {"bogus": 1}, "--config has an unknown key 'bogus'; choose from n_units"),
+        ("simulate", [1, 2], "--config must hold a JSON object, not a list"),
+        ("simulate", {"spec_sets": 3}, "spec_sets must be a list, not 3"),
+        ("estimate", [[1, 0], [0, 1]],
+         "custom design descriptor file must hold a JSON object, not a list"),
+    ],
+    ids=["unknown key", "array config", "scalar spec_sets", "array design file"],
+)
+def test_json_input_of_the_wrong_shape_exits_2(runner, tmp_path, command, payload, message):
+    path = _write(tmp_path / "input.json", json.dumps(payload))
+    if command == "simulate":
+        args = ["simulate", "--config", path]
+    else:
+        args = ["estimate", "--data", _write(tmp_path / "toy.csv", TOY_TWO_UNIT),
+                "--design", f"custom:file={path}"]
+    result = runner.invoke(main, args + ["--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        ("", "empty file; a header row is required"),
+        ("outcome,x\n1,2\n", "missing required column 'treatment'"),
+        ("outcome,treatment\n1,1\n2,0,5\n", "expected 2 fields, found 3 (row 3)"),
+        ("outcome,treatment\n1,2\n",
+         "treatment must be 0 or 1, found '2' (row 2, column 'treatment')"),
+        ("outcome,treatment,cluster_id\n1,1,a\n",
+         "cluster id must be an integer, found 'a' (row 2, column 'cluster_id')"),
+        ("outcome,treatment\n", "no data rows found"),
+        ("outcome,treatment\n1,1\nabc,0\n",
+         "could not parse 'abc' as a number (row 3, column 'outcome')"),
+    ],
+    ids=["empty", "missing column", "ragged row", "treatment 2", "cluster id", "no rows",
+         "unparsable"],
+)
+def test_malformed_experiment_csv_exits_2(runner, tmp_path, csv_text, message):
+    data = _write(tmp_path / "bad.csv", csv_text)
+    result = runner.invoke(main, ["estimate", "--data", data, "--design", "complete:n1=1",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["estimate", "--data", "{toy}", "--design", "complete:n1"],
+         "malformed design descriptor item 'n1'"),
+        (["bounds-compare", "--design", "complete:n1=1"],
+         "complete design needs the data table or an explicit n"),
+        (["estimate", "--data", "{toy}", "--design", "cluster:m1=1"],
+         "cluster design needs a cluster_id column in the data CSV"),
+        (["estimate", "--data", "{toy}", "--design", "stratified:n1=1"],
+         "unknown design kind 'stratified'"),
+        (["estimate", "--data", "{toy}", "--design", "bernoulli:file={empty}"],
+         "empty.txt: empty vector file"),
+        (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
+          "--coefficient", "{per_line}"], "could not convert string to float: 'x'"),
+        (["simulate", "--spec-sets", "1,x"], "invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--spec-sets", "1,5"], "unknown covariate sets: [5]"),
+        (["simulate", "--estimators", "two_r,bogus"], "unknown estimators: ['bogus']"),
+        (["simulate", "--defaults", "--config", "{config}"],
+         "--defaults cannot be combined with --config"),
+    ],
+    ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
+         "empty vector", "per-line vector", "spec-sets parse", "spec-sets value",
+         "estimators value", "defaults and config"],
+)
+def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, message):
+    files = {
+        "toy": _write(tmp_path / "toy.csv", TOY_TWO_UNIT),
+        "empty": _write(tmp_path / "empty.txt", "\n"),
+        "per_line": _write(tmp_path / "b.txt", "0.5\nx\n"),
+        "config": _write(tmp_path / "config.json", json.dumps({"seed": 1})),
+    }
+    result = runner.invoke(main, [arg.format(**files) for arg in args]
+                           + ["--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and message in result.output, result.output
+
+
+def test_a_vector_file_reads_as_a_json_array_or_one_value_per_line(runner, tmp_path):
+    data = _write(tmp_path / "p.csv", PRECISION_CSV)
+    reports = []
+    for name, text in (("b.json", HELPFUL_B), ("b.txt", "0.0\n1.84\n\n0.0\n1.84\n")):
+        out = tmp_path / f"out-{name}"
+        coefficient = _write(tmp_path / name, text)
+        result = runner.invoke(main, ["precision-test", "--data", data, "--design", "complete:n1=2",
+                                      "--coefficient", coefficient, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append((out / "precision_test.json").read_text())
+    assert reports[0] == reports[1]
+
+
+def test_simulate_parses_spec_sets_and_estimators(runner, tmp_path):
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main,
+        ["simulate", "--n-units", "60", "--n-clusters", "12", "--m1", "5", "--replications", "4",
+         "--spec-sets", "2, 1,", "--estimators", " two_r,wls_ols", "--out-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert params["flags"]["spec_sets"] == [2, 1]
+    assert params["resolved"]["estimators"] == ["two_r", "wls_ols"]

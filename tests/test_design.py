@@ -612,3 +612,67 @@ def test_every_entry_point_checks_cluster_ids_alike(entry, bad, message):
     ids = np.array([1.0, bad, 2.0, 2.0, 3.0, 3.0])
     with pytest.raises(DesignError, match=message):
         entry(ids)
+
+
+def _joint_breaking(rule: str):
+    """(n, joint, marginals) of complete randomization of 2 of 4 units with
+    exactly ``rule`` of the dense scan broken."""
+    base = make_complete(4, 2)
+    n, joint, marginals = 4, base.joint.copy(), base.marginals.copy()
+
+    def pair(i, j, value):
+        joint[i, j] = joint[j, i] = value
+
+    if rule == "shape":
+        joint = joint[:-1, :-1]
+    elif rule == "marginal length":
+        marginals = marginals[:-1]
+    elif rule == "marginal outside (0, 1)":  # unit 0 always treated
+        marginals[n] = joint[n, n] = 1.0
+        marginals[0] = joint[0, :n] = joint[:n, 0] = 0.0
+    elif rule == "arms sum":
+        joint[0, 0] = marginals[0] = 0.4
+    elif rule == "diagonal":
+        joint[0, 0] = 0.4
+    elif rule == "symmetry":
+        joint[0, 1] += 0.01
+    elif rule == "range":
+        pair(0, 1, -0.1)
+    elif rule == "both arms":
+        pair(0, n, 0.1)
+    elif rule == "treated cap":
+        pair(n, n + 1, 0.6)
+    elif rule == "control cap":
+        pair(0, 1, 0.6)
+    return n, joint, marginals
+
+
+@pytest.mark.parametrize(
+    "rule, error, message",
+    [
+        ("shape", DesignError, "joint probability matrix must be 8 x 8"),
+        ("marginal length", DesignError, "marginal vector must have length 2n"),
+        ("marginal outside (0, 1)", UnidentifiedDesignError,
+         "treatment probability must lie strictly inside (0, 1); offending units: 0"),
+        ("arms sum", DesignError, "arm probabilities must sum to one for every unit"),
+        ("diagonal", DesignError, "diagonal of the joint matrix must equal the marginals"),
+        ("symmetry", DesignError, "joint probability matrix must be symmetric"),
+        ("range", DesignError, "joint probabilities must lie in [0, 1]"),
+        ("both arms", DesignError, "a unit cannot be observed in both arms"),
+        ("treated cap", DesignError, "joint treatment probabilities exceed their marginals"),
+        ("control cap", DesignError, "joint control probabilities exceed their marginals"),
+    ],
+)
+def test_a_joint_breaking_one_rule_is_rejected_by_that_rule(rule, error, message):
+    n, joint, marginals = _joint_breaking(rule)
+    with pytest.raises(error) as raised:
+        design_module.Design(n, joint, marginals, make_complete(4, 2).provenance)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_draw_on_an_enumerated_design_picks_a_support_row():
+    support = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
+    design = make_from_sampler(((z, 0.5) for z in support), 4, mode="enumerate")
+    drawn = {tuple(draw(design, seed).assignment) for seed in range(8)}
+    assert drawn == {tuple(z) for z in support}

@@ -1,11 +1,13 @@
 """Static checks: no unused imports in the library and its tests, no blanket
 excepts in the library, one owner for decompositions and for the unit ->
-cluster map, no random generator built inside a loop, and no function that
-takes both a design and its design matrix."""
+cluster map, no random generator built inside a loop, no function that
+takes both a design and its design matrix, and every layer of the benchmark's
+tracer names a function the library defines."""
 
 import ast
 import importlib
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -214,3 +216,27 @@ def test_a_function_given_a_design_derives_its_design_matrix(path):
         if {"design", "dmat"} <= set(inspect.signature(function).parameters)
     )
     assert not both, f"{path.name} takes a design and a design matrix in: {', '.join(both)}"
+
+
+def _bench_tracing() -> types.ModuleType:
+    """``bench/tracing.py``, run from its source so that no bytecode is written
+    under ``bench/``."""
+    path = ROOT / "bench" / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+TRACING = _bench_tracing()
+
+
+@pytest.mark.parametrize("layer", sorted(TRACING.LAYERS))
+def test_every_tracer_layer_resolves(layer):
+    """A traced entry point renamed or removed would leave its layer's
+    per-layer metrics absent from every benchmark run without an error."""
+    unresolved = []
+    for module_name, selector in TRACING.LAYERS[layer]:
+        found = TRACING._resolve(importlib.import_module(module_name), selector)
+        if not found or not all(callable(getattr(owner, attr)) for owner, attr in found):
+            unresolved.append(f"{module_name}:{selector}")
+    assert not unresolved, f"tracer layer {layer} names nothing at {', '.join(unresolved)}"
