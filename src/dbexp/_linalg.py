@@ -81,7 +81,7 @@ def _svd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, ~keep.all(axis=-1)
 
 
-def pinv_solve(a: np.ndarray, b: np.ndarray, certify: bool = True):
+def pinv_solve(a: np.ndarray, b: np.ndarray):
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
     ``a`` is one ``(l, l)`` matrix with ``b`` of shape ``(l,)``, or a stack
@@ -90,13 +90,12 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, certify: bool = True):
     and a certified matrix, whose condition number is at most
     ``CERTIFIED_COND``, gets ``A^-1 b``: the SVD would keep all its singular
     values, so this is the minimum-norm solution, to a relative
-    ``l * cond * eps``.  Every other matrix, a non-finite one included, and
-    every matrix with ``certify=False`` (a caller that knows the attempt would
-    fail), gets an SVD cut at ``PINV_RCOND`` times its own largest singular
-    value, with no anchor: the solver serves normal matrices ``X'diag(w)X``
-    with ``w >= 0``, sums of PSD rank-one terms whose largest singular value is
-    their own scale, so they cannot cancel to float residue.  A matrix's route
-    and bits depend on it alone, not on its stack.
+    ``l * cond * eps``.  Every other matrix, a non-finite one included, gets an
+    SVD cut at ``PINV_RCOND`` times its own largest singular value, with no
+    anchor: the solver serves normal matrices ``X'diag(w)X`` with ``w >= 0``,
+    sums of PSD rank-one terms whose largest singular value is their own
+    scale, so they cannot cancel to float residue.  A matrix's route and bits
+    depend on it alone, not on its stack.
 
     Returns the solutions, the rank-deficiency flags and the certified flags
     (bools for one matrix, bool arrays for a stack).
@@ -104,12 +103,9 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, certify: bool = True):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     shape, l = a.shape[:-2], a.shape[-1]
     a, b = a.reshape((math.prod(shape), l, l)), b.reshape((math.prod(shape), l))
-    if certify:
-        inv, certified = certified_inverse(a)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows the SVD replaces
-            x = (inv @ b[..., None])[..., 0]
-    else:
-        certified = np.zeros(len(a), dtype=bool)
+    inv, certified = certified_inverse(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows the SVD replaces
+        x = (inv @ b[..., None])[..., 0]
     deficient = np.zeros(len(a), dtype=bool)
     if not certified.any():  # a stack the SVD solves whole is not copied
         x, deficient = _svd_solve(a, b)

@@ -187,12 +187,12 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
     """Run the cluster-randomized replication study and write its reports."""
 
     def body():
+        if defaults and config_path:
+            raise ValueError("--defaults cannot be combined with --config")
         file_config = {}
         if config_path:
             with open(config_path) as fh:
                 file_config = json.load(fh)
-        if defaults and file_config:
-            raise ValueError("--defaults cannot be combined with --config")
         flags = {
             "n_units": n_units,
             "n_clusters": n_clusters,

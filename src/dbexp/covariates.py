@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._group import Groups
+from ._linalg import PINV_RCOND
 from .design import Design, _cluster_groups
 
 
@@ -42,8 +43,7 @@ class CovariateSpec:
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
-    # kept by the estimators: the layout's group sums for each grouping of its
-    # rows, and whether its X'X passes the certified inverse's gate
+    # kept by the estimators: the layout's group sums for each grouping of its rows
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,40 +149,42 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
     """Cluster-total layout over [cluster size | covariate totals].
 
     The totaled intercept column turns into cluster sizes, which is what lets
-    these layouts absorb size-driven variation.  Row count is 2m; the stored
-    divisor stays at n so conjugate estimates target the individual-level
-    average effect.  Fitted with a cluster design, the ids must name its
-    clusters (``DesignError`` otherwise).
+    these layouts absorb size-driven variation.  A column of totals equal to
+    an earlier one, within ``PINV_RCOND`` times its own largest magnitude, is
+    dropped with its labels: the totals of a cluster-mean covariate are those
+    of the covariate, and a constant covariate's are the sizes, so the column
+    adds nothing to any fit.  Row count is 2m; the stored divisor stays at n
+    so conjugate estimates target the individual-level average effect.
+    Fitted with a cluster design, the ids must name its clusters
+    (``DesignError`` otherwise).
     """
     x = _as_matrix(x)
     n = x.shape[0]
     clusters = _cluster_groups(cluster_ids)
     totals = clusters.totals(np.hstack([np.ones((n, 1)), x]))  # m x (k+1), sizes first
-    m, kp1 = totals.shape
+    names = ["cluster_size{}"] + [f"x{j}{{}}_total" for j in range(x.shape[1])]
+    gap = np.abs(totals[:, :, None] - totals[:, None, :]).max(axis=0, initial=0.0)
+    scale = np.abs(totals).max(axis=0, initial=0.0)
+    keep = ~np.tril(gap <= PINV_RCOND * scale[:, None], -1).any(axis=1)
+    totals, names = totals[:, keep], [name for name, kept in zip(names, keep) if kept]
+    m, k = totals.shape
     one = np.ones((m, 1))
     zm = np.zeros((m, 1))
-    zk = np.zeros((m, kp1))
+    zk = np.zeros((m, k))
     if spec_kind == "II":
         matrix = np.vstack(
             [np.hstack([-one, zm, -totals, zk]), np.hstack([zm, one, zk, totals])]
         )
-        labels = (
-            ("intercept_control", "intercept_treated")
-            + ("cluster_size_control",)
-            + tuple(f"x{j}_control_total" for j in range(kp1 - 1))
-            + ("cluster_size_treated",)
-            + tuple(f"x{j}_treated_total" for j in range(kp1 - 1))
-        )
+        arms = ("_control", "_treated")
     elif spec_kind == "I":
         matrix = np.vstack(
             [np.hstack([-one, zm, -totals]), np.hstack([zm, one, totals])]
         )
-        labels = (
-            ("intercept_control", "intercept_treated", "cluster_size")
-            + tuple(f"x{j}_total" for j in range(kp1 - 1))
-        )
+        arms = ("",)
     else:
         raise ValueError("spec_kind must be 'I' or 'II'")
+    labels = ("intercept_control", "intercept_treated") + tuple(
+        name.format(arm) for arm in arms for name in names)
     spec = CovariateSpec(
         matrix,
         spec_kind,

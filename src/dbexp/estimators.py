@@ -31,12 +31,12 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._group import Groups, quadratic, unit_groups
-from ._linalg import certified_inverse, normal_system, pinv_solve
+from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
     AssignmentRealization,
@@ -250,39 +250,23 @@ def _gram(store: dict, groups: Groups, w: np.ndarray, left: np.ndarray, right: n
     return out.reshape(w.shape[:-1] + out.shape[1:])
 
 
-# a layout's shape, its Gram ``w -> X'diag(w)X``, its rows for ``w * scale``
-# (outcome_rows) and whether its fits attempt the certified inverse (_certifiable)
-_System = namedtuple("_System", "shape gram xy certify")
+# a layout's shape, its Gram ``w -> X'diag(w)X`` and its rows for ``w * scale`` (outcome_rows)
+_System = namedtuple("_System", "shape gram xy")
 
 
 def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
     """Weighted least squares ``X'diag(w)X b = X'wy``: coefficient(s),
-    rank-deficiency flag(s) and certified flag(s).  A layout that passes
-    :func:`_certifiable` solves each normal matrix by its inverse where that is
-    certified, and every other matrix by an SVD whose cutoff, with ``w >= 0``,
-    is relative: ``PINV_RCOND`` times the matrix's largest singular value.  A
-    layout that fails the gate never attempts the inverse.  Its columns are
-    (near) dependent, as are the simulation study's cluster totals of
-    covariate sets 2-4, and then so are those of every weighted normal matrix,
-    so the attempt would be wasted.  The gate only saves work: each matrix's
-    own certificate decides its route, and its flags are the SVD's."""
-    return pinv_solve(x.gram(w), _rows(wy, x.xy), x.certify)
-
-
-def _certifiable(spec: CovariateSpec) -> bool:
-    """Whether the layout's own ``X'X`` passes the inverse's certificate; kept
-    with the layout, so a single fit and every block take the same route."""
-    if "certified" not in spec._sums:
-        x = spec.matrix
-        spec._sums["certified"] = bool(certified_inverse((x.T @ x)[None])[1][0])
-    return spec._sums["certified"]
+    rank-deficiency flag(s) and certified flag(s).  Each normal matrix is
+    solved by its inverse where that is certified, and every other matrix by
+    an SVD whose cutoff, with ``w >= 0``, is relative: ``PINV_RCOND`` times
+    the matrix's largest singular value."""
+    return pinv_solve(x.gram(w), _rows(wy, x.xy))
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    """Unweighted least squares of ``y`` on the columns of ``x``; its one normal
-    matrix is the layout's own ``X'X``, so the attempt is its own gate."""
+    """Unweighted least squares of ``y`` on the columns of ``x``."""
     gram = partial(_gram, {}, unit_groups(x.shape[0]), left=x, right=x)
-    return _wls(_System(x.shape, gram, x, True), np.ones(x.shape[0]), y)
+    return _wls(_System(x.shape, gram, x), np.ones(x.shape[0]), y)
 
 
 def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
@@ -326,19 +310,32 @@ class _Realizations:
     ``y`` of the signed outcomes (2n,).  A sum over units of ``w_i y_i v_i`` is
     ``_rows(w * scale, outcome_rows(v))``: with one unit per group ``scale`` is
     ``y`` and the rows are v's, so each unit's weighted outcome is rounded as on
-    unit columns; otherwise ``scale`` is 1 and the rows sum ``y_i v_i``."""
+    unit columns; otherwise ``scale`` is 1 and the rows sum ``y_i v_i``.  Each
+    is built on first read: the bound estimates read none of them."""
 
     def __init__(self, groups: Groups, treated: np.ndarray, marginals: np.ndarray | None,
                  signed: np.ndarray):
         self.groups, self.treated, self.signed = groups, treated, signed
-        t = treated if groups.in_order else treated.take(groups.first, axis=1)
-        self.indicator = np.concatenate([~t, t], axis=1).astype(float)
         if marginals is not None:
             self.marginals = (marginals if groups.in_order
                               else marginals.reshape(2, -1)[:, groups.first].ravel())
-            self.w = self.indicator / self.marginals
-        self.y = groups.sum(signed)
-        self.scale = self.y if groups.m == groups.n else 1.0
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        t = self.treated if self.groups.in_order else self.treated.take(self.groups.first, axis=1)
+        return np.concatenate([~t, t], axis=1).astype(float)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.indicator / self.marginals
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.groups.sum(self.signed)
+
+    @cached_property
+    def scale(self):
+        return self.y if self.groups.m == self.groups.n else 1.0
 
     def outcome_rows(self, v: np.ndarray) -> np.ndarray:
         return self.groups.sum(v if self.groups.m == self.groups.n else self.signed[:, None] * v)
@@ -398,10 +395,10 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
         w = o.weights(kind)
         gram = partial(_gram, spec._sums, o.groups, left=x, right=x,
                        cluster_rows=spec.level == "cluster")
-        system = _System(x.shape, gram, o.outcome_rows(x), _certifiable(spec))
+        system = _System(x.shape, gram, o.outcome_rows(x))
         fits[kind] = _fit(system, w, w * o.scale)
     b3 = _three_ht(cache, obs) if any(_METHODS[m][1] for m in methods) else None
-    unflagged = np.zeros(len(obs.indicator), dtype=bool)
+    unflagged = np.zeros(len(obs.treated), dtype=bool)
     out = {}
     for method in methods:
         kind, runs_3ht = _METHODS[method]

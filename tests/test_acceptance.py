@@ -423,7 +423,7 @@ def test_c09_simulation_reproduction():
 def test_c09_r2_calibration():
     # The published fit statistic (0.173) is not reproducible from the stated
     # data-generating process under either reading of the noise scale:
-    # variance -> ~0.26, standard deviation -> ~0.07.  The default follows the
+    # variance -> 0.232, standard deviation -> 0.059.  The default follows the
     # best-matching (variance) reading, which also reproduces the error
     # reduction profile.  Asserted as specified; see the decisions ledger.
     r2 = calibration_r2(build_population(SimConfig(seed=SIM_SEED)))

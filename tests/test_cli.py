@@ -137,15 +137,15 @@ def test_simulate_manifest_reports_rank_deficient_solves(runner, tmp_path):
         for name in ("wls_ols", "two_r", "ols_cluster_totals")
         for set_id in (1, 2, 3, 4)
     }
-    # the cluster totals of the cluster-mean column duplicate those of x
-    assert deficient["ols_cluster_totals/2"] == 200
+    # the cluster-mean column's totals, which duplicate those of x, are dropped,
+    # so only this small population's ill-conditioned fits read deficient
+    assert [deficient[f"ols_cluster_totals/{s}"] for s in (1, 2, 3, 4)] == [1, 1, 99, 200]
     assert deficient["wls_ols/1"] == 0
-    # a fit is solved by its certified inverse or by an SVD, never both; the
-    # cluster totals of sets 2-4 are dependent, so they never attempt the inverse
+    # a fit is solved by its certified inverse or by an SVD, never both
     certified = params["certified_solves"]
     assert set(certified) == set(deficient)
     assert all(certified[key] + deficient[key] <= 200 for key in certified)
-    assert [certified[f"ols_cluster_totals/{s}"] for s in (2, 3, 4)] == [0, 0, 0]
+    assert [certified[f"ols_cluster_totals/{s}"] for s in (2, 3, 4)] == [199, 101, 0]
     assert certified["wls_ols/1"] == certified["two_r/1"] == 200
 
 
@@ -624,10 +624,12 @@ def test_malformed_experiment_csv_exits_2(runner, tmp_path, csv_text, message):
         (["simulate", "--estimators", "two_r,bogus"], "unknown estimators: ['bogus']"),
         (["simulate", "--defaults", "--config", "{config}"],
          "--defaults cannot be combined with --config"),
+        (["simulate", "--defaults", "--config", "{empty_config}"],
+         "--defaults cannot be combined with --config"),
     ],
     ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
          "empty vector", "per-line vector", "spec-sets parse", "spec-sets value",
-         "estimators value", "defaults and config"],
+         "estimators value", "defaults and config", "defaults and empty config"],
 )
 def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, message):
     files = {
@@ -635,6 +637,7 @@ def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, mes
         "empty": _write(tmp_path / "empty.txt", "\n"),
         "per_line": _write(tmp_path / "b.txt", "0.5\nx\n"),
         "config": _write(tmp_path / "config.json", json.dumps({"seed": 1})),
+        "empty_config": _write(tmp_path / "empty.json", "{}"),
     }
     result = runner.invoke(main, [arg.format(**files) for arg in args]
                            + ["--out-dir", str(tmp_path / "o")])

@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 
 from dbexp import (
     CovariateSpec,
+    ObservedOutcomes,
+    StackedOutcomes,
     add_invprop_column,
     cluster_totals,
+    coef_ols_cluster_totals,
+    draw,
+    greg,
     make_bernoulli,
+    make_cluster,
     make_complete,
     spec_cluster,
     spec_I,
@@ -118,6 +124,62 @@ def test_spec_cluster_singletons_extend_unit_spec():
     np.testing.assert_allclose(single.matrix[:, 5], unit.matrix[:, 3])  # +x block
     np.testing.assert_allclose(single.matrix[:3, 2], -1.0)  # totaled intercepts
     np.testing.assert_allclose(single.matrix[3:, 4], 1.0)
+
+
+def _cluster_layout(totals: np.ndarray, spec_kind: str) -> np.ndarray:
+    """The signed layout over [cluster size | covariate totals], built directly."""
+    m, k = totals.shape
+    one, zm, zk = np.ones((m, 1)), np.zeros((m, 1)), np.zeros((m, k))
+    if spec_kind == "I":
+        return np.vstack([np.hstack([-one, zm, -totals]), np.hstack([zm, one, totals])])
+    return np.vstack([np.hstack([-one, zm, -totals, zk]), np.hstack([zm, one, zk, totals])])
+
+
+def test_spec_cluster_drops_totals_that_duplicate_an_earlier_column():
+    """A cluster-mean covariate totals to the covariate's totals and a covariate
+    of ones to the cluster sizes: both columns go with their labels, and the
+    cluster-totals point is the one on the full layout."""
+    rng = np.random.default_rng(21)
+    ids = np.repeat(np.arange(10), [2, 3, 1, 4, 2, 3, 2, 3, 5, 1])
+    n = ids.size
+    x = rng.standard_normal(n)
+    sizes = np.bincount(ids)
+    xbar = (np.bincount(ids, weights=x) / sizes)[ids]
+    covariates = np.column_stack([x, xbar, np.ones(n)])
+    spec = spec_cluster(covariates, ids, "II")
+    assert spec.labels == ("intercept_control", "intercept_treated", "cluster_size_control",
+                           "x0_control_total", "cluster_size_treated", "x0_treated_total")
+    kept = np.column_stack([sizes, np.bincount(ids, weights=x)])
+    np.testing.assert_allclose(spec.x, kept, rtol=1e-15)
+    np.testing.assert_array_equal(spec.matrix, _cluster_layout(spec.x, "II"))
+
+    full_totals = cluster_totals(np.column_stack([np.ones(n), covariates]), ids)
+    full = CovariateSpec(_cluster_layout(full_totals, "II"), "II",
+                         tuple(f"c{j}" for j in range(10)), level="cluster", divisor=n,
+                         cluster_ids=ids, intercept_cols=(0, 1))
+    design = make_cluster(ids, 4)
+    y0 = x + rng.standard_normal(n)
+    outcomes = StackedOutcomes.from_arms(y0, y0 + 1.0)
+    for seed in range(5):
+        obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
+        point, full_point = (greg(obs, design, layout, coef_ols_cluster_totals(layout, obs)).point
+                             for layout in (spec, full))
+        assert point == pytest.approx(full_point, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec_kind, labels", [
+    ("I", ("cluster_size", "x0_total", "x1_total")),
+    ("II", ("cluster_size_control", "x0_control_total", "x1_control_total",
+            "cluster_size_treated", "x0_treated_total", "x1_treated_total")),
+])
+def test_spec_cluster_keeps_a_layout_without_duplicates(spec_kind, labels):
+    ids = np.array([1, 1, 2, 3, 3, 3, 4])
+    x = np.column_stack([np.arange(7.0), np.arange(7.0) ** 2])
+    spec = spec_cluster(x, ids, spec_kind)
+    totals = cluster_totals(np.column_stack([np.ones(7), x]), ids)
+    np.testing.assert_array_equal(spec.x, totals)
+    np.testing.assert_array_equal(spec.matrix, _cluster_layout(totals, spec_kind))
+    assert spec.labels == ("intercept_control", "intercept_treated") + labels
 
 
 def test_invprop_column_values():

@@ -1,8 +1,9 @@
 """Static checks: no unused imports in the library and its tests, no blanket
 excepts in the library, one owner for decompositions and for the unit ->
 cluster map, no random generator built inside a loop, no function that
-takes both a design and its design matrix, and every layer of the benchmark's
-tracer names a function the library defines."""
+takes both a design and its design matrix, every layer of the benchmark's
+tracer names a function the library defines, and the benchmark's simulate
+arguments parse."""
 
 import ast
 import importlib
@@ -218,16 +219,16 @@ def test_a_function_given_a_design_derives_its_design_matrix(path):
     assert not both, f"{path.name} takes a design and a design matrix in: {', '.join(both)}"
 
 
-def _bench_tracing() -> types.ModuleType:
-    """``bench/tracing.py``, run from its source so that no bytecode is written
+def _bench_module(name: str) -> types.ModuleType:
+    """``bench/<name>.py``, run from its source so that no bytecode is written
     under ``bench/``."""
-    path = ROOT / "bench" / "tracing.py"
-    module = types.ModuleType("bench_tracing")
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-TRACING = _bench_tracing()
+TRACING = _bench_module("tracing")
 
 
 @pytest.mark.parametrize("layer", sorted(TRACING.LAYERS))
@@ -240,3 +241,26 @@ def test_every_tracer_layer_resolves(layer):
         if not found or not all(callable(getattr(owner, attr)) for owner, attr in found):
             unresolved.append(f"{module_name}:{selector}")
     assert not unresolved, f"tracer layer {layer} names nothing at {', '.join(unresolved)}"
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_the_bench_simulate_arguments_parse(tmp_path):
+    """The benchmark's simulate workload runs ``dbexp simulate`` with fixed
+    arguments; a CLI change that rejects them would make every run of the
+    workload exit 2."""
+    seen = []
+
+    def record(args, **kwargs):
+        seen.append(args)
+        raise _Captured
+
+    stub = types.SimpleNamespace(main=types.SimpleNamespace(main=record))
+    [(_, simulate)] = _bench_module("workloads").simulate_ops(stub, 0, str(tmp_path))
+    with pytest.raises(_Captured):
+        simulate()
+    name, *args = seen[0]
+    context = importlib.import_module("dbexp.cli").main.commands[name].make_context(name, args)
+    assert (name, context.params["defaults"], context.params["seed"]) == ("simulate", True, 0)

@@ -116,10 +116,10 @@ def test_simulation_runs_the_library_estimators():
 
 
 def test_simulation_cluster_totals_use_the_library_cutoff():
-    # covariate set 4's cluster-total normal matrix is singular (the totals of
-    # the cluster-mean column duplicate those of x), so the estimate depends
-    # on where the pseudo-inverse cuts; replication 932 is one where the
-    # relative and the norm-anchored cutoffs disagree
+    # covariate set 4's cluster-total normal matrix is ill-conditioned (with
+    # the intercept, its columns hold the cluster sizes' powers 0 to 3), so the
+    # estimate depends on where the pseudo-inverse cuts; replication 932 is
+    # one where the relative and the norm-anchored cutoffs disagree
     config = SimConfig(seed=0, replications=933, spec_sets=(4,),
                        estimators=("ols_cluster_totals",))
     result = run_simulation(config)
@@ -132,8 +132,8 @@ def test_simulation_cluster_totals_use_the_library_cutoff():
 def test_certified_solves_match_an_svd_only_run(monkeypatch):
     """The study against a run whose certificate refuses every matrix, so that
     every solve is an SVD.  The flags are equal, and so are the cluster-total
-    estimates of sets 2-4, whose layouts never attempt the inverse; the other
-    estimates move by the two routes' rounding."""
+    estimates of set 4, whose normal matrices are never certified here; the
+    other estimates move by the two routes' rounding."""
     config = SimConfig(**TINY)
     fast = run_simulation(config)
     monkeypatch.setattr(_linalg, "CERTIFIED_COND", -np.inf)
@@ -142,17 +142,21 @@ def test_certified_solves_match_an_svd_only_run(monkeypatch):
     assert sum(fast.certified_solves.values()) > 0
     assert fast.rank_deficient == svd.rank_deficient
     totals = config.estimators.index("ols_cluster_totals")
-    sets = [config.spec_sets.index(s) for s in (2, 3, 4)]
-    assert np.array_equal(fast.estimates[:, totals][:, sets], svd.estimates[:, totals][:, sets])
-    # unit-level set 4 has certified normal matrices up to cond ~1e8 here: its
-    # estimates move by ~1e-9 of their largest magnitude, depending on the BLAS kernel
-    unit_4 = np.zeros(fast.estimates.shape[1:], bool)
-    unit_4[:, config.spec_sets.index(4)] = True
-    unit_4[totals] = False
-    np.testing.assert_allclose(fast.estimates[:, ~unit_4], svd.estimates[:, ~unit_4],
+    set_4 = config.spec_sets.index(4)
+    assert np.array_equal(fast.estimates[:, totals, set_4], svd.estimates[:, totals, set_4])
+    # unit-level set 4 and the cluster totals of sets 2-3 have certified normal
+    # matrices up to cond ~1e8 here: their estimates move by ~1e-9 of their
+    # largest magnitude, depending on the BLAS kernel
+    loose = np.zeros(fast.estimates.shape[1:], bool)
+    loose[:, set_4] = True
+    loose[totals] = False
+    loose[totals, [config.spec_sets.index(s) for s in (2, 3)]] = True
+    rest = ~loose
+    rest[totals, set_4] = False
+    np.testing.assert_allclose(fast.estimates[:, rest], svd.estimates[:, rest],
                                rtol=1e-9, atol=0.0)
-    gap = np.abs(fast.estimates[:, unit_4] - svd.estimates[:, unit_4]).max(axis=0)
-    assert np.all(gap <= 1e-8 * np.abs(svd.estimates[:, unit_4]).max(axis=0))
+    gap = np.abs(fast.estimates[:, loose] - svd.estimates[:, loose]).max(axis=0)
+    assert np.all(gap <= 1e-8 * np.abs(svd.estimates[:, loose]).max(axis=0))
 
 
 def test_simulation_propagates_errors_that_are_not_numerical(monkeypatch):
