@@ -146,9 +146,7 @@ class AteEstimator:
     def _build_spec(self, covariates, cluster_ids):
         if self.estimator == "ht":
             return None
-        x = np.empty((self.design.n, 0)) if covariates is None else np.asarray(covariates, float)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = _cov._as_matrix(np.empty((self.design.n, 0)) if covariates is None else covariates)
         if x.size:
             x = _cov.zero_center(x)
         if self.estimator == "ols_cluster_totals":

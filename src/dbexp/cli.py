@@ -86,7 +86,7 @@ def _write_timings(out_dir, timings: dict) -> None:
         fh.write(json.dumps(timings) + "\n")
 
 
-@click.group(context_settings={"auto_envvar_prefix": "DBEXP"})
+@click.group()
 def main():
     """Design-based estimation and inference for randomized experiments."""
 
@@ -171,7 +171,7 @@ def _sim_config(file_config, flags: dict) -> SimConfig:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), help="JSON SimConfig (flags win)")
-@click.option("--defaults", is_flag=True, help="run the full default configuration")
+@click.option("--defaults", is_flag=True, help="the default study; only --seed, --out-dir join it")
 @click.option("--n-units", type=int, default=None)
 @click.option("--n-clusters", type=int, default=None)
 @click.option("--m1", type=int, default=None)
@@ -187,8 +187,12 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
     """Run the cluster-randomized replication study and write its reports."""
 
     def body():
-        if defaults and config_path:
-            raise ValueError("--defaults cannot be combined with --config")
+        study = {"--config": config_path, "--n-units": n_units, "--n-clusters": n_clusters,
+                 "--m1": m1, "--replications": replications, "--noise": noise,
+                 "--spec-sets": spec_sets, "--estimators": estimator_csv}
+        given = [option for option, value in study.items() if defaults and value is not None]
+        if given:
+            raise ValueError(f"--defaults cannot be combined with {', '.join(given)}")
         file_config = {}
         if config_path:
             with open(config_path) as fh:
@@ -235,10 +239,10 @@ def simulate(config_path, defaults, n_units, n_clusters, m1, replications, seed,
 @click.option("--methods", default="as,iterative", show_default=True,
               help="comma list from as,iterative,cluster")
 @click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--diagnostics", is_flag=True, help="write the iterative min-eigenvalue trace")
 @click.option("--out-dir", default="dbexp-bounds", show_default=True)
-def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_dir):
-    """Construct variance bounds for a design and compare their tightness."""
+def bounds_compare(descriptor, data_path, methods, max_iters, out_dir):
+    """Construct variance bounds for a design and compare their tightness (an
+    iterative bound also writes its min-eigenvalue trace)."""
 
     def body():
         names = list(dict.fromkeys(v.strip() for v in methods.split(",") if v.strip()))
@@ -276,7 +280,7 @@ def bounds_compare(descriptor, data_path, methods, max_iters, diagnostics, out_d
             ["bound_a", "bound_b", "psd_verdict", "sharpnull_verdict", "min_eig", "max_eig", "eig_sum"],
             rows,
         )
-        if diagnostics and "iterative" in built:
+        if "iterative" in built:
             trace_path = os.path.join(out_dir, "iterative_trace.txt")
             with open(trace_path, "w") as fh:
                 fh.write("\n".join(repr(v) for v in built["iterative"].min_eig_trace) + "\n")

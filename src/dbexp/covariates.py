@@ -26,20 +26,17 @@ class CovariateSpec:
     """A signed covariate layout plus the metadata estimators need.
 
     ``matrix`` has 2r rows where r is the number of rows per arm (n units, or
-    m clusters for cluster-total layouts).  ``divisor`` is the number of
-    individuals: left out, it is r, which is n for a unit-level layout, and
-    ``spec_cluster`` sets it to n, so cluster-level systems feed the same
-    estimator code and still estimate the individual-level average effect.
-    It is the one divisor of every estimate on the layout.  A cluster-level
-    layout derives ``clusters``, the partition of the units by
-    ``cluster_ids``, once; it collapses unit-level data to the layout's rows.
+    m clusters for cluster-total layouts).  ``divisor``, the one divisor of
+    every estimate on the layout, is the number of individuals: the count of
+    ``cluster_ids`` for a cluster-level layout, so that it still estimates the
+    individual-level average effect, else r.  A cluster-level layout derives
+    ``clusters``, the partition of the units by ``cluster_ids``, once; it
+    collapses unit-level data to the layout's rows.
     """
 
     matrix: np.ndarray
     kind: str  # "I" | "II" | "custom"
     labels: tuple[str, ...]
-    level: str = "unit"  # "unit" | "cluster"
-    divisor: int | None = None  # r when not given
     cluster_ids: np.ndarray | None = None
     intercept_cols: tuple[int, int] | None = None  # (control, treatment)
     x: np.ndarray | None = None  # raw covariates the layout was built from
@@ -54,13 +51,19 @@ class CovariateSpec:
         object.__setattr__(self, "matrix", matrix)
         if len(self.labels) != matrix.shape[1]:
             raise ValueError("one label per column required")
-        if self.divisor is None:
-            object.__setattr__(self, "divisor", self.rows_per_arm)
+
+    @property
+    def level(self) -> str:
+        return "unit" if self.cluster_ids is None else "cluster"
+
+    @property
+    def divisor(self) -> int:
+        return self.rows_per_arm if self.cluster_ids is None else len(self.cluster_ids)
 
     @cached_property
     def clusters(self) -> Groups | None:
         """A cluster-level layout's partition of the units by ``cluster_ids``."""
-        if self.level != "cluster" or self.cluster_ids is None:
+        if self.cluster_ids is None:
             return None
         return _cluster_groups(self.cluster_ids)
 
@@ -80,11 +83,16 @@ def zero_center(x: np.ndarray) -> np.ndarray:
 
 
 def _as_matrix(x) -> np.ndarray:
+    """Covariates as an n x k float matrix, every value finite."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError("covariates must form an n x k matrix")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError("non-finite covariate for units: "
+                         + ", ".join(str(int(i)) for i in np.flatnonzero(~finite)))
     return x
 
 
@@ -153,8 +161,8 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
     an earlier one, within ``PINV_RCOND`` times its own largest magnitude, is
     dropped with its labels: the totals of a cluster-mean covariate are those
     of the covariate, and a constant covariate's are the sizes, so the column
-    adds nothing to any fit.  Row count is 2m; the stored divisor stays at n
-    so conjugate estimates target the individual-level average effect.
+    adds nothing to any fit.  Row count is 2m; the divisor, the ids' count,
+    stays at n so estimates target the individual-level average effect.
     Fitted with a cluster design, the ids must name its clusters
     (``DesignError`` otherwise).
     """
@@ -189,8 +197,6 @@ def spec_cluster(x, cluster_ids: Sequence[int], spec_kind: str = "II") -> Covari
         matrix,
         spec_kind,
         labels,
-        level="cluster",
-        divisor=n,
         cluster_ids=np.asarray(cluster_ids).astype(np.int64),
         intercept_cols=(0, 1),
         x=totals,

@@ -202,8 +202,8 @@ class DesignMatrix(_KindForm):
     certificate: str | None = None
 
     _dense_from = {
-        "values": lambda dmat: dmat._form.dense_values,
-        "mask": lambda dmat: dmat._form.dense_mask,
+        "values": lambda dmat: _frozen(dmat._form.values.dense()),
+        "mask": lambda dmat: _frozen(dmat._form.mask.dense()),
         "joint": lambda dmat: dmat._form.dense_joint,
     }
 
@@ -448,8 +448,9 @@ class GroupForm:
     unobservable pairs.  ``joint`` is the joint probabilities of a group
     design; a Bernoulli design has None, because its distinct units are
     independent, so that their joint probability is a product of marginals
-    rather than one value per kind.  The ``dense_*`` arrays are built, bit
-    for bit as a dense design would hold them, on first read.
+    rather than one value per kind.  ``dense_joint`` is built, bit for bit
+    as a dense design would hold it, on first read and shared by the design
+    and its design matrix.
     """
 
     marginals: np.ndarray
@@ -467,14 +468,6 @@ class GroupForm:
             return _frozen(self.joint.dense())
         n = self.n
         return _frozen(_bernoulli_joint(self.marginals[:n], self.marginals[n:]))
-
-    @cached_property
-    def dense_values(self) -> np.ndarray:
-        return _frozen(self.values.dense())
-
-    @cached_property
-    def dense_mask(self) -> np.ndarray:
-        return _frozen(self.mask.dense())
 
     def weigh(self, bound: GroupOperator) -> GroupOperator:
         """``bound`` over the joint probabilities, kind by kind, zero-probability
@@ -839,18 +832,17 @@ def in_support(design: Design, z) -> bool:
     return True
 
 
-def enumerate_assignments(
-    design: Design, cap: int = DEFAULT_SUPPORT_CAP
-) -> list[tuple[AssignmentRealization, float]]:
+def enumerate_assignments(design: Design) -> list[tuple[AssignmentRealization, float]]:
     """Expand the design's full support with probabilities (the exact oracle)."""
     size = support_size(design)
     if size is None:
         raise DesignError(
             "cannot enumerate a Monte-Carlo design; estimate expectations by sampling instead"
         )
-    if size > cap:
+    if size > DEFAULT_SUPPORT_CAP:
         raise SupportTooLargeError(
-            f"support has {size} assignments (cap {cap}); use Monte-Carlo sampling instead"
+            f"support has {size} assignments (cap {DEFAULT_SUPPORT_CAP}); "
+            "use Monte-Carlo sampling instead"
         )
     prov = design.provenance
     out: list[tuple[AssignmentRealization, float]] = []

@@ -253,7 +253,7 @@ def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
     return picked
 
 
-def run_simulation(config: SimConfig, population: Population | None = None) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Run the replication study; deterministic given the seed.
 
     A replication whose least-squares fit fails is counted in ``failures``
@@ -261,8 +261,7 @@ def run_simulation(config: SimConfig, population: Population | None = None) -> S
     any other error propagates.
     """
     marks = [time.perf_counter()]  # the end of each stage of _STAGES
-    if population is None:
-        population = build_population(config)
+    population = build_population(config)
     marks.append(time.perf_counter())
     m1 = config.m1
     if not 1 <= m1 <= population.m - 1:

@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 import dbexp.bounds
+import dbexp.cli
 import dbexp.estimators
-from dbexp import AteEstimator, build_bound, make_complete
+from dbexp import AteEstimator, SimConfig, build_bound, make_complete
 from dbexp.cli import main
 
 TOY_TWO_UNIT = "outcome,treatment\n1,1\n2,0\n"
@@ -197,6 +198,36 @@ def test_simulate_non_integer_or_negative_config_value_exits_2(runner, tmp_path,
     assert "must be" in result.output
 
 
+def test_simulate_defaults_runs_the_default_study_at_the_seed_given(runner, tmp_path,
+                                                                     monkeypatch):
+    class Ran(Exception):
+        pass
+
+    def run(config):
+        raise Ran(config)
+
+    monkeypatch.setattr(dbexp.cli, "run_simulation", run)
+    result = runner.invoke(main, ["simulate", "--defaults", "--seed", "3",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert isinstance(result.exception, Ran), result.output
+    assert result.exception.args == (SimConfig(seed=3),)
+
+
+def test_simulate_reads_no_environment_setting(runner, tmp_path):
+    """The replication count is the run's own (its --config file's 3), whatever
+    DBEXP_SIMULATE_REPLICATIONS says: no option is read from the environment."""
+    cfg_path = _write(tmp_path / "config.json", json.dumps({"replications": 3}))
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main,
+        ["simulate", "--config", cfg_path, "--n-units", "60", "--n-clusters", "12", "--m1", "5",
+         "--spec-sets", "1", "--estimators", "two_r", "--out-dir", str(out)],
+        env={"DBEXP_SIMULATE_REPLICATIONS": "2"},
+    )
+    assert result.exit_code == 0, result.output
+    assert len((out / "replications.csv").read_text().splitlines()) - 1 == 3
+
+
 def test_bounds_compare_cluster_vs_universal(runner, tmp_path):
     rows = ["outcome,treatment,cluster_id"]
     z_by_cluster = {1: 1, 2: 1, 3: 0, 4: 0}
@@ -222,13 +253,16 @@ def test_bounds_compare_iterative_and_self(runner, tmp_path):
     result = runner.invoke(
         main,
         ["bounds-compare", "--design", "complete:n1=3,n=6",
-         "--methods", "as,iterative", "--diagnostics", "--out-dir", str(out)],
+         "--methods", "as,iterative", "--out-dir", str(out)],
     )
     assert result.exit_code == 0, result.output
     rows = open(out / "bounds_compare.csv").read().splitlines()[1:]
     verdicts = {r.split(",")[2] for r in rows}
     assert verdicts <= {"a_tighter", "b_tighter", "tie", "incomparable"}
-    assert (out / "iterative_trace.txt").exists()
+    trace = (out / "iterative_trace.txt").read_text().split()  # written without a flag
+    iterations = json.loads((out / "manifest.json").read_text())["params"]["bounds"][
+        "iterative"]["iterations"]
+    assert len(trace) == iterations + 1  # one smallest eigenvalue per PSD check
 
     out2 = tmp_path / "b2"
     result = runner.invoke(
@@ -239,6 +273,7 @@ def test_bounds_compare_iterative_and_self(runner, tmp_path):
     assert result.exit_code == 0
     row = open(out2 / "bounds_compare.csv").read().splitlines()[1]
     assert row.split(",")[2] == "tie"
+    assert not (out2 / "iterative_trace.txt").exists()  # no iterative bound built
 
 
 def test_bounds_compare_manifest_records_each_bound(runner, tmp_path):
@@ -604,6 +639,11 @@ def test_malformed_experiment_csv_exits_2(runner, tmp_path, csv_text, message):
     assert f"error: {message}" in result.output
 
 
+# the flags that set the study, which --defaults fixes
+_STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--replications", "2"),
+                ("--noise", "sd"), ("--spec-sets", "1"), ("--estimators", "two_r")]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -626,10 +666,13 @@ def test_malformed_experiment_csv_exits_2(runner, tmp_path, csv_text, message):
          "--defaults cannot be combined with --config"),
         (["simulate", "--defaults", "--config", "{empty_config}"],
          "--defaults cannot be combined with --config"),
+        *((["simulate", "--defaults", option, value],
+           f"--defaults cannot be combined with {option}") for option, value in _STUDY_FLAGS),
     ],
     ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
          "empty vector", "per-line vector", "spec-sets parse", "spec-sets value",
-         "estimators value", "defaults and config", "defaults and empty config"],
+         "estimators value", "defaults and config", "defaults and empty config",
+         *(f"defaults and {option}" for option, _ in _STUDY_FLAGS)],
 )
 def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, message):
     files = {

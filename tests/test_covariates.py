@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbexp import (
+    AteEstimator,
     CovariateSpec,
     ObservedOutcomes,
     StackedOutcomes,
@@ -106,10 +107,27 @@ def test_cluster_layout_derives_its_partition_from_its_cluster_ids():
     spec = spec_cluster(np.zeros((5, 1)), [7, 3, 7, 5, 3], "II")
     np.testing.assert_array_equal(spec.clusters.index, [2, 0, 2, 1, 0])
     assert spec.clusters.m == spec.rows_per_arm == 3
-    with pytest.raises(TypeError):  # not a constructor argument, so it cannot disagree
-        CovariateSpec(spec.matrix, "II", spec.labels, level="cluster",
-                      cluster_ids=spec.cluster_ids, clusters=spec.clusters)
+    # none is a constructor argument: each follows from cluster_ids, so it cannot disagree
+    for name in ("clusters", "level", "divisor"):
+        with pytest.raises(TypeError):
+            CovariateSpec(spec.matrix, "II", spec.labels, cluster_ids=spec.cluster_ids,
+                          **{name: getattr(spec, name)})
     assert spec_II(np.zeros((5, 1))).clusters is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["fit", "spec_II"])
+def test_non_finite_covariates_are_rejected_naming_their_units(entry, value):
+    design = make_complete(20, 10)
+    z = draw(design, 0).assignment
+    x = np.random.default_rng(5).standard_normal((20, 2))
+    y = z + x[:, 0]
+    x[[4, 11], [1, 0]] = value
+    with pytest.raises(ValueError, match="non-finite covariate for units: 4, 11$"):
+        if entry == "fit":
+            AteEstimator(design, "two_r").fit(y, z, covariates=x)
+        else:
+            spec_II(x)
 
 
 def test_spec_cluster_singletons_extend_unit_spec():
@@ -155,8 +173,9 @@ def test_spec_cluster_drops_totals_that_duplicate_an_earlier_column():
 
     full_totals = cluster_totals(np.column_stack([np.ones(n), covariates]), ids)
     full = CovariateSpec(_cluster_layout(full_totals, "II"), "II",
-                         tuple(f"c{j}" for j in range(10)), level="cluster", divisor=n,
-                         cluster_ids=ids, intercept_cols=(0, 1))
+                         tuple(f"c{j}" for j in range(10)), cluster_ids=ids,
+                         intercept_cols=(0, 1))
+    assert full.level == "cluster" and full.divisor == n
     design = make_cluster(ids, 4)
     y0 = x + rng.standard_normal(n)
     outcomes = StackedOutcomes.from_arms(y0, y0 + 1.0)

@@ -327,7 +327,7 @@ def test_enumeration_probabilities_and_reconstruction():
 
 def test_enumeration_support_cap():
     with pytest.raises(SupportTooLargeError):
-        enumerate_assignments(make_complete(30, 15), cap=1000)
+        enumerate_assignments(make_complete(30, 15))  # C(30, 15) = 155 117 520 > 10**6
 
 
 def test_fundamental_mask_and_marginal_identities():
