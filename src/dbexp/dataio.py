@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .design import Design, _key, design_from_dict, make_bernoulli, make_cluster, make_complete
 
 
@@ -165,14 +166,21 @@ def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = Non
 
 
 def load_numeric_vector(path) -> np.ndarray:
-    """A numeric vector stored either as a JSON array or one value per line."""
+    """A numeric vector stored either as a JSON array or one value per line;
+    every entry must be finite."""
     with open(path) as fh:
         text = fh.read().strip()
     if not text:
         raise ValueError(f"{path}: empty vector file")
     if text.startswith("["):
-        return np.asarray(json.loads(text), dtype=float)
-    return np.asarray([float(line) for line in text.splitlines() if line.strip()], dtype=float)
+        values = np.asarray(json.loads(text), dtype=float)
+    else:
+        values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite entries at positions "
+                         + ", ".join(str(int(i)) for i in bad))
+    return values
 
 
 # -- reports and manifests -----------------------------------------------------
@@ -196,15 +204,9 @@ def _format_value(value):
 
 def write_manifest(out_dir, command: str, params: dict) -> str:
     """Record versions, resolved configuration, and seeds for reproducibility."""
-    import importlib.metadata
-
-    try:
-        version = importlib.metadata.version("dbexp")
-    except importlib.metadata.PackageNotFoundError:  # editable checkout without install
-        version = "unknown"
     manifest = {
         "command": command,
-        "versions": {"dbexp": version, "numpy": np.__version__},
+        "versions": {"dbexp": __version__, "numpy": np.__version__},
         "params": params,
     }
     os.makedirs(out_dir, exist_ok=True)

@@ -140,6 +140,16 @@ def _varies(treated: np.ndarray, groups: Groups) -> np.ndarray:
     return treated != treated.take(groups.first[groups.index], axis=1)
 
 
+def _by_group(treated: np.ndarray, groups: Groups):
+    """A 0/1 stack at the level of ``groups``: its (R, m) group columns, and the
+    rows that treat a group's units unlike, which need unit columns.  A stack
+    of width n is one of units, whatever m is; one of width m < n holds group
+    columns, which no row splits."""
+    if treated.shape[1] != groups.n or groups.in_order:
+        return treated, np.zeros(len(treated), dtype=bool)
+    return treated.take(groups.first, axis=1), _varies(treated, groups).any(axis=1)
+
+
 def _collapse(treated: np.ndarray, groups: Groups) -> np.ndarray:
     """Group-level (R, m) assignments of a unit-level (R, n) 0/1 stack."""
     varying = groups.index[_varies(treated, groups).any(axis=0)]
@@ -148,26 +158,22 @@ def _collapse(treated: np.ndarray, groups: Groups) -> np.ndarray:
     return treated.take(groups.first, axis=1)
 
 
-def _at_level(spec: CovariateSpec | None, design: Design | None, data, treated=None):
-    """(design, data, treated) at the level of the layout ``spec``: ``data`` is
-    an observed realization, or a full schedule with ``treated``, an (R, n)
-    assignment stack or None.  A cluster-level layout collapses data on the n
-    units of its partition, all-singleton clusters too; other data passes.  The
-    layout's clusters must be the design's."""
+def _at_level(spec: CovariateSpec | None, design: Design | None, data):
+    """(design, data) at the level of the layout ``spec``: ``data`` is an
+    observed realization or a full schedule.  A cluster-level layout collapses
+    data on the n units of its partition, all-singleton clusters too; other
+    data passes.  The layout's clusters must be the design's."""
     clusters = None if spec is None else spec.clusters
     if clusters is None or data.n != clusters.n:
-        return design, data, treated
+        return design, data
     if design is not None:
         collapsed = cluster_level_design(design)[0]  # only a cluster design has one
         _check_clusters(clusters, design._assignment_groups)
         design = collapsed
     if isinstance(data, ObservedOutcomes):
         z = _collapse(data.realization.assignment[None], clusters)[0]
-        data = ObservedOutcomes(clusters.totals(data.outcomes), AssignmentRealization(z))
-    else:
-        data = _stack(data, clusters)
-        treated = None if treated is None else _collapse(treated, clusters)
-    return design, data, treated
+        return design, ObservedOutcomes(clusters.totals(data.outcomes), AssignmentRealization(z))
+    return design, _stack(data, clusters)
 
 
 def stack_clusters(outcomes: StackedOutcomes, cluster_ids) -> StackedOutcomes:
@@ -305,13 +311,14 @@ def _check_method(method: str, spec: CovariateSpec) -> None:
 
 
 class _Realizations:
-    """R realizations (an (R, n) boolean stack) on the (arm, group) columns of
-    ``groups``: (R, 2m) indicators, weights ``w`` given the marginals, and sums
-    ``y`` of the signed outcomes (2n,).  A sum over units of ``w_i y_i v_i`` is
-    ``_rows(w * scale, outcome_rows(v))``: with one unit per group ``scale`` is
-    ``y`` and the rows are v's, so each unit's weighted outcome is rounded as on
-    unit columns; otherwise ``scale`` is 1 and the rows sum ``y_i v_i``.  Each
-    is built on first read: the bound estimates read none of them."""
+    """R realizations (an (R, m) boolean stack, one column per group) on the
+    (arm, group) columns of ``groups``: (R, 2m) indicators, weights ``w`` given
+    the marginals, and sums ``y`` of the signed outcomes (2n,).  A sum over
+    units of ``w_i y_i v_i`` is ``_rows(w * scale, outcome_rows(v))``: with one
+    unit per group ``scale`` is ``y`` and the rows are v's, so each unit's
+    weighted outcome is rounded as on unit columns; otherwise ``scale`` is 1
+    and the rows sum ``y_i v_i``.  Each is built on first read: the bound
+    estimates read none of them."""
 
     def __init__(self, groups: Groups, treated: np.ndarray, marginals: np.ndarray | None,
                  signed: np.ndarray):
@@ -322,8 +329,7 @@ class _Realizations:
 
     @cached_property
     def indicator(self) -> np.ndarray:
-        t = self.treated if self.groups.in_order else self.treated.take(self.groups.first, axis=1)
-        return np.concatenate([~t, t], axis=1).astype(float)
+        return np.concatenate([~self.treated, self.treated], axis=1).astype(float)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -354,7 +360,7 @@ def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateS
     at that level: the one way a single fit reaches its layout's level.  The
     divisor is the layout's, or the number of units without one; an assignment
     the design cannot draw runs on unit columns."""
-    sys_design, sys_obs, _ = _at_level(spec, design, observed)
+    sys_design, sys_obs = _at_level(spec, design, observed)
     if sys_design is not None and sys_obs.n != sys_design.n:
         raise ValueError("observed data and design sizes disagree")
     if spec is not None and sys_obs.n != spec.rows_per_arm:
@@ -362,11 +368,12 @@ def _observe(observed: ObservedOutcomes, design: Design | None, spec: CovariateS
     divisor = sys_obs.n if spec is None else spec.divisor
     treated = sys_obs.realization.assignment[None] == 1
     groups = unit_groups(sys_obs.n) if sys_design is None else sys_design._assignment_groups
-    if not groups.in_order and _varies(treated, groups).any():
-        groups = unit_groups(sys_obs.n)
+    grouped, split = _by_group(treated, groups)
+    if split[0]:
+        groups, grouped = unit_groups(sys_obs.n), treated
     marginals = None if sys_design is None else sys_design.marginals
     signed = np.concatenate([-sys_obs.outcomes, sys_obs.outcomes])
-    return _Realizations(groups, treated, marginals, signed), divisor, sys_obs, sys_design
+    return _Realizations(groups, grouped, marginals, signed), divisor, sys_obs, sys_design
 
 
 def _fit(x: _System, w: np.ndarray, wy: np.ndarray):
@@ -391,7 +398,8 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
     fits, x = {}, spec.matrix
     for kind in dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0]):
         o = obs if kind != "indicator" or obs.groups.in_order else _Realizations(
-            unit_groups(obs.groups.n), obs.treated, None, obs.signed)
+            unit_groups(obs.groups.n), obs.treated.take(obs.groups.index, axis=1), None,
+            obs.signed)
         w = o.weights(kind)
         gram = partial(_gram, spec._sums, o.groups, left=x, right=x,
                        cluster_rows=spec.level == "cluster")
@@ -470,7 +478,7 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
     simulation tool, not an estimator.
     """
     b = np.asarray(b, dtype=float)
-    _, outcomes, _ = _at_level(spec, None, outcomes)
+    _, outcomes = _at_level(spec, None, outcomes)
     if dmat.n != spec.rows_per_arm:
         raise ValueError("design matrix level does not match the layout")
     u = outcomes.values - spec.matrix @ b
@@ -508,16 +516,27 @@ class BatchPoints:
 def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, methods) -> BatchPoints:
     """Point estimates of coefficient methods over a stack of assignments.
 
-    ``treated`` is an (R, n) 0/1 stack of unit-level assignments, revealed
-    against the full schedule ``outcomes``; ``specs`` are layouts of one level
-    (unit, or cluster with shared cluster ids); ``methods`` are names from
-    :data:`COEFFICIENT_METHODS` other than ``fixed``.  Each point equals
-    :func:`greg` at the method's ``coef_*`` coefficient for that assignment alone.
+    ``treated`` is a 0/1 stack of assignments, revealed against the full
+    schedule ``outcomes``: (R, n), one column per unit, or, for a design whose
+    assignment groups are coarser than its units, (R, m), one column per group,
+    which for a cluster design is one per cluster in ascending id order, the
+    order of :func:`~dbexp.covariates.cluster_totals`.  Width n always means
+    units, so a design of singleton clusters takes unit columns.  Either stack
+    is brought to group columns once, here; the rows of an (R, n) stack that
+    treat a group's units unlike run on unit columns, as each does alone.  So
+    a caller that draws whole clusters holds O(R m) assignments, not O(R n).
+    ``specs`` are layouts of one level (unit, or cluster with shared cluster
+    ids); ``methods`` are names from :data:`COEFFICIENT_METHODS` other than
+    ``fixed``.  Each point equals :func:`greg` at the method's ``coef_*``
+    coefficient for that assignment alone.
     """
     specs, methods = tuple(specs), tuple(methods)
+    groups = design._assignment_groups
     z = np.asarray(treated)
-    if z.ndim != 2 or z.shape[1] != design.n or not _zero_one(z):
-        raise ValueError(f"treated must be an (R, {design.n}) stack of 0/1 assignments")
+    widths = dict.fromkeys((design.n, groups.m))
+    if z.ndim != 2 or z.shape[1] not in widths or not _zero_one(z):
+        shapes = " or ".join(f"(R, {width})" for width in widths)
+        raise ValueError(f"treated must be an {shapes} stack of 0/1 assignments")
     z = z.astype(bool, copy=False)
     if outcomes.n != design.n:
         raise ValueError("outcome schedule and design sizes disagree")
@@ -528,9 +547,16 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
             _check_method(method, spec)
     if len({spec.clusters.key for spec in specs if spec.clusters is not None}) > 1:
         raise ValueError("the cluster-level layouts of one call must share their clusters")
-    sys_design, outcomes, z = _at_level(specs[0] if specs else None, design, outcomes, z)
+    sys_design, outcomes = _at_level(specs[0] if specs else None, design, outcomes)
     if any(spec.rows_per_arm != sys_design.n for spec in specs):
         raise ValueError("layout and design sizes disagree")
+    if sys_design is design:
+        grouped, split = _by_group(z, groups)
+    else:  # cluster-level layouts: the collapsed design's units are the layouts' clusters
+        clusters = specs[0].clusters
+        grouped = (_collapse(z, clusters) if z.shape[1] == design.n
+                   else z.take(groups.index[clusters.first], axis=1))
+        groups, split = sys_design._assignment_groups, np.zeros(len(z), dtype=bool)
     runs_3ht = any(_METHODS[m][1] for m in methods)
     caches = [AdjustmentCache.build(spec, design) if runs_3ht else None for spec in specs]
     divisors = [spec.divisor for spec in specs]
@@ -540,17 +566,15 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
     rank_deficient, certified, failed = (np.zeros(shape, bool) for _ in range(3))
     # assignments that treat a group's units unlike, which the design cannot
     # draw, run on unit columns, as each does alone
-    groups = sys_design._assignment_groups
-    split = np.zeros(z.shape[0], bool) if groups.in_order else _varies(z, groups).any(axis=1)
-    blocks = [(columns, where[start:start + _BLOCK])
-              for columns, where in ((groups, np.flatnonzero(~split)),
-                                     (unit_groups(sys_design.n), np.flatnonzero(split)))
+    blocks = [(columns, stack, where[start:start + _BLOCK])
+              for columns, stack, where in ((groups, grouped, np.flatnonzero(~split)),
+                                            (unit_groups(sys_design.n), z, np.flatnonzero(split)))
               for start in range(0, where.size, _BLOCK)]
 
     def run(share):
         """Each block of ``share``, written to its own rows of the results."""
-        for columns, rows in share:
-            obs = _Realizations(columns, z[rows], sys_design.marginals, outcomes.values)
+        for columns, stack, rows in share:
+            obs = _Realizations(columns, stack[rows], sys_design.marginals, outcomes.values)
             ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
             for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
                 adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)

@@ -112,7 +112,7 @@ def b_sep(spec: CovariateSpec, outcomes: StackedOutcomes, design: Design) -> Opt
 
 def _match_level(spec: CovariateSpec, outcomes: StackedOutcomes, design: Design | None = None):
     """(design, outcomes) at the layout's level."""
-    design, outcomes, _ = _at_level(spec, design, outcomes)
+    design, outcomes = _at_level(spec, design, outcomes)
     if outcomes.n != spec.rows_per_arm:
         raise ValueError("outcome schedule does not match the layout's row count")
     return design, outcomes

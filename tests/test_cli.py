@@ -659,6 +659,10 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
          "empty.txt: empty vector file"),
         (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
           "--coefficient", "{per_line}"], "could not convert string to float: 'x'"),
+        (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
+          "--coefficient", "{nan_json}"], "b.json: non-finite entries at positions 1"),
+        (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
+          "--coefficient", "{inf_lines}"], "inf.txt: non-finite entries at positions 0, 2"),
         (["simulate", "--spec-sets", "1,x"], "invalid literal for int() with base 10: 'x'"),
         (["simulate", "--spec-sets", "1,5"], "unknown covariate sets: [5]"),
         (["simulate", "--estimators", "two_r,bogus"], "unknown estimators: ['bogus']"),
@@ -670,8 +674,8 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
            f"--defaults cannot be combined with {option}") for option, value in _STUDY_FLAGS),
     ],
     ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
-         "empty vector", "per-line vector", "spec-sets parse", "spec-sets value",
-         "estimators value", "defaults and config", "defaults and empty config",
+         "empty vector", "per-line vector", "NaN vector", "inf vector", "spec-sets parse",
+         "spec-sets value", "estimators value", "defaults and config", "defaults and empty config",
          *(f"defaults and {option}" for option, _ in _STUDY_FLAGS)],
 )
 def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, message):
@@ -679,6 +683,8 @@ def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, mes
         "toy": _write(tmp_path / "toy.csv", TOY_TWO_UNIT),
         "empty": _write(tmp_path / "empty.txt", "\n"),
         "per_line": _write(tmp_path / "b.txt", "0.5\nx\n"),
+        "nan_json": _write(tmp_path / "b.json", "[0.0, NaN, 0.0, 1.84]"),
+        "inf_lines": _write(tmp_path / "inf.txt", "inf\n0.0\n-inf\n1.84\n"),
         "config": _write(tmp_path / "config.json", json.dumps({"seed": 1})),
         "empty_config": _write(tmp_path / "empty.json", "{}"),
     }

@@ -516,6 +516,7 @@ def test_adjustment_cache_keeps_the_design_side_rank_flag():
 
 
 BATCH_IDS = np.array([1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6])
+RELABELLED_IDS = 7 - BATCH_IDS  # BATCH_IDS' clusters in the reverse id order
 SHUFFLED_SINGLETONS = np.array([9, 4, 11, 0, 7, 2, 10, 5, 1, 8, 3, 6])
 SINGLE = {
     "ols": lambda spec, obs, design, cache: coef_ols(spec, obs),
@@ -538,6 +539,9 @@ def _batch_case(kind):
         design = make_cluster(ids, 3)
         layouts = (spec_cluster(x, ids, "II"), spec_cluster(x, ids, "I"))
         methods = ("ols_cluster_totals", "ols", "wls_pi", "three_ht", "two_r")
+        if kind == "cluster":  # and a layout whose ids label the design's clusters otherwise
+            relabelled = ((spec_cluster(x, RELABELLED_IDS, "II"),), ("ols_cluster_totals", "two_r"))
+            return design, outcomes, [(layouts, methods), (layouts[1:], ("tyranny",)), relabelled]
     else:
         design = make_complete(n, 5)
         if kind == "bernoulli":
@@ -560,12 +564,24 @@ def _batch_treated(design, kind, draws=450):
 @pytest.mark.parametrize("kind", ["complete", "bernoulli", "cluster", "cluster singletons shuffled",
                                   "cluster units", "cluster units split"])
 def test_batch_points_equal_single_realization_estimates(kind):
+    """Each point equals its single fit.  A multi-unit cluster design also takes
+    the stack as one column per cluster in ascending id order, with results
+    equal bit for bit; with singleton clusters (m = n) a stack of width n is
+    one of units, whose ids here are out of unit order."""
     design, outcomes, calls = _batch_case(kind)
     treated = _batch_treated(design, kind)
+    by_cluster = None
+    if kind in ("cluster", "cluster units"):
+        by_cluster = treated[:, np.unique(BATCH_IDS, return_index=True)[1]]
+        assert by_cluster.shape == (450, 6)
     for specs, methods in calls:
         batch = batch_points(design, outcomes, treated, specs, methods)
         assert batch.points.shape == (450, len(methods), len(specs))
         assert not batch.failed.any()
+        if by_cluster is not None:
+            grouped = batch_points(design, outcomes, by_cluster, specs, methods)
+            for name in ("points", "rank_deficient", "certified", "failed"):
+                assert getattr(grouped, name).tobytes() == getattr(batch, name).tobytes(), name
         caches = [AdjustmentCache.build(spec, design) for spec in specs]
         for r, z in enumerate(treated):
             obs = _observe(outcomes, z)
@@ -656,6 +672,12 @@ def test_batch_points_rejects_bad_input():
         batch_points(design, outcomes, bad, specs, methods)
     with pytest.raises(ValueError, match="0/1"):
         batch_points(design, outcomes, treated[:, :-1], specs, methods)
+    by_cluster = treated[:, np.unique(BATCH_IDS, return_index=True)[1]]
+    bad = by_cluster.copy()
+    bad[1, 2] = 2
+    for stack in (bad, by_cluster[:, :-1], np.hstack([by_cluster, by_cluster[:, :1]])):
+        with pytest.raises(ValueError, match=r"an \(R, 12\) or \(R, 6\) stack of 0/1"):
+            batch_points(design, outcomes, stack, specs, methods)
     with pytest.raises(ValueError, match="one level"):
         batch_points(design, outcomes, treated, [unit_spec, specs[0]], ["ols"])
     for name in ("fixed", "bogus"):
@@ -729,8 +751,9 @@ def test_group_column_products_equal_unit_products(ids, seed):
     signed = np.concatenate([np.where(treated, 0.0, -observed), np.where(treated, observed, 0.0)], 1)
     wy = signed * w  # the realized signed outcomes, zero at unobserved slots
     want = _unit_products(spec.matrix, cache, w, wy, n, b_wls)
-    for groups in (design._assignment_groups, unit_groups(n)):
-        obs = _Realizations(groups, treated, design.marginals, outcomes.values)
+    for groups in (design._assignment_groups, unit_groups(n)):  # each holds group columns
+        obs = _Realizations(groups, treated.take(groups.first, axis=1), design.marginals,
+                            outcomes.values)
         got = _grouped_products(spec, cache, obs, n, b_wls)
         for key, value in want.items():
             if groups.in_order:  # one unit per group: the unit products themselves

@@ -2,8 +2,8 @@
 excepts in the library, one owner for decompositions and for the unit ->
 cluster map, no random generator built inside a loop, no function that
 takes both a design and its design matrix, every layer of the benchmark's
-tracer names a function the library defines, and the benchmark's simulate
-arguments parse."""
+tracer names a function the library defines, the benchmark's simulate
+arguments parse, and the package's version is pyproject.toml's."""
 
 import ast
 import importlib
@@ -264,3 +264,11 @@ def test_the_bench_simulate_arguments_parse(tmp_path):
     name, *args = seen[0]
     context = importlib.import_module("dbexp.cli").main.commands[name].make_context(name, args)
     assert (name, context.params["defaults"], context.params["seed"]) == ("simulate", True, 0)
+
+
+def test_the_package_version_is_the_project_version():
+    """Manifests record ``dbexp.__version__``; pyproject.toml holds the other copy."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == importlib.import_module("dbexp").__version__

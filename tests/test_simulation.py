@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -318,6 +319,47 @@ def test_emit_report_empty_estimators(tmp_path):
     ]
     assert "figure" not in paths
     assert not os.path.exists(os.path.join(tmp_path, "figure.svg"))
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_study_holds_its_assignments_by_cluster():
+    """The study hands ``batch_points`` its (R, m) cluster draws: at 2000 units
+    and 2000 replications one (R, n) bool stack of unit assignments is 4 MB,
+    more than twice the rest of the pass, whose traced peak stays below it."""
+    config = SimConfig(n_units=2000, n_clusters=20, m1=8, replications=2000, seed=4,
+                       spec_sets=(1,))
+    run_simulation(dataclasses.replace(config, replications=2))  # first-call caches
+    result, peak = _traced_peak(run_simulation, config)
+    assert not result.failures.any()
+    assert peak < config.replications * config.n_units
+
+
+def test_emit_report_writes_replications_a_chunk_at_a_time(tmp_path):
+    """replications.csv is formatted a few hundred replications at a time, so
+    the report's traced peak stays below the file's size, and the file is the
+    one line per estimate it was when formatted whole."""
+    result = run_simulation(SimConfig(**{**TINY, "replications": 2}))
+    estimates = np.random.default_rng(5).standard_normal((3000,) + result.estimates.shape[1:])
+    estimates[1234, 2, 1] = np.nan
+    result = dataclasses.replace(result, estimates=estimates)
+    paths, peak = _traced_peak(emit_report, result, tmp_path)
+    written = open(paths["replications"], "rb").read()
+    assert peak < len(written)
+    labels = [f"{name},{set_id}," for name in result.config.estimators
+              for set_id in result.config.spec_sets]
+    rows = estimates.reshape(3000, -1).tolist()
+    whole = "".join(f"{r},{label}{v!r}\n" for r, row in enumerate(rows)
+                    for label, v in zip(labels, row))
+    assert written == ("replication,estimator,spec_set,estimate\n" + whole).encode()
 
 
 def test_emit_report_byte_identical_across_runs(tmp_path):
