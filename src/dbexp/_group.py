@@ -14,6 +14,7 @@ map: ``design._cluster_groups`` makes it from cluster ids and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,11 +53,19 @@ class Groups:
         """Sums of a stacked array (2n, ...) over the (arm, group) columns: (2m, ...)."""
         return v if self.in_order else np.add.reduceat(self._sorted(v), self._bounds, axis=0)
 
-    def outer_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``sum(outer_rows(a, b))``, with the rows put in group order before the product."""
-        if self.in_order:
-            return outer_rows(a, b)
-        return np.add.reduceat(outer_rows(self._sorted(a), self._sorted(b)), self._bounds, axis=0)
+    def pair_sums(self, a: np.ndarray, b: np.ndarray, pairs: Sequence[tuple]) -> list[np.ndarray]:
+        """For each ``(arm, i, j)`` of ``pairs`` (``CovariateSpec.structure``), the sums
+        of the row-wise products ``a[:, i] * b[:, j]`` of stacked arrays (2n, ...)
+        over the (arm, group) columns of ``arm`` (m of them), or of both arms
+        (2m) for None, with the rows put in group order before the product."""
+        a, b = self._sorted(a), self._sorted(b)
+        sums = []
+        for arm, i, j in pairs:
+            rows = arm_slice(arm, self.n)
+            products = a[rows].take(i, axis=1) * b[rows].take(j, axis=1)
+            bounds = self._bounds if arm is None else self.starts
+            sums.append(products if self.in_order else np.add.reduceat(products, bounds, axis=0))
+        return sums
 
     def _sorted(self, v: np.ndarray) -> np.ndarray:
         return v if self.slots is None else v.take(self.slots, axis=0)
@@ -74,9 +83,9 @@ class Groups:
         return bool((labels[self.index] == other.index).all())
 
 
-def outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer products (rows, l * l'), so that a Gram product is linear in row weights."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+def arm_slice(arm: int | None, size: int) -> slice:
+    """One arm's half of a stacked axis of 2 * size (control first), or all of it for None."""
+    return slice(None) if arm is None else slice(arm * size, (arm + 1) * size)
 
 
 @lru_cache(maxsize=16)

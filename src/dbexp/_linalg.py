@@ -2,6 +2,7 @@
 connected components that split a symmetric matrix into diagonal blocks."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,69 +50,112 @@ def pinv(a: np.ndarray, scale: float | None = None) -> np.ndarray:
 CERTIFIED_COND = 1e-2 / PINV_RCOND
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (r, l, l), one row reduction each."""
-    flat = a.reshape(len(a), a.shape[-2] * a.shape[-1])
-    return np.sqrt((flat * flat).sum(axis=-1))
+def _squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of (r, k), one row reduction each: the squared
+    Frobenius norm of each of r matrices, or of its blocks together."""
+    return (a * a).sum(axis=-1)
 
 
-def certified_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack (r, l, l) and where each is certified, its Frobenius
-    bound at most ``CERTIFIED_COND``.  A stack whose ``inv`` raises (an exactly
-    singular matrix) is inverted one matrix at a time, and a matrix that raises
-    alone is not certified, so each flag depends on its matrix alone."""
+def _inverses(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (r, s, s) and where each was formed.  A stack whose
+    ``inv`` raises (an exactly singular matrix) is inverted one matrix at a
+    time, and a matrix that raises alone gets zeros, so each inverse and flag
+    depends on its matrix alone."""
     try:
-        inv = np.linalg.inv(a)
+        return np.linalg.inv(a), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.zeros_like(a), np.zeros(1, dtype=bool)
-        parts = [certified_inverse(a[k : k + 1]) for k in range(len(a))]
+        parts = [_inverses(a[k : k + 1]) for k in range(len(a))]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _frobenius(a) * _frobenius(inv)
-    return inv, bound <= CERTIFIED_COND  # False at a non-finite bound
 
 
-def _svd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solutions of a stack (r, l, l) against (r, l), each matrix cut
-    at ``PINV_RCOND`` times its own largest singular value, and their flags."""
-    u, s, vt, keep = _svd_cut(a, None)
-    ub = (b[..., None, :] @ u)[..., 0, :]
-    x = (np.divide(ub, s, out=np.zeros_like(s), where=keep)[..., None, :] @ vt)[..., 0, :]
-    return x, ~keep.all(axis=-1)
+def _diagonal(a: np.ndarray, blocks: Sequence[np.ndarray]):
+    """For each size class ``(c, s)`` of ``blocks``, its slots and the diagonal
+    blocks of a stack (r, l, l) as one C-contiguous stack (r * c, s, s), matrix
+    by matrix (LAPACK and BLAS can round a strided stack unlike a contiguous one)."""
+    l = a.shape[-1]
+    flat = a.reshape(len(a), l * l)
+    for slots in blocks:
+        s = slots.shape[1]
+        yield slots, flat.take(slots[:, :, None] * l + slots[:, None, :], axis=1).reshape(-1, s, s)
 
 
-def pinv_solve(a: np.ndarray, b: np.ndarray):
+def _per_block(b: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The entries of right-hand sides (r, l) at each of c blocks' slots (c, s): (r * c, s)."""
+    return b.take(slots, axis=1).reshape(-1, slots.shape[1])
+
+
+def _svd_solve(a: np.ndarray, b: np.ndarray, blocks: Sequence[np.ndarray] | None = None):
+    """Minimum-norm solutions of a stack (r, l, l), block-diagonal over
+    ``blocks`` (one block by default), against (r, l), and their flags: each
+    block is decomposed alone and cut at ``PINV_RCOND`` times the largest
+    singular value over all blocks of its matrix."""
+    r, l = b.shape
+    svds = [(slots, np.linalg.svd(part, full_matrices=False))
+            for slots, part in _diagonal(a, [np.arange(l)[None]] if blocks is None else blocks)]
+    top = np.zeros(r)
+    for slots, (_, s, _) in svds:
+        top = np.maximum(top, s.reshape(r, -1).max(axis=1, initial=0.0))
+    x, deficient = np.zeros((r, l)), np.zeros(r, dtype=bool)
+    for slots, (u, s, vt) in svds:
+        keep = s > PINV_RCOND * np.repeat(top, len(slots))[:, None]
+        ub = (_per_block(b, slots)[:, None, :] @ u)[..., 0, :]
+        fit = (np.divide(ub, s, out=np.zeros_like(s), where=keep)[..., None, :] @ vt)[..., 0, :]
+        x[:, slots] = fit.reshape((r,) + slots.shape)
+        deficient |= ~keep.reshape(r, -1).all(axis=1)
+    return x, deficient
+
+
+def pinv_solve(a: np.ndarray, b: np.ndarray, blocks: Sequence[np.ndarray] | None = None):
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
     ``a`` is one ``(l, l)`` matrix with ``b`` of shape ``(l,)``, or a stack
     ``(..., l, l)`` with right-hand sides ``(..., l)``; a single matrix is a
-    stack of one.  The stack is inverted at once (:func:`certified_inverse`),
-    and a certified matrix, whose condition number is at most
-    ``CERTIFIED_COND``, gets ``A^-1 b``: the SVD would keep all its singular
-    values, so this is the minimum-norm solution, to a relative
-    ``l * cond * eps``.  Every other matrix, a non-finite one included, gets an
-    SVD cut at ``PINV_RCOND`` times its own largest singular value, with no
-    anchor: the solver serves normal matrices ``X'diag(w)X`` with ``w >= 0``,
-    sums of PSD rank-one terms whose largest singular value is their own
-    scale, so they cannot cancel to float residue.  A matrix's route and bits
-    depend on it alone, not on its stack.
+    stack of one.  ``blocks`` are column blocks over which every matrix is
+    block-diagonal, exact zeros elsewhere, grouped by size as
+    :func:`component_blocks` returns them; the default is one block, the
+    whole matrix.  Each size class of blocks is inverted at once as one
+    stack, and a matrix whose Frobenius bound ``||A||_F ||A^-1||_F`` is at most
+    ``CERTIFIED_COND`` is certified and gets ``A^-1 b``, its bound taken from
+    its blocks (``||A||_F^2`` and ``||A^-1||_F^2`` are sums over them): the
+    bound caps the condition number, so the SVD would keep all its singular
+    values and this is the minimum-norm solution, to a relative
+    ``l * cond * eps``.  Every other matrix, a non-finite one or one with an
+    exactly singular block included, gets an SVD of each block, cut at
+    ``PINV_RCOND`` times the largest singular value over all its blocks, with
+    no anchor: the solver serves normal matrices ``X'diag(w)X`` with
+    ``w >= 0``, sums of PSD rank-one terms whose largest singular value is
+    their own scale, so they cannot cancel to float residue.  A block that
+    makes its stack's ``inv`` raise is inverted alone, so a matrix's route
+    and bits depend on it alone, not on its stack.
 
     Returns the solutions, the rank-deficiency flags and the certified flags
     (bools for one matrix, bool arrays for a stack).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     shape, l = a.shape[:-2], a.shape[-1]
-    a, b = a.reshape((math.prod(shape), l, l)), b.reshape((math.prod(shape), l))
-    inv, certified = certified_inverse(a)
+    r = math.prod(shape)
+    a, b = a.reshape((r, l, l)), b.reshape((r, l))
+    blocks = [np.arange(l)[None]] if blocks is None else blocks
+    x, inverted = np.empty((r, l)), np.ones(r, dtype=bool)
+    squares, inverse_squares = np.zeros(r), np.zeros(r)  # summed over the blocks
     with np.errstate(over="ignore", invalid="ignore"):  # rows the SVD replaces
-        x = (inv @ b[..., None])[..., 0]
-    deficient = np.zeros(len(a), dtype=bool)
+        for slots, part in _diagonal(a, blocks):
+            inv, ok = _inverses(part)
+            if not ok.all():
+                inverted &= ok.reshape(r, -1).all(axis=1)
+            squares += _squares(part.reshape(r, -1))
+            inverse_squares += _squares(inv.reshape(r, -1))
+            x[:, slots] = (inv @ _per_block(b, slots)[..., None]).reshape((r,) + slots.shape)
+        bound = np.sqrt(squares) * np.sqrt(inverse_squares)
+    certified = inverted & (bound <= CERTIFIED_COND)  # False at a non-finite bound
+    deficient = np.zeros(r, dtype=bool)
     if not certified.any():  # a stack the SVD solves whole is not copied
-        x, deficient = _svd_solve(a, b)
+        x, deficient = _svd_solve(a, b, blocks)
     elif not certified.all():
         rest = np.flatnonzero(~certified)
-        x[rest], deficient[rest] = _svd_solve(a[rest], b[rest])
+        x[rest], deficient[rest] = _svd_solve(a[rest], b[rest], blocks)
     if not shape:
         return x[0], bool(deficient[0]), bool(certified[0])
     return x.reshape(shape + (l,)), deficient.reshape(shape), certified.reshape(shape)

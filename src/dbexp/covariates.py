@@ -10,14 +10,15 @@ while still targeting the individual-level average effect.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from ._group import Groups
-from ._linalg import PINV_RCOND
+from ._linalg import PINV_RCOND, component_blocks
 from .design import Design, _cluster_groups
 
 
@@ -67,6 +68,16 @@ class CovariateSpec:
             return None
         return _cluster_groups(self.cluster_ids)
 
+    @cached_property
+    def structure(self) -> "ColumnStructure":
+        """The column structure of the layout's weighted Grams ``X'diag(w)X``,
+        from where they can be nonzero through each arm's rows, (X_a != 0)'(X_a
+        != 0) for a = control, treated (:func:`_column_structure`)."""
+        r = self.rows_per_arm
+        nonzero = (self.matrix != 0.0).astype(float)
+        control, treated = (part.T @ part > 0.0 for part in (nonzero[:r], nonzero[r:]))
+        return _column_structure(control.tobytes(), treated.tobytes(), self.n_columns)
+
     @property
     def rows_per_arm(self) -> int:
         return self.matrix.shape[0] // 2
@@ -74,6 +85,44 @@ class CovariateSpec:
     @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
+
+
+# The column blocks over which every weighted Gram is block-diagonal, the
+# entries (arm, i, j) of the Gram that can be nonzero, with i <= j (it is
+# symmetric), and those of ``A'diag(w)X`` for any A of the layout's shape, such
+# as the 2R drift's (X'D)'.  An entry's arm says which rows its row-wise
+# products can be nonzero in: 0 the control rows alone, 1 the treated alone,
+# None both.
+ColumnStructure = namedtuple("ColumnStructure", "blocks gram_pairs cross_pairs")
+
+
+@lru_cache(maxsize=64)
+def _column_structure(control: bytes, treated: bytes, l: int) -> ColumnStructure:
+    """The :class:`ColumnStructure` of layouts whose Grams can be nonzero at the
+    (l, l) boolean patterns ``control`` and ``treated`` (their bytes) through
+    the control and the treated rows.  Its blocks are the connected
+    components of the union (:func:`~dbexp._linalg.component_blocks`): a
+    separate-slopes layout's two arms, one block for a layout with a column
+    that spans both arms.  Kept for the layouts that share it, read-only, as
+    every fit of a new layout of one shape would derive it again."""
+    control, treated = (np.frombuffer(p, dtype=bool).reshape(l, l) for p in (control, treated))
+
+    def frozen(*arrays):
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    def by_arm(i, j, in_control, in_treated):
+        return tuple((arm, *frozen(i[rows], j[rows]))
+                     for arm, rows in ((0, in_control & ~in_treated), (1, in_treated & ~in_control),
+                                       (None, in_control & in_treated))
+                     if rows.any())
+
+    i, j = np.nonzero(np.triu(control | treated))
+    gram_pairs = by_arm(i, j, control[i, j], treated[i, j])
+    i, j = np.indices((l, l)).reshape(2, -1)  # a dense A: the arms of X's column j
+    cross_pairs = by_arm(i, j, control.diagonal()[j], treated.diagonal()[j])
+    return ColumnStructure(frozen(*component_blocks(control | treated)), gram_pairs, cross_pairs)
 
 
 def zero_center(x: np.ndarray) -> np.ndarray:

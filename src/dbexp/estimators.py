@@ -11,10 +11,15 @@ Products run over (arm, group) columns.  A cluster design treats each
 cluster's units alike, so a unit-level layout is summed by cluster once per
 grouping and a realization costs 2m columns, not 2n; any other design's groups
 are its units, whose sums are the layout's own rows.  A weighted Gram product
-``X'diag(w)X`` is the weights times the (group) sums of the rows' outer
-products on grouped columns and for a cluster-total layout's 2m rows; on the
-unit columns of a unit-level layout it is a direct product of the weighted
-rows, O(n l l') with no (2n, l l') array.
+``X'diag(w)X`` is the weights times the (group) sums of the rows' products on
+grouped columns and for a cluster-total layout's 2m rows, formed only at the
+entries the layout can hold (``CovariateSpec.structure``: a separate-slopes
+layout's entries each lie in one arm's block and sum one arm's columns); on
+the unit columns of a unit-level layout it is a direct product of the
+weighted rows, O(n l l') with no (2n, l l') array.  Either way the normal
+matrix is exactly zero off the layout's column blocks, and ``pinv_solve``
+solves each block on its own.  The outcome rows of the layouts and of X'D are
+computed once per :func:`batch_points` call.
 
 One table, ``_METHODS``, says which weights each coefficient method fits with
 and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
@@ -30,12 +35,13 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
-from ._group import Groups, quadratic, unit_groups
+from ._group import Groups, arm_slice, quadratic, unit_groups
 from ._linalg import normal_system, pinv_solve
 from .covariates import CovariateSpec
 from .design import (
@@ -201,18 +207,19 @@ def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, 1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[-1:])
 
 
-def _summed(store: dict, groups: Groups, left: np.ndarray, right: np.ndarray | None = None):
-    """Group sums of the rows of ``left`` (2n, l), or of their outer products
-    with the rows of ``right``, kept in ``store`` for a grouping with fewer
-    groups than units (the outer products of unit rows take l' times the
-    layout's memory, so they are rebuilt instead)."""
+def _summed(store: dict, groups: Groups, left: np.ndarray, right: np.ndarray | None = None,
+            pairs: Sequence[tuple] | None = None):
+    """Group sums of the rows of ``left`` (2n, l), or, for each ``(arm, i, j)``
+    of ``pairs``, those of the row-wise products ``left[:, i] * right[:, j]``
+    on the arm's (arm, group) columns (:meth:`Groups.pair_sums`), kept in
+    ``store`` for each grouping.  Products are summed only on grouped columns
+    and for a cluster-total layout's 2m rows (:func:`_gram`), so none takes
+    more than l' times the memory of the layout's rows.  A store serves one
+    ``left``, ``right`` and ``pairs``."""
     key = (groups.key, right is None)
-    if key in store:
-        return store[key]
-    sums = groups.sum(left) if right is None else groups.outer_sums(left, right)
-    if groups.m < groups.n:
-        store[key] = sums
-    return sums
+    if key not in store:
+        store[key] = groups.sum(left) if right is None else groups.pair_sums(left, right, pairs)
+    return store[key]
 
 
 def _ht(wy: np.ndarray, divisor: int) -> np.ndarray:
@@ -231,16 +238,22 @@ def _conjugate(ht: np.ndarray, adjustment: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def _gram(store: dict, groups: Groups, w: np.ndarray, left: np.ndarray, right: np.ndarray,
-          cluster_rows: bool = False):
+          cluster_rows: bool = False, pairs: Sequence[tuple] | None = None):
     """``left' diag(w) right`` (..., l, l') for each row of the weights ``w``
-    (..., 2m) over the columns of ``groups``.
+    (..., 2m) over the columns of ``groups``.  ``pairs`` are the entries that
+    can be nonzero, as ``(arm, i, j)`` by the arm of the rows they sum
+    (``CovariateSpec.structure``), by default every entry on both arms; with
+    ``left is right`` the rest of the result is their mirror.
 
     On grouped columns, and for a layout of 2m cluster rows (``cluster_rows``),
-    it is each weight row times the (group) sums of the row-wise outer
-    products, 2m l l' entries, one matrix-vector product per row.  On the unit
-    columns of a unit-level layout, whose outer products would take l' times
-    its memory, each weight row's product is one product of the weighted rows
-    of ``left``, computed alike whatever the stack; l' rows run at a time, so
+    it is formed at ``pairs``: each weight row times the (group) sums of the
+    row-wise products on the m columns of their arm (2m for both), one
+    matrix-vector product per row and arm, set into a result that is exactly
+    zero elsewhere.  A separate-slopes layout with four covariates forms 15
+    of its 100 entries on each arm's columns.  On the unit columns of a
+    unit-level layout, whose outer products would take l' times its memory,
+    each weight row's product is one product of the weighted rows of
+    ``left``, computed alike whatever the stack; l' rows run at a time, so
     the weighted rows hold no more entries than those outer products.
 
     The direct product is the faster for one weight row and the outer form for
@@ -248,16 +261,23 @@ def _gram(store: dict, groups: Groups, w: np.ndarray, left: np.ndarray, right: n
     layout picks the form, not the stack: cluster-total layouts, whose 2m rows
     are small and which simulation fits in stacks, keep the outer form."""
     if cluster_rows or groups.m < groups.n:
-        outer = _summed(store, groups, left, right)
-        return _rows(w, outer).reshape(w.shape[:-1] + (left.shape[1], right.shape[1]))
+        if pairs is None:
+            pairs = [(None, *np.indices((left.shape[1], right.shape[1])).reshape(2, -1))]
+        out = np.zeros(w.shape[:-1] + (left.shape[1], right.shape[1]))
+        for (arm, i, j), sums in zip(pairs, _summed(store, groups, left, right, pairs)):
+            out[..., i, j] = products = _rows(w[..., arm_slice(arm, groups.m)], sums)
+            if left is right:
+                out[..., j, i] = products
+        return out
     a, b, rows = groups.sum(left).T, groups.sum(right), w.reshape(-1, w.shape[-1])
     step = max(1, b.shape[1])
     out = np.concatenate([(a * rows[i:i + step, None, :]) @ b for i in range(0, len(rows), step)])
     return out.reshape(w.shape[:-1] + out.shape[1:])
 
 
-# a layout's shape, its Gram ``w -> X'diag(w)X`` and its rows for ``w * scale`` (outcome_rows)
-_System = namedtuple("_System", "shape gram xy")
+# a layout's shape, its Gram ``w -> X'diag(w)X``, its rows for ``w * scale`` (outcome_rows)
+# and the column blocks of its Gram (``CovariateSpec.structure``; None is one block)
+_System = namedtuple("_System", "shape gram xy blocks", defaults=(None,))
 
 
 def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
@@ -265,8 +285,8 @@ def _wls(x: _System, w: np.ndarray, wy: np.ndarray):
     rank-deficiency flag(s) and certified flag(s).  Each normal matrix is
     solved by its inverse where that is certified, and every other matrix by
     an SVD whose cutoff, with ``w >= 0``, is relative: ``PINV_RCOND`` times
-    the matrix's largest singular value."""
-    return pinv_solve(x.gram(w), _rows(wy, x.xy))
+    the matrix's largest singular value; both run block by block."""
+    return pinv_solve(x.gram(w), _rows(wy, x.xy), x.blocks)
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
@@ -277,13 +297,13 @@ def _ols(x: np.ndarray, y: np.ndarray):
 
 def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
     """Unbiased optimal-coefficient estimate(s)."""
-    return _rows(_rows(obs.w * obs.scale, obs.outcome_rows(cache.xd.T)), cache.xdx_pinv.T)
+    return _rows(_rows(obs.w * obs.scale, obs.outcome_rows(cache.dx)), cache.xdx_pinv.T)
 
 
 def _two_r(cache: "AdjustmentCache", obs: "_Realizations", b3: np.ndarray, b_wls: np.ndarray):
     """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit."""
-    drift = _gram(cache._sums, obs.groups, obs.w, cache.xd.T, cache.spec.matrix,
-                  cache.spec.level == "cluster") - cache.xdx
+    drift = _gram(cache._sums, obs.groups, obs.w, cache.dx, cache.spec.matrix,
+                  cache.spec.level == "cluster", cache.spec.structure.cross_pairs) - cache.xdx
     return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
 
 
@@ -318,11 +338,13 @@ class _Realizations:
     unit per group ``scale`` is ``y`` and the rows are v's, so each unit's
     weighted outcome is rounded as on unit columns; otherwise ``scale`` is 1
     and the rows sum ``y_i v_i``.  Each is built on first read: the bound
-    estimates read none of them."""
+    estimates read none of them.  The outcome rows of each array ``v`` are
+    kept in ``kept``, which the blocks of one schedule share."""
 
     def __init__(self, groups: Groups, treated: np.ndarray, marginals: np.ndarray | None,
-                 signed: np.ndarray):
+                 signed: np.ndarray, kept: dict | None = None):
         self.groups, self.treated, self.signed = groups, treated, signed
+        self.kept = {} if kept is None else kept
         if marginals is not None:
             self.marginals = (marginals if groups.in_order
                               else marginals.reshape(2, -1)[:, groups.first].ravel())
@@ -344,7 +366,11 @@ class _Realizations:
         return self.y if self.groups.m == self.groups.n else 1.0
 
     def outcome_rows(self, v: np.ndarray) -> np.ndarray:
-        return self.groups.sum(v if self.groups.m == self.groups.n else self.signed[:, None] * v)
+        key = (self.groups.key, id(v))  # the entry holds v, so its id is not reused
+        if key not in self.kept:
+            grouped = self.groups.m < self.groups.n
+            self.kept[key] = v, self.groups.sum(self.signed[:, None] * v if grouped else v)
+        return self.kept[key][1]
 
     def weights(self, kind: str) -> np.ndarray:
         """Fit weights 1, 1/pi or 1/pi - 1 on the observed columns."""
@@ -399,11 +425,11 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
     for kind in dict.fromkeys(_METHODS[m][0] for m in methods if _METHODS[m][0]):
         o = obs if kind != "indicator" or obs.groups.in_order else _Realizations(
             unit_groups(obs.groups.n), obs.treated.take(obs.groups.index, axis=1), None,
-            obs.signed)
+            obs.signed, obs.kept)
         w = o.weights(kind)
         gram = partial(_gram, spec._sums, o.groups, left=x, right=x,
-                       cluster_rows=spec.level == "cluster")
-        system = _System(x.shape, gram, o.outcome_rows(x))
+                       cluster_rows=spec.level == "cluster", pairs=spec.structure.gram_pairs)
+        system = _System(x.shape, gram, o.outcome_rows(x), spec.structure.blocks)
         fits[kind] = _fit(system, w, w * o.scale)
     b3 = _three_ht(cache, obs) if any(_METHODS[m][1] for m in methods) else None
     unflagged = np.zeros(len(obs.treated), dtype=bool)
@@ -571,10 +597,12 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
                                             (unit_groups(sys_design.n), z, np.flatnonzero(split)))
               for start in range(0, where.size, _BLOCK)]
 
+    kept = {}  # the outcome rows of the layouts and of X'D, built once for all blocks
+
     def run(share):
         """Each block of ``share``, written to its own rows of the results."""
         for columns, stack, rows in share:
-            obs = _Realizations(columns, stack[rows], sys_design.marginals, outcomes.values)
+            obs = _Realizations(columns, stack[rows], sys_design.marginals, outcomes.values, kept)
             ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
             for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
                 adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
@@ -584,7 +612,8 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
                         fits[method])
                     points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
 
-    # The first block fills the group sums kept on the layouts and caches;
+    # The first block fills the group sums kept on the layouts and caches and
+    # the outcome rows kept for this call;
     # the rest are dealt out in turn to this thread and a pool of workers - 1.
     run(blocks[:1])
     rest = blocks[1:]
@@ -621,6 +650,11 @@ class AdjustmentCache:
     rank_deficient: bool
     # the 2R drift's group sums, kept for each grouping of the layout's rows
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """``(X'D)'``: one array, so the outcome rows kept for it are found again."""
+        return self.xd.T
 
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":

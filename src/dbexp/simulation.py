@@ -360,14 +360,19 @@ def emit_report(result: SimResult, out_dir) -> dict[str, str]:
     reps_path = os.path.join(out_dir, "replications.csv")
     labels = [f"{name},{set_id}" for name in result.config.estimators
               for set_id in result.config.spec_sets]
-    # one replication's lines: "{0},wls_ols,1,{1!r}\n{0},wls_ols,2,{2!r}\n..."
-    lines = "".join(f"{{0}},{label},{{{k}!r}}\n" for k, label in enumerate(labels, 1)).format
+    # one replication's lines, "%s,wls_ols,1,%r\n%s,wls_ols,2,%r\n...", filled
+    # from its number and estimates in turn
+    lines = "".join(f"%s,{label},%r\n" for label in labels)
     flat = result.estimates.reshape(result.estimates.shape[0], -1)
     with open(reps_path, "w", newline="") as fh:
         fh.write("replication,estimator,spec_set,estimate\n")
         for start in range(0, len(flat), _REPORT_CHUNK):
-            rows = flat[start:start + _REPORT_CHUNK].tolist()  # Python floats
-            fh.write("".join(lines(r, *row) for r, row in enumerate(rows, start)))
+            parts = []
+            for r, row in enumerate(flat[start:start + _REPORT_CHUNK].tolist(), start):
+                args = [r] * (2 * len(row))
+                args[1::2] = row  # Python floats
+                parts.append(lines % tuple(args))
+            fh.write("".join(parts))
     paths["replications"] = reps_path
 
     if result.metrics:

@@ -224,6 +224,56 @@ def test_invprop_rejects_cluster_level():
         add_invprop_column(spec, make_complete(2, 1))
 
 
+def _pairs(pairs):
+    """Entries grouped by arm, as {arm: sorted (i, j)}."""
+    return {arm: sorted(zip(i.tolist(), j.tolist())) for arm, i, j in pairs}
+
+
+def _upper(columns):
+    return sorted((a, b) for a in columns for b in columns if a <= b)
+
+
+def test_layout_gram_entries_and_column_blocks():
+    """The entries a layout's weighted Gram can hold, by the arm of the rows
+    they sum, and the column blocks it is block-diagonal over: the two arms
+    of separate-slopes layouts, one block when a column spans both arms."""
+    x = zero_center(np.arange(12.0).reshape(6, 2) ** 1.5)
+    structure = spec_II(x).structure  # [1_c x0_c x1_c | 1_t x0_t x1_t]
+    assert _pairs(structure.gram_pairs) == {0: _upper([0, 1, 2]), 1: _upper([3, 4, 5])}
+    assert [b.tolist() for b in structure.blocks] == [[[0, 1, 2], [3, 4, 5]]]
+    # A'diag(w)X for a dense A: every entry, on the arm of its column of X
+    assert _pairs(structure.cross_pairs) == {
+        arm: sorted((i, j) for i in range(6) for j in columns)
+        for arm, columns in ((0, [0, 1, 2]), (1, [3, 4, 5]))}
+
+    structure = spec_I(x).structure  # [1_c 1_t x0 x1]: the slopes span both arms
+    assert _pairs(structure.gram_pairs) == {
+        0: [(0, 0), (0, 2), (0, 3)], 1: [(1, 1), (1, 2), (1, 3)], None: _upper([2, 3])}
+    assert [len(i) for _, i, _ in structure.cross_pairs] == [4, 4, 8]
+    assert [b.tolist() for b in structure.blocks] == [[[0, 1, 2, 3]]]
+
+    ids = [1, 1, 2, 2, 3, 3]
+    # [1_c 1_t size_c x0_c x1_c size_t x0_t x1_t]
+    structure = spec_cluster(x, ids, "II").structure
+    assert _pairs(structure.gram_pairs) == {0: _upper([0, 2, 3, 4]), 1: _upper([1, 5, 6, 7])}
+    assert [b.tolist() for b in structure.blocks] == [[[0, 2, 3, 4], [1, 5, 6, 7]]]
+    structure = spec_cluster(x, ids, "I").structure
+    assert [b.tolist() for b in structure.blocks] == [[[0, 1, 2, 3, 4]]]
+    assert None in _pairs(structure.gram_pairs)
+
+    design = make_bernoulli([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    structure = add_invprop_column(spec_II(x), design).structure  # a column in both arms
+    assert [b.tolist() for b in structure.blocks] == [[[0, 1, 2, 3, 4, 5, 6]]]
+    pairs = _pairs(structure.gram_pairs)
+    assert pairs[0] == sorted(_upper([0, 1, 2]) + [(0, 6), (1, 6), (2, 6)])
+    assert pairs[None] == [(6, 6)]
+    # under equal probabilities the column is zero: a block of its own, which
+    # no entry of the Gram touches
+    structure = add_invprop_column(spec_II(x), make_complete(6, 3)).structure
+    assert [b.tolist() for b in structure.blocks] == [[[0, 1, 2], [3, 4, 5]], [[6]]]
+    assert all(6 not in pair for pairs in _pairs(structure.gram_pairs).values() for pair in pairs)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),

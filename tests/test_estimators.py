@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbexp import (
@@ -42,8 +42,8 @@ from dbexp import (
 )
 from conftest import enumeration_moments, enumeration_vector_mean
 from dbexp import estimators
-from dbexp._group import Groups, outer_rows, unit_groups
-from dbexp._linalg import CERTIFIED_COND, PINV_RCOND, _svd_solve, pinv_solve
+from dbexp._group import Groups, unit_groups
+from dbexp._linalg import CERTIFIED_COND, PINV_RCOND, _svd_solve, component_blocks, pinv_solve
 from dbexp.design import cluster_level_design
 from dbexp.estimators import (
     _Realizations,
@@ -269,6 +269,72 @@ def test_pinv_solve_certified_inverse_against_the_svd(l, kinds, exponent, seed):
         assert np.array_equal(alone[0], x[k]) and alone[1:] == (deficient[k], certified[k])
     if "singular" in kinds:
         assert not certified[kinds.index("singular")]
+
+
+def _block_diagonal(rng, sizes, r, singular):
+    """A stack of r PSD matrices, block-diagonal over blocks of ``sizes`` on
+    shuffled columns, each block of a random kind and scale; with ``singular``
+    the first matrix's first block is exactly singular.  Returns the stack
+    and its blocks as ``component_blocks`` groups them."""
+    l = sum(sizes)
+    slots = np.split(rng.permutation(l), np.cumsum(sizes)[:-1])
+    a = np.zeros((r, l, l))
+    for k in range(r):
+        for b, block in enumerate(slots):
+            kind = "singular" if singular and k == b == 0 else rng.choice(
+                ["well", "near", "duplicate"])
+            a[k][np.ix_(block, block)] = (_psd_matrix(rng, block.size, kind)
+                                          * 10.0 ** rng.integers(-3, 4))
+    pattern = np.zeros((l, l), dtype=bool)
+    for block in slots:
+        pattern[np.ix_(block, block)] = True
+    return a, component_blocks(pattern)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.sampled_from([1, 3]),
+       st.booleans(), st.integers(0, 2**16))
+@example([2, 5, 3], 1, True, 0)  # unequal blocks, one exactly singular, R = 1
+@example([2, 5, 3], 3, True, 0)  # the same beside two more matrices
+def test_blocked_pinv_solve_equals_the_whole_matrix_solve(sizes, r, singular, seed):
+    """Solving a block-diagonal stack block by block gives the whole-matrix
+    solve's routes and flags and its solutions to the route's tolerance, and
+    each matrix the same bits alone as in its stack, also when one block is
+    exactly singular (only its own matrix is then inverted alone)."""
+    rng = np.random.default_rng(seed)
+    a, blocks = _block_diagonal(rng, sizes, r, singular)
+    b = rng.standard_normal((r, a.shape[-1]))
+    x, deficient, certified = pinv_solve(a, b, blocks)
+    whole_x, whole_deficient, whole_certified = pinv_solve(a, b)
+    assert np.array_equal(deficient, whole_deficient)
+    assert np.array_equal(certified, whole_certified)
+    if singular:
+        assert not certified[0]
+    s = np.linalg.svd(a, compute_uv=False)
+    eps = np.finfo(float).eps
+    for k in range(r):
+        kept = s[k][s[k] > PINV_RCOND * s[k, 0]]
+        cond = kept[0] / kept[-1] if kept.size else 1.0  # of the directions kept
+        gap = np.linalg.norm(x[k] - whole_x[k])
+        assert gap <= 4 * a.shape[-1] * cond * eps * np.linalg.norm(whole_x[k])
+        alone = pinv_solve(a[k], b[k], blocks)
+        assert np.array_equal(alone[0], x[k]) and alone[1:] == (deficient[k], certified[k])
+
+
+def test_blocked_pinv_solve_of_a_non_finite_matrix():
+    """A NaN in one block fails the stack's solve, as the whole-matrix solve
+    does, and the other matrices solve alone as they would in a stack."""
+    a, blocks = _block_diagonal(np.random.default_rng(3), [2, 3, 2], 3, False)
+    a[1, 0, 0] = np.nan
+    b = np.ones((3, a.shape[-1]))
+    for given_blocks in (blocks, None):
+        with pytest.raises(np.linalg.LinAlgError):
+            pinv_solve(a, b, given_blocks)
+    clean = pinv_solve(a[[0, 2]], b[[0, 2]], blocks)
+    for row, k in enumerate((0, 2)):
+        alone = pinv_solve(a[k], b[k], blocks)
+        assert np.array_equal(alone[0], clean[0][row])
+        assert alone[1:] == (clean[1][row], clean[2][row])
 
 
 def test_coef_wls_pi_identities():
@@ -698,6 +764,12 @@ def test_batch_points_rejects_bad_input():
 # -- products over (arm, group) columns --------------------------------------------
 
 
+def outer_rows(a, b):
+    """Row-wise outer products (rows, l * l'): the reference a weighted Gram is
+    the weights times the sums of."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
 def _unit_products(matrix, cache, w, wy, divisor, b_wls):
     """HT, adjustment, Gram, WLS right-hand side, 3HT and 2R drift as one-row
     products of unit-level weights ``w`` and weighted outcomes ``wy``; a Gram
@@ -781,3 +853,53 @@ def test_unit_column_gram_equals_row_wise_outer_products(n, l, l2, r, in_order, 
     assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
     for i in range(r):  # a row of a stack is the product of that row alone
         assert np.array_equal(got[i], _gram({}, groups, w[i : i + 1], left, right)[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=12),
+       st.sampled_from(["I", "II", "invprop", "cluster I", "cluster II"]),
+       st.integers(1, 3), st.integers(0, 2**16))
+def test_pair_gram_equals_the_full_outer_product_gram(ids, kind, r, seed):
+    """The Gram formed at the entries it can hold, each on its arm's columns,
+    against the weights times the row-wise outer products of every entry:
+    exactly zero off them, exactly symmetric, equal to 1e-12 of the terms'
+    sizes on them, and each row of a stack the product of that row alone.
+    The 2R drift's Gram likewise, and the kept sums take fewer bytes than the
+    sums of all l^2 entries."""
+    assume(len(set(ids)) >= 2)
+    rng = np.random.default_rng(seed)
+    n = len(ids)
+    x = zero_center(rng.standard_normal((n, 2)))
+    cluster_rows = kind.startswith("cluster")
+    if cluster_rows:
+        spec = spec_cluster(x, ids, kind.split()[1])
+        groups = unit_groups(spec.rows_per_arm)  # the collapsed design's units
+    else:
+        spec = spec_II(x) if kind != "I" else spec_I(x)
+        if kind == "invprop":
+            spec = add_invprop_column(spec, make_bernoulli(rng.uniform(0.2, 0.8, n)))
+        groups = Groups(np.unique(ids, return_inverse=True)[1])
+        assume(groups.m < groups.n)  # grouped columns; unit columns take the direct product
+    matrix, l = spec.matrix, spec.n_columns
+    w = rng.uniform(0.0, 5.0, (r, 2 * groups.m))
+    w_rows = w.reshape(r, 2, groups.m)[:, :, groups.index].reshape(r, -1)  # each row's weight
+    cache = AdjustmentCache.over(spec, np.eye(matrix.shape[0]) + 0.5)
+    # the layout's Gram and the 2R drift's
+    for left, pairs in ((matrix, spec.structure.gram_pairs), (cache.dx, spec.structure.cross_pairs)):
+        store = {}
+        got = _gram(store, groups, w, left, matrix, cluster_rows, pairs)
+        want = _rows(w_rows, outer_rows(left, matrix)).reshape(r, l, l)
+        magnitude = (np.abs(left).T * w_rows[:, None, :]) @ np.abs(matrix)
+        assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+        pattern = np.zeros((l, l), dtype=bool)
+        for _, i, j in pairs:
+            pattern[i, j] = True
+        if left is matrix:
+            pattern |= pattern.T
+            assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        assert np.all(got[:, ~pattern] == 0.0) and np.all(want[:, ~pattern] == 0.0)
+        for k in range(r):
+            assert np.array_equal(got[k], _gram({}, groups, w[k : k + 1], left, matrix,
+                                                cluster_rows, pairs)[0])
+        kept = store[(groups.key, False)]
+        assert sum(part.nbytes for part in kept) < 2 * groups.m * l * l * 8
