@@ -14,10 +14,19 @@ from ._group import GroupOperator
 PINV_RCOND = 1e-12
 
 
+def _svd(a: np.ndarray):
+    """Thin SVD of ``a``, or of each matrix of a stack.  A non-finite matrix
+    raises ``LinAlgError`` before LAPACK sees it: LAPACK's SVD raises on a NaN
+    but can loop forever on an infinite entry."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("SVD of a matrix with a non-finite entry")
+    return np.linalg.svd(a, full_matrices=False)
+
+
 def _svd_cut(a: np.ndarray, scale: float | None):
     """SVD of ``a``, or of each matrix of a stack ``(..., l, l)``, with the mask
     of singular values above the package cutoff (per matrix)."""
-    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    u, s, vt = _svd(np.asarray(a, dtype=float))
     top = s.max(axis=-1, keepdims=True, initial=0.0)
     return u, s, vt, s > PINV_RCOND * np.maximum(top, scale or 0.0)
 
@@ -92,7 +101,7 @@ def _svd_solve(a: np.ndarray, b: np.ndarray, blocks: Sequence[np.ndarray] | None
     block is decomposed alone and cut at ``PINV_RCOND`` times the largest
     singular value over all blocks of its matrix."""
     r, l = b.shape
-    svds = [(slots, np.linalg.svd(part, full_matrices=False))
+    svds = [(slots, _svd(part))
             for slots, part in _diagonal(a, [np.arange(l)[None]] if blocks is None else blocks)]
     top = np.zeros(r)
     for slots, (_, s, _) in svds:
@@ -121,14 +130,15 @@ def pinv_solve(a: np.ndarray, b: np.ndarray, blocks: Sequence[np.ndarray] | None
     its blocks (``||A||_F^2`` and ``||A^-1||_F^2`` are sums over them): the
     bound caps the condition number, so the SVD would keep all its singular
     values and this is the minimum-norm solution, to a relative
-    ``l * cond * eps``.  Every other matrix, a non-finite one or one with an
-    exactly singular block included, gets an SVD of each block, cut at
-    ``PINV_RCOND`` times the largest singular value over all its blocks, with
-    no anchor: the solver serves normal matrices ``X'diag(w)X`` with
-    ``w >= 0``, sums of PSD rank-one terms whose largest singular value is
-    their own scale, so they cannot cancel to float residue.  A block that
-    makes its stack's ``inv`` raise is inverted alone, so a matrix's route
-    and bits depend on it alone, not on its stack.
+    ``l * cond * eps``.  Every other matrix, one with an exactly singular
+    block included, gets an SVD of each block, cut at ``PINV_RCOND`` times
+    the largest singular value over all its blocks, with no anchor: the
+    solver serves normal matrices ``X'diag(w)X`` with ``w >= 0``, sums of PSD
+    rank-one terms whose largest singular value is their own scale, so they
+    cannot cancel to float residue.  A block that makes its stack's ``inv``
+    raise is inverted alone, so a matrix's route and bits depend on it alone,
+    not on its stack.  A stack that holds a non-finite block raises
+    ``LinAlgError`` instead of taking its SVD.
 
     Returns the solutions, the rank-deficiency flags and the certified flags
     (bools for one matrix, bool arrays for a stack).

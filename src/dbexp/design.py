@@ -32,6 +32,10 @@ from ._linalg import min_max_eig
 #: Largest support that enumerate_assignments will expand by default.
 DEFAULT_SUPPORT_CAP = 10**6
 
+#: Most rows ``_co_treated`` multiplies in one float32 product: each partial sum
+#: is then an integer of at most 2**24, which float32 holds exactly.
+_CO_TREATED_ROWS = 2**24
+
 _CONSISTENCY_ATOL = 1e-9
 
 
@@ -303,10 +307,15 @@ class Design(_KindForm):
         randomization) that is an eigenvalue near -2n (s - 1), about -6e-7 at
         n = 300, against a tolerance of about 2e-8.  So ``make_from_sampler``
         builds the joint from the probabilities divided by their sum.  What
-        is left is rounding: that sum is 1 to a few ulps, and each stored
-        entry is its exact value rounded (a Monte-Carlo entry is an integer
-        count over ``draws``), so the computed D is within rounding of a PSD
-        matrix, as for the kind-form spectra above.
+        is left is rounding.  Monte-Carlo draws, and supports whose
+        normalized probabilities are all equal (rerandomization, an
+        enumerated complete design), are counted: q is the empirical law of
+        the rows, and each stored entry is its exact value, an integer count
+        over the number of rows, rounded once.  A weighted support keeps the
+        arm blocks, whose entries are float sums of its probabilities, each
+        within a few ulps per row of its exact value, and those
+        probabilities sum to 1 to a few ulps.  Either way the computed D is
+        within rounding of a PSD matrix, as for the kind-form spectra above.
 
         Any other design, or a kind form whose kernels are not finite, is
         certified by a dense eigendecomposition.
@@ -670,18 +679,27 @@ def make_from_sampler(
 
     In ``enumerate`` mode the sampler must be an iterable of
     ``(assignment, probability)`` pairs spanning the full support, with
-    finite, nonnegative probabilities summing to one within 1e-9; the joint
-    matrix is then exact, built by arm blocks from the probabilities divided
-    by their sum.  In ``monte_carlo`` mode the sampler is a callable
-    ``sampler(rng) -> assignment`` and the joint matrix is the empirical
-    frequency over ``draws`` draws (deterministic given ``seed``), each entry
-    an integer count divided by ``draws``.  Either way D is certified PSD by the
+    finite, nonnegative probabilities summing to one within 1e-9, and the
+    joint matrix is exact.  When the probabilities divided by their sum are
+    all equal (a rerandomized or an enumerated complete design), the law is
+    the empirical law of the support's rows, and each entry is the count of
+    rows observing both slots over the number of rows, correctly rounded.
+    Any other support keeps the arm blocks of ``_joint_from_support``, built
+    from the probabilities divided by their sum.  In ``monte_carlo`` mode the
+    sampler is a callable ``sampler(rng) -> assignment`` and the joint matrix
+    is the empirical frequency over ``draws`` draws (deterministic given
+    ``seed``), each entry an integer count divided by ``draws``.  Both counts
+    come from ``_co_treated``.  Either way D is certified PSD by the
     multinomial proof of ``Design._design_matrix``, not by an
     eigendecomposition.
     """
     if mode == "enumerate":
         support, probs = _collect_support(sampler, n)
-        joint = _joint_from_support(support, probs / probs.sum())
+        law = probs / probs.sum()
+        if (law == law[0]).all():
+            joint = _joint_from_counts(_co_treated(support), len(support))
+        else:
+            joint = _joint_from_support(support, law)
         prov = EnumeratedProvenance(assignments=support, probabilities=probs)
     elif mode == "monte_carlo":
         if draws <= 0:
@@ -690,12 +708,14 @@ def make_from_sampler(
         message = "sampler must yield 0/1 vectors of length n"
         rows = [sampler(rng) for _ in range(draws)]
         try:  # one conversion of all the draws; ragged draws raise ValueError
-            stack = np.array(rows, dtype=float)
+            stack = np.array(rows)
+            if not np.can_cast(stack.dtype, float):  # strings, objects: as floats
+                stack = np.array(rows, dtype=float)
         except ValueError:
             raise DesignError(message) from None
         if stack.shape != (draws, n) or not _zero_one(stack):
             raise DesignError(message)
-        joint = _joint_from_counts(stack.T @ stack, draws)
+        joint = _joint_from_counts(_co_treated(stack), draws)
         prov = MonteCarloProvenance(draws=draws, seed=seed, sampler=sampler)
     else:
         raise DesignError(f"unknown mode {mode!r}")
@@ -754,6 +774,22 @@ def _joint_from_support(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
     joint[n:, :n] = joint[:n, n:].T
     joint[n:, n:] = z1.T @ pz1
     return joint
+
+
+def _co_treated(z: np.ndarray) -> np.ndarray:
+    """Z'Z of a 0/1 (S, n) stack in float64: the count of rows treating both
+    units i and j.
+
+    Each chunk of at most ``_CO_TREATED_ROWS`` rows is multiplied in float32,
+    and the chunks are summed in float64.  Every partial sum is an integer no
+    larger than the chunk, held exactly in float32, so the counts are exact on
+    any BLAS and in any summation order.
+    """
+    both = np.zeros((z.shape[1],) * 2)
+    for start in range(0, len(z), _CO_TREATED_ROWS):
+        x = z[start : start + _CO_TREATED_ROWS].astype(np.float32)
+        both += x.T @ x
+    return both
 
 
 def _joint_from_counts(both: np.ndarray, draws: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +197,88 @@ def test_sampler_errors_propagate_unchanged():
 
     with pytest.raises(ValueError, match="the sampler's own error"):
         make_from_sampler(sampler, 3, draws=10, seed=0, mode="monte_carlo")
+
+
+#: Four draws over three units, each unit drawn in both arms.
+_DRAWS = [[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+
+
+def _float_converted_joint(rows, n):
+    """The Monte-Carlo joint of ``rows`` read through one float conversion of
+    all of them, or the error that conversion or its 0/1 check raises."""
+    message = "sampler must yield 0/1 vectors of length n"
+    try:
+        stack = np.array(rows, dtype=float)
+    except ValueError:
+        raise DesignError(message) from None
+    if stack.shape != (len(rows), n) or not ((stack == 0) | (stack == 1)).all():
+        raise DesignError(message)
+    return counted_joint(stack, n)
+
+
+def _joint_or_error(build):
+    try:
+        return build()
+    except Exception as error:  # the type is what is compared
+        return type(error)
+
+
+def _as(dtype, change=lambda k, z: z):
+    """The draws as arrays of ``dtype``, draw k passed through ``change(k, z)``."""
+    return [change(k, np.array(r, dtype=dtype)) for k, r in enumerate(_DRAWS)]
+
+
+def _second(value):
+    """The draws as floats with the treated units of the second set to ``value``."""
+    return _as(float, lambda k, z: np.where(z == 1, value, 0.0) if k == 1 else z)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(_as(bool), id="bool"),
+        pytest.param(_as(np.int8), id="int8"),
+        pytest.param(_as(np.int64), id="int64"),
+        pytest.param(_as(np.float64), id="float64"),
+        pytest.param(_DRAWS, id="lists"),
+        pytest.param(_as(np.uint8, lambda k, z: z.astype((bool, np.int8, float, np.uint64)[k])),
+                     id="mixed dtypes"),
+        pytest.param(_as(np.float16), id="float16"),
+        pytest.param(_as(str), id="strings"),
+        pytest.param(_as(bytes), id="bytes"),
+        pytest.param(_as(object), id="objects"),
+        pytest.param(_as(object, lambda k, z: [Fraction(v) for v in z]), id="fractions"),
+        pytest.param(_as(np.longdouble, lambda k, z: z - z * np.longdouble(2.0**-60)),
+                     id="longdouble near 1"),
+        pytest.param(_as(complex), id="complex"),
+        pytest.param(_as(object, lambda k, z: [complex(v) for v in z]), id="python complex"),
+        pytest.param(_as(object, lambda k, z: [None if v else 0 for v in z]), id="none"),
+        pytest.param(_as(str, lambda k, z: np.where(z == "1", "a", z)), id="non-numeric string"),
+        pytest.param(_as(np.int8, lambda k, z: z[:, None]), id="column rows"),
+        pytest.param(_as(np.int8, lambda k, z: z[:2] if k == 3 else z), id="ragged"),
+        pytest.param(_as(np.int8, lambda k, z: z[:2]), id="wrong length"),
+        pytest.param(_second(2.0), id="a 2"),
+        pytest.param(_second(-1.0), id="a -1"),
+        pytest.param(_as(np.int8, lambda k, z: z - 1 if k == 1 else z), id="int8 -1"),
+        pytest.param(_second(np.nan), id="a nan"),
+        pytest.param(_second(np.inf), id="an inf"),
+    ],
+)
+def test_monte_carlo_rows_are_read_as_their_float_conversion(rows):
+    """Whatever the sampler returns, the joint, or the error, is that of the
+    draws converted to floats at once: the native dtypes give the same joint
+    bit for bit, and everything else is accepted or rejected as floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the complex draws' cast to floats
+        stream = iter(rows)
+        built = _joint_or_error(lambda: make_from_sampler(
+            lambda rng: next(stream), 3, draws=len(rows), mode="monte_carlo").joint)
+        expected = _joint_or_error(lambda: _float_converted_joint(rows, 3))
+    if isinstance(expected, np.ndarray):
+        assert isinstance(built, np.ndarray) and built.shape == expected.shape
+        assert built.tobytes() == expected.tobytes()
+    else:
+        assert built is expected
 
 
 @pytest.mark.parametrize(

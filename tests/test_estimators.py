@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import warnings
 
@@ -335,6 +337,35 @@ def test_blocked_pinv_solve_of_a_non_finite_matrix():
         alone = pinv_solve(a[k], b[k], blocks)
         assert np.array_equal(alone[0], clean[0][row])
         assert alone[1:] == (clean[1][row], clean[2][row])
+
+
+#: An infinite entry in the second matrix of a stack: LAPACK's SVD can loop
+#: forever on it, so the solve runs in a child process under a timeout.
+_INFINITE_SOLVE = """
+import numpy as np
+from dbexp._linalg import pinv_solve
+from dbexp.estimators import _System, _fit
+a = np.stack([np.eye(3)] * 2)
+a[1, 0, 0] = np.inf
+for blocks in (None, [np.arange(3)[None]], [np.arange(3)[:, None]]):
+    try:
+        pinv_solve(a, np.ones((2, 3)), blocks)
+    except np.linalg.LinAlgError:
+        print("raised")
+system = _System((1, 3), lambda w: a[w[:, 0].astype(int)], np.ones((1, 3)))
+b, deficient, certified, failed = _fit(system, np.array([[0.0], [1.0]]), np.ones((2, 1)))
+print(b[0].tolist(), np.isnan(b[1]).all(), failed.tolist())
+"""
+
+
+def test_pinv_solve_of_an_infinite_matrix_raises():
+    """An infinite entry raises ``LinAlgError`` before any SVD, as a NaN does,
+    with or without blocks, and ``_fit`` then fails only that matrix's row."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _INFINITE_SOLVE], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["raised"] * 3 + ["[1.0, 1.0, 1.0] True [False, True]", ""]
 
 
 def test_coef_wls_pi_identities():

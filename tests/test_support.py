@@ -1,15 +1,18 @@
 """Designs built from their support, pinned to the dense references: the
-arm-block joint, the counted Monte-Carlo joint and the multinomial proof."""
+arm-block joint, the counted joints of uniform supports and Monte-Carlo
+draws, and the multinomial proof."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbexp import design_matrix, make_from_sampler
+from dbexp import design as design_module
 from dbexp._linalg import min_max_eig
-from dbexp.design import _joint_from_support
+from dbexp.design import _co_treated, _joint_from_counts, _joint_from_support, _validate_joint
 from dense_reference import counted_joint, dense_support_joint
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -83,3 +86,50 @@ def test_probability_slack_is_normalized_before_the_proof():
     assert dmat.certificate == "closed_form"
     lo, hi = min_max_eig(dmat.values)
     assert lo >= -1e-8 * max(abs(lo), abs(hi), 1.0)
+
+
+@st.composite
+def stacks(draw):
+    """(S, n) 0/1 stacks with n <= 8 and S <= 64, as int8, bool or float64."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    s = draw(st.integers(min_value=0, max_value=64))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * s, max_size=n * s))
+    dtype = draw(st.sampled_from([np.int8, bool, np.float64]))
+    return np.array(bits, dtype=dtype).reshape(s, n)
+
+
+@PROPERTY
+@given(stacks())
+def test_co_treated_counts_are_the_float64_gram_in_any_chunking(z):
+    reference = z.astype(float).T @ z.astype(float)
+    assert _co_treated(z).dtype == np.float64
+    np.testing.assert_array_equal(_co_treated(z), reference)
+    with mock.patch.object(design_module, "_CO_TREATED_ROWS", 3):
+        np.testing.assert_array_equal(_co_treated(z), reference)
+
+
+@st.composite
+def uniform_supports(draw):
+    """An identified support of S <= 64 rows over n <= 8 units: up to 32 rows,
+    some repeated, and their complements."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    half = draw(st.lists(row, min_size=1, max_size=32))
+    return np.concatenate([half, 1 - np.array(half)]).astype(np.int8)
+
+
+@PROPERTY
+@given(uniform_supports())
+def test_uniform_law_joint_is_the_row_count_over_the_rows(support):
+    """Equal probabilities build the joint from counts: each entry is its count
+    over S exactly, within 4 S eps of the arm blocks with their zero pattern,
+    and a valid joint."""
+    size, n = support.shape
+    joint = make_from_sampler(((z, 1.0 / size) for z in support), n, mode="enumerate").joint
+    counted = counted_joint(support, n)
+    np.testing.assert_array_equal(joint, counted)
+    np.testing.assert_array_equal(_joint_from_counts(_co_treated(support), size), counted)
+    arm_blocks = _joint_from_support(support, np.full(size, 1.0 / size))
+    assert np.abs(joint - arm_blocks).max() <= 4 * size * np.finfo(float).eps
+    np.testing.assert_array_equal(joint == 0.0, arm_blocks == 0.0)
+    _validate_joint(n, joint, np.diag(joint).copy())
