@@ -10,7 +10,11 @@ from ._group import GroupOperator
 
 # Singular values below PINV_RCOND * sigma_max are treated as zero everywhere a
 # generalized inverse is taken.  Conjugate estimates are invariant to the choice
-# of generalized inverse, so the cutoff only affects reported coefficients.
+# of generalized inverse only along exactly singular directions.  On an
+# ill-conditioned matrix of full rank the cutoff can drop a direction that
+# rounding made small, and that moves the estimate itself: at seed 0, simulation
+# set 4's cluster-total fits (normal-matrix condition numbers near 1e12) differ
+# from an exact-arithmetic solve by up to 3.55.
 PINV_RCOND = 1e-12
 
 

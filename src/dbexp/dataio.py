@@ -166,14 +166,17 @@ def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = Non
 
 
 def load_numeric_vector(path) -> np.ndarray:
-    """A numeric vector stored either as a JSON array or one value per line;
-    every entry must be finite."""
+    """A numeric vector stored either as a flat JSON array or one value per
+    line; every entry must be finite."""
     with open(path) as fh:
         text = fh.read().strip()
     if not text:
         raise ValueError(f"{path}: empty vector file")
     if text.startswith("["):
         values = np.asarray(json.loads(text), dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"{path}: expected a flat vector, found an array of shape "
+                             f"{values.shape}")
     else:
         values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
     bad = np.flatnonzero(~np.isfinite(values))

@@ -24,16 +24,13 @@ computed once per :func:`batch_points` call.
 One table, ``_METHODS``, says which weights each coefficient method fits with
 and which stages it runs: a least-squares fit, 3HT, or both, which is 2R.
 :func:`batch_points` runs it over a stack of assignments in blocks, for several
-methods and layouts at once, re-solving a failed fit one realization at a
-time; the blocks run concurrently on the process's CPUs, each into its own
-rows, so the results do not depend on how many run at once.
-:func:`coef_by_name` and the ``coef_*`` functions run the same code on a stack
-of one.
+methods and layouts at once, one block after another, re-solving a failed
+fit one realization at a time.  :func:`coef_by_name` and the ``coef_*``
+functions run the same code on a stack of one.
 """
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -516,27 +513,17 @@ def fixed_coef_variance(outcomes: StackedOutcomes, spec: CovariateSpec, b, dmat:
 _BLOCK = 200  # realizations per stacked solve; larger blocks raise peak memory
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class BatchPoints:
     """Results of :func:`batch_points`, each of shape (R, methods, layouts).  ``rank_deficient``
     flags a method's least-squares fit (3HT has none); ``certified`` marks a fit solved by
     its certified inverse rather than an SVD; ``failed`` marks a fit that raised
-    ``LinAlgError`` even when solved alone, whose point is NaN.  ``workers`` is the
-    number of threads that ran the blocks; the results do not depend on it."""
+    ``LinAlgError`` even when solved alone, whose point is NaN."""
 
     points: np.ndarray
     rank_deficient: np.ndarray
     certified: np.ndarray
     failed: np.ndarray
-    workers: int = field(compare=False)
 
 
 def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, methods) -> BatchPoints:
@@ -598,36 +585,17 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
               for start in range(0, where.size, _BLOCK)]
 
     kept = {}  # the outcome rows of the layouts and of X'D, built once for all blocks
-
-    def run(share):
-        """Each block of ``share``, written to its own rows of the results."""
-        for columns, stack, rows in share:
-            obs = _Realizations(columns, stack[rows], sys_design.marginals, outcomes.values, kept)
-            ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
-            for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
-                adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
-                fits = _coefficients(methods, spec, cache, obs)
-                for m, method in enumerate(methods):
-                    b, rank_deficient[rows, m, s], certified[rows, m, s], failed[rows, m, s] = (
-                        fits[method])
-                    points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
-
-    # The first block fills the group sums kept on the layouts and caches and
-    # the outcome rows kept for this call;
-    # the rest are dealt out in turn to this thread and a pool of workers - 1.
-    run(blocks[:1])
-    rest = blocks[1:]
-    workers = max(1, min(len(rest), _cpus()))
-    shares = [rest[k::workers] for k in range(workers)]
-    # imported here: at the top it would add about 8 ms to every import of dbexp
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # no thread starts unless submitted
-        pending = [pool.submit(run, share) for share in shares[1:]]
-        run(shares[0])
-        for done in pending:
-            done.result()
-    return BatchPoints(points, rank_deficient, certified, failed, workers)
+    for columns, stack, rows in blocks:
+        obs = _Realizations(columns, stack[rows], sys_design.marginals, outcomes.values, kept)
+        ht = {divisor: _ht(obs.w * obs.y, divisor) for divisor in dict.fromkeys(divisors)}
+        for s, (spec, cache, divisor) in enumerate(zip(specs, caches, divisors)):
+            adjustment = _adjustment(_summed(spec._sums, columns, spec.matrix), obs.w, divisor)
+            fits = _coefficients(methods, spec, cache, obs)
+            for m, method in enumerate(methods):
+                b, rank_deficient[rows, m, s], certified[rows, m, s], failed[rows, m, s] = (
+                    fits[method])
+                points[rows, m, s] = _conjugate(ht[divisor], adjustment, b)
+    return BatchPoints(points, rank_deficient, certified, failed)
 
 
 # -- coefficient estimators ----------------------------------------------------

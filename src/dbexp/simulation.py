@@ -161,8 +161,8 @@ class SimResult:
     rank_deficient: dict[str, int]
     certified_solves: dict[str, int]
     metrics: tuple[MetricsRow, ...] = field(default=())
-    # stage -> wall seconds, and ``workers``, the most threads a batch_points call
-    # ran on; they vary between runs and machines, so they are kept out of the reports
+    # stage -> wall seconds; they vary between runs and machines, so they are
+    # kept out of the reports
     timings: dict[str, float] = field(default_factory=dict, compare=False)
 
 
@@ -276,7 +276,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     failures = np.zeros(shape[1:], dtype=np.int64)
     deficient = np.zeros(shape[1:], dtype=np.int64)
     certified = np.zeros(shape[1:], dtype=np.int64)
-    workers = 1
     for cluster_level in (False, True):
         marks.append(time.perf_counter())
         chosen = [e for e, name in enumerate(est_names)
@@ -296,7 +295,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         failures[chosen] = batch.failed.sum(axis=0)
         deficient[chosen] = batch.rank_deficient.sum(axis=0)
         certified[chosen] = batch.certified.sum(axis=0)
-        workers = max(workers, batch.workers)
     marks.append(time.perf_counter())
     rank_deficient, certified_solves = ({  # the estimators with a least-squares fit
         f"{name}/{set_id}": int(counts[e_pos, s_pos])
@@ -306,7 +304,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     } for counts in (deficient, certified))
 
     metrics = _aggregate(config, population, estimates, est_names, set_ids)
-    timings = {**dict(zip(_STAGES, np.diff(marks).tolist())), "workers": workers}
+    timings = dict(zip(_STAGES, np.diff(marks).tolist()))
     return SimResult(config, population, design, estimates, failures, rank_deficient,
                      certified_solves, metrics, timings)
 

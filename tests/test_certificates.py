@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dbexp import (
     AteEstimator,
@@ -23,6 +25,9 @@ from dbexp import (
 from dbexp._linalg import min_max_eig
 from dbexp.bounds import PSD_TOL
 from dbexp.design import AnalyticProvenance, _closed_form_spectrum
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def _quiet(make, *args):
@@ -78,9 +83,9 @@ def _psd_verdict(lo: float, hi: float, tol: float) -> bool:
     return not lo < -tol * max(abs(lo), abs(hi), 1.0)
 
 
-@pytest.mark.parametrize("name, factory, ids, exact", SMALL_DESIGNS, ids=IDS)
-def test_closed_form_design_certificate_matches_dense(name, factory, ids, exact):
-    design = factory()
+def _assert_design_certificate_matches_dense(design, exact):
+    """The closed-form PSD verdict on D is the dense one; where the closed form
+    is D's exact spectrum, so are its extremes."""
     values = design_matrix(design).values
     spectrum = _closed_form_spectrum(design)
     assert spectrum is not None
@@ -93,16 +98,75 @@ def test_closed_form_design_certificate_matches_dense(name, factory, ids, exact)
         assert abs(hi - dense_hi) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("name, factory, ids, exact", SMALL_DESIGNS, ids=IDS)
-def test_closed_form_bound_certificates_match_dense(name, factory, ids, exact, eig_calls):
-    dmat = design_matrix(factory())
+def _assert_bound_certificates_match_dense(dmat, ids, eig_calls):
+    """The AS and cluster bounds are built with no eigendecomposition, and each
+    minus D is PSD."""
+    before = len(eig_calls)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the one-cluster-in-an-arm bound is not identified
+        warnings.simplefilter("ignore")  # a bound with one cluster in an arm is not identified
         bounds = [as_bound(dmat), cluster_bound(dmat, ids)]
-    assert eig_calls == []
+    assert eig_calls[before:] == []
     for bound in bounds:
         lo, hi = min_max_eig(bound.values - dmat.values)
         assert _psd_verdict(lo, hi, PSD_TOL)
+
+
+@pytest.mark.parametrize("name, factory, ids, exact", SMALL_DESIGNS, ids=IDS)
+def test_closed_form_design_certificate_matches_dense(name, factory, ids, exact):
+    _assert_design_certificate_matches_dense(factory(), exact)
+
+
+@pytest.mark.parametrize("name, factory, ids, exact", SMALL_DESIGNS, ids=IDS)
+def test_closed_form_bound_certificates_match_dense(name, factory, ids, exact, eig_calls):
+    _assert_bound_certificates_match_dense(design_matrix(factory()), ids, eig_calls)
+
+
+@st.composite
+def small_designs(draw):
+    """A complete, Bernoulli or cluster design of n <= 8 units; ids that name
+    its clusters (units, unless it is a cluster design) under other labels in
+    shuffled order; and whether the closed form is D's exact spectrum, which
+    it is unless cluster sizes differ."""
+    kind = draw(st.sampled_from(["complete", "bernoulli", "cluster"]))
+    n = draw(st.integers(2, 8))
+    if kind == "cluster":
+        if draw(st.booleans()):  # equal sizes, units in shuffled order
+            size = draw(st.integers(1, n // 2))
+            n = size * draw(st.integers(2, n // size))
+            order = draw(st.permutations(range(n)))
+            ids = np.repeat(np.arange(n // size), size)[list(order)]
+        else:
+            ids = np.array(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)))
+            assume(np.unique(ids).size >= 2)
+        clusters, index, sizes = np.unique(ids, return_inverse=True, return_counts=True)
+        design = _quiet(make_cluster, ids, draw(st.integers(1, clusters.size - 1)))
+        exact = bool((sizes == sizes[0]).all())
+    else:
+        index = np.arange(n)
+        if kind == "complete":
+            design = _quiet(make_complete, n, draw(st.integers(1, n - 1)))
+        else:
+            probs = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+            design = _quiet(make_bernoulli, np.array(probs))
+        exact = True
+    m = int(index.max()) + 1
+    labels = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m, unique=True))
+    return design, np.array(labels)[index], exact
+
+
+@PROPERTY
+@given(small_designs())
+def test_closed_form_design_certificate_matches_dense_on_random_designs(case):
+    design, _, exact = case
+    _assert_design_certificate_matches_dense(design, exact)
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=small_designs())
+def test_closed_form_bound_certificates_match_dense_on_random_designs(case, eig_calls):
+    """``eig_calls`` is shared by the examples; each checks only its own calls."""
+    design, ids, _ = case
+    _assert_bound_certificates_match_dense(design_matrix(design), ids, eig_calls)
 
 
 def test_bound_with_a_mask_that_is_not_a_graph_is_certified_numerically(eig_calls):

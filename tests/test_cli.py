@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 import dbexp.bounds
 import dbexp.cli
-import dbexp.estimators
 from dbexp import AteEstimator, SimConfig, build_bound, make_complete
 from dbexp.cli import main
 
@@ -159,26 +158,11 @@ def test_simulate_writes_stage_timings_beside_byte_identical_reports(runner, tmp
         assert result.exit_code == 0, result.output
     timings = json.loads(open(runs[0] / "timings.json").read())
     assert set(timings) == {"population", "draws", "unit_batch_points",
-                            "cluster_batch_points", "report", "workers"}
-    workers = timings.pop("workers")
-    assert isinstance(workers, int) and workers >= 1
+                            "cluster_batch_points", "report"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert "timings" not in json.loads(open(runs[0] / "manifest.json").read())["params"]
     for name in ("metrics.csv", "replications.csv", "figure.svg", "manifest.json"):
         assert open(runs[0] / name, "rb").read() == open(runs[1] / name, "rb").read()
-
-
-def test_simulate_reports_do_not_depend_on_the_worker_count(runner, tmp_path, monkeypatch):
-    args = ["simulate", "--n-units", "60", "--n-clusters", "12", "--m1", "5",
-            "--replications", "450", "--seed", "7", "--out-dir"]  # three blocks
-    for workers in (1, 2):
-        monkeypatch.setattr(dbexp.estimators, "_cpus", lambda workers=workers: workers)
-        result = runner.invoke(main, args + [str(tmp_path / str(workers))])
-        assert result.exit_code == 0, result.output
-        timings = json.loads((tmp_path / str(workers) / "timings.json").read_text())
-        assert timings["workers"] == workers
-    for name in ("metrics.csv", "replications.csv", "figure.svg", "manifest.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_simulate_invalid_config_exits_2(runner, tmp_path):
@@ -663,6 +647,9 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
           "--coefficient", "{nan_json}"], "b.json: non-finite entries at positions 1"),
         (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
           "--coefficient", "{inf_lines}"], "inf.txt: non-finite entries at positions 0, 2"),
+        (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
+          "--coefficient", "{nested_json}"],
+         "nested.json: expected a flat vector, found an array of shape (4, 1)"),
         (["simulate", "--spec-sets", "1,x"], "invalid literal for int() with base 10: 'x'"),
         (["simulate", "--spec-sets", "1,5"], "unknown covariate sets: [5]"),
         (["simulate", "--estimators", "two_r,bogus"], "unknown estimators: ['bogus']"),
@@ -674,8 +661,9 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
            f"--defaults cannot be combined with {option}") for option, value in _STUDY_FLAGS),
     ],
     ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
-         "empty vector", "per-line vector", "NaN vector", "inf vector", "spec-sets parse",
-         "spec-sets value", "estimators value", "defaults and config", "defaults and empty config",
+         "empty vector", "per-line vector", "NaN vector", "inf vector", "nested vector",
+         "spec-sets parse", "spec-sets value", "estimators value", "defaults and config",
+         "defaults and empty config",
          *(f"defaults and {option}" for option, _ in _STUDY_FLAGS)],
 )
 def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, message):
@@ -685,6 +673,7 @@ def test_malformed_descriptor_vector_or_flags_exit_2(runner, tmp_path, args, mes
         "per_line": _write(tmp_path / "b.txt", "0.5\nx\n"),
         "nan_json": _write(tmp_path / "b.json", "[0.0, NaN, 0.0, 1.84]"),
         "inf_lines": _write(tmp_path / "inf.txt", "inf\n0.0\n-inf\n1.84\n"),
+        "nested_json": _write(tmp_path / "nested.json", "[[0.1], [0.2], [0.3], [0.4]]"),
         "config": _write(tmp_path / "config.json", json.dumps({"seed": 1})),
         "empty_config": _write(tmp_path / "empty.json", "{}"),
     }

@@ -1,4 +1,5 @@
-"""Static checks: no unused imports in the library and its tests, no blanket
+"""Static checks: no unused imports in the library and its tests, no import
+beyond the standard library and the declared dependencies, no blanket
 excepts in the library, one owner for decompositions and for the unit ->
 cluster map, no random generator built inside a loop, no function that
 takes both a design and its design matrix, every layer of the benchmark's
@@ -8,6 +9,7 @@ arguments parse, and the package's version is pyproject.toml's."""
 import ast
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -45,6 +47,24 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+#: What the library may import besides the standard library: its declared
+#: dependencies and itself.  scipy may be installed but is not declared.
+DECLARED_IMPORTS = {"numpy", "click", "dbexp"}
+
+
+@pytest.mark.parametrize("path", MODULES + [ROOT / "src" / "dbexp" / "__init__.py"],
+                         ids=lambda path: path.name)
+def test_the_library_imports_only_its_declared_dependencies(path):
+    tops = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            tops |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    undeclared = sorted(tops - DECLARED_IMPORTS - set(sys.stdlib_module_names))
+    assert not undeclared, f"{path.name} imports undeclared packages: {', '.join(undeclared)}"
 
 
 def _is_blanket(handler: ast.ExceptHandler) -> bool:

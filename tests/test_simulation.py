@@ -202,8 +202,8 @@ def test_simulation_counts_a_failed_wls_solve_against_its_two_estimators(monkeyp
 
 def _lone_replication_of_the_last_block(config):
     """A replication in the last of three blocks whose treated clusters no other
-    replication shares, and those clusters: blocks interleave between threads,
-    so a fit is told by its weights, not by the order of the calls."""
+    replication shares, and those clusters: a fit is told by its weights, not by
+    the order of the calls."""
     population = build_population(config)
     picked = simulation._treated_clusters(config.seed, population.m, config.m1,
                                           range(config.replications))
@@ -232,7 +232,6 @@ def test_simulation_propagates_an_error_from_a_later_block(monkeypatch):
             raise RuntimeError("broken solver")
         return wls(x, w, wy)
 
-    monkeypatch.setattr(estimators, "_cpus", lambda: 2)  # the last block runs on the pool
     monkeypatch.setattr(estimators, "_wls", broken_at_one_replication)
     with pytest.raises(RuntimeError, match="broken solver"):
         run_simulation(config)
@@ -251,7 +250,6 @@ def test_simulation_counts_a_failed_solve_in_a_later_block(monkeypatch):
             raise np.linalg.LinAlgError("singular")
         return wls(x, w, wy)
 
-    monkeypatch.setattr(estimators, "_cpus", lambda: 2)
     monkeypatch.setattr(estimators, "_wls", singular_at_one_replication_of_set_2)
     result = run_simulation(config)
     names = list(config.estimators)
