@@ -161,7 +161,7 @@ class AteEstimator:
         """The bound built over the system design, kept as ``bound_matrix_`` for later fits.
         A cluster-level layout's system design randomizes the clusters as its units."""
         if self.spec_ is not None and self.spec_.level == "cluster":
-            sys_design, _ = cluster_level_design(self.design)
+            sys_design = cluster_level_design(self.design)
             clusters = sys_design._assignment_groups
         else:
             sys_design, clusters = self.design, None

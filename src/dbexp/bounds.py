@@ -52,13 +52,7 @@ from .design import (
     _same_joint,
     design_matrix,
 )
-from .estimators import (
-    AdjustmentCache,
-    CoefficientEstimate,
-    ObservedOutcomes,
-    _coef,
-    _observe,
-)
+from .estimators import CoefficientEstimate, ObservedOutcomes, _coef, _observe, _system
 
 PSD_TOL = 1e-8
 #: Relative min-eigenvalue tolerance at which the iterative bound has converged.
@@ -150,16 +144,6 @@ class BoundMatrix(_KindForm):
         if self._op is not None:
             return self._form.weigh(self._op)
         return self.values / (self.joint + (self.joint == 0.0))
-
-    def _adjustment(self, spec: CovariateSpec) -> AdjustmentCache:
-        """The layout's normal system over the bound, kept for the last layout it served."""
-        cache = self.__dict__.get("_last_adjustment")
-        if cache is None or (
-            cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix)
-        ):
-            cache = AdjustmentCache.over(spec, self.core)
-            self.__dict__["_last_adjustment"] = cache
-        return cache
 
     def _check_design(self, design: Design) -> None:
         """Raise unless ``design`` is the design the bound was built over."""
@@ -480,7 +464,7 @@ def bound_estimate_2r_borrowed(bound: BoundMatrix, design: Design, observed: Obs
     """
     obs, divisor, sys_obs, sys_design = _observe(observed, design, spec)
     bound._check_design(sys_design)
-    b = _coef("two_r", spec, bound._adjustment(spec), obs).values
+    b = _coef("two_r", spec, _system(bound, spec), obs).values
     residual = sys_obs.stacked() - spec.matrix @ b
     return _observed_quadratic(bound, sys_design, residual, sys_obs.indicator(), divisor)
 

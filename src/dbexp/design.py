@@ -196,7 +196,8 @@ class DesignMatrix(_KindForm):
     of ``Design._design_matrix``; ``dense`` by an eigendecomposition; None
     when built directly.
     For a design in kind form, ``core`` is the :class:`GroupOperator` of D
-    and the arrays are built on first read.
+    and the arrays are built on first read.  A design matrix keeps the normal
+    system X'DX of the last layout fitted over it (``estimators._system``).
     """
 
     values: np.ndarray = field(repr=False)
@@ -335,13 +336,11 @@ class Design(_KindForm):
                             certificate="closed_form" if self._from_support else "dense")
 
     @cached_property
-    def _cluster_level(self) -> tuple["Design", np.ndarray]:
+    def _cluster_level(self) -> "Design":
         """See :func:`cluster_level_design`."""
         if self.kind != "cluster":
             raise DesignError("cluster-level collapse requires a cluster-randomized design")
-        groups = self._assignment_groups
-        groups.index.flags.writeable = False
-        return make_complete(groups.m, self.provenance.params["m1"]), groups.index
+        return make_complete(self._assignment_groups.m, self.provenance.params["m1"])
 
     @cached_property
     def _assignment_groups(self) -> Groups:
@@ -606,15 +605,14 @@ def make_complete(n: int, n1: int) -> Design:
 def make_bernoulli(pi1: Sequence[float]) -> Design:
     """Independent assignment with per-unit treatment probabilities."""
     pi1 = np.asarray(pi1, dtype=float)
-    n = pi1.shape[0]
-    if n < 2:
+    if pi1.ndim != 1:
+        raise DesignError("Bernoulli probabilities must form a vector")
+    if pi1.shape[0] < 2:
         raise DesignError("a design needs at least 2 units")
     if ((pi1 <= 0.0) | (pi1 >= 1.0)).any():
         raise UnidentifiedDesignError("Bernoulli probabilities must lie strictly inside (0, 1)")
     if np.isnan(pi1).any():  # the only value the range check lets through
         raise DesignError("arm probabilities must sum to one for every unit")
-    if pi1.ndim != 1:
-        raise DesignError("Bernoulli probabilities must form a vector")
     provenance = AnalyticProvenance("bernoulli", {"pi1": pi1.copy()})
     return _form_design(_bernoulli_form(pi1), provenance)
 
@@ -901,12 +899,9 @@ def enumerate_assignments(design: Design) -> list[tuple[AssignmentRealization, f
     return [(AssignmentRealization(z), float(prob)) for z, prob in pairs]
 
 
-def cluster_level_design(design: Design) -> tuple[Design, np.ndarray]:
-    """Collapse a cluster design to its m-cluster complete-randomization design.
-
-    Returns the cluster-level design and the read-only unit -> cluster position
-    index, both built once per design.
-    """
+def cluster_level_design(design: Design) -> Design:
+    """Collapse a cluster design to its m-cluster complete-randomization design,
+    built once per design."""
     return design._cluster_level
 
 
@@ -940,6 +935,14 @@ def _key(data: dict, key: str, what: str):
     return data[key]
 
 
+def _sized(values: np.ndarray, n: int, what: str) -> np.ndarray:
+    """Per-unit ``values``; a vector of them must have the description's ``n``."""
+    if values.ndim == 1 and values.shape[0] != n:
+        raise DesignError(f"{what} description has n = {n} "
+                          f"but its parameters give {values.shape[0]} units")
+    return values
+
+
 def design_from_dict(data: dict) -> Design:
     kind = _key(data, "kind", "a design description")
     n = int(_key(data, "n", "a design description"))
@@ -948,9 +951,9 @@ def design_from_dict(data: dict) -> Design:
     if kind == "complete":
         return make_complete(n, int(_key(params, "n1", what)))
     if kind == "bernoulli":
-        return make_bernoulli(np.asarray(_key(params, "pi1", what), dtype=float))
+        return make_bernoulli(_sized(np.asarray(_key(params, "pi1", what), dtype=float), n, what))
     if kind == "cluster":
-        ids = np.asarray(_key(params, "cluster_ids", what))
+        ids = _sized(np.asarray(_key(params, "cluster_ids", what)), n, what)
         return make_cluster(ids, int(_key(params, "m1", what)))
     if kind == "enumerated":
         pairs = zip(_key(params, "assignments", what), _key(params, "probabilities", what))

@@ -170,7 +170,7 @@ def _at_level(spec: CovariateSpec | None, design: Design | None, data):
     if clusters is None or data.n != clusters.n:
         return design, data
     if design is not None:
-        collapsed = cluster_level_design(design)[0]  # only a cluster design has one
+        collapsed = cluster_level_design(design)  # only a cluster design has one
         _check_clusters(clusters, design._assignment_groups)
         design = collapsed
     if isinstance(data, ObservedOutcomes):
@@ -297,10 +297,11 @@ def _three_ht(cache: "AdjustmentCache", obs: "_Realizations") -> np.ndarray:
     return _rows(_rows(obs.w * obs.scale, obs.outcome_rows(cache.dx)), cache.xdx_pinv.T)
 
 
-def _two_r(cache: "AdjustmentCache", obs: "_Realizations", b3: np.ndarray, b_wls: np.ndarray):
-    """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit."""
-    drift = _gram(cache._sums, obs.groups, obs.w, cache.dx, cache.spec.matrix,
-                  cache.spec.level == "cluster", cache.spec.structure.cross_pairs) - cache.xdx
+def _two_r(spec: CovariateSpec, cache, obs: "_Realizations", b3: np.ndarray, b_wls: np.ndarray):
+    """Two-stage coefficient(s): 3HT minus its estimated drift at the WLS fit.
+    ``spec``, not ``cache.spec`` (an equal matrix), sets the drift's product form."""
+    drift = _gram(cache._sums, obs.groups, obs.w, cache.dx, spec.matrix,
+                  spec.level == "cluster", spec.structure.cross_pairs) - cache.xdx
     return b3 - _rows(_rows(b_wls, np.swapaxes(drift, -1, -2)), cache.xdx_pinv.T)
 
 
@@ -434,7 +435,7 @@ def _coefficients(methods, spec: CovariateSpec, cache, obs: _Realizations) -> di
     for method in methods:
         kind, runs_3ht = _METHODS[method]
         b, *flags = fits[kind] if kind else (b3, unflagged, unflagged, unflagged)
-        out[method] = (_two_r(cache, obs, b3, b) if kind and runs_3ht else b, *flags)
+        out[method] = (_two_r(spec, cache, obs, b3, b) if kind and runs_3ht else b, *flags)
     return out
 
 
@@ -603,12 +604,14 @@ def batch_points(design: Design, outcomes: StackedOutcomes, treated, specs, meth
 
 @dataclass(frozen=True)
 class AdjustmentCache:
-    """Write-once (layout, core) normal system shared across replications.
+    """Write-once normal system ``X'(core)X`` of a layout X over a core.
 
-    The core is the design's covariance structure for the optimal-coefficient
+    The core is the design's covariance structure D for the optimal-coefficient
     estimators, or a bound matrix for the bound-targeting two-stage
-    coefficient, which that bound keeps.  ``rank_deficient`` says whether
-    ``X'(core)X`` was deficient at the anchored cutoff.
+    coefficient.  The owner of a core, a :class:`DesignMatrix` or a bound,
+    keeps the system of the last layout it served (:func:`_system`).
+    ``rank_deficient`` says whether ``X'(core)X`` was deficient at the
+    anchored cutoff.
     """
 
     spec: CovariateSpec
@@ -626,32 +629,41 @@ class AdjustmentCache:
 
     @classmethod
     def build(cls, spec: CovariateSpec, design: Design) -> "AdjustmentCache":
-        sys_design = cluster_level_design(design)[0] if spec.level == "cluster" else design
-        return cls.over(spec, design_matrix(sys_design).core)
+        """The layout's system over D at its level, as that design matrix keeps it."""
+        sys_design = cluster_level_design(design) if spec.level == "cluster" else design
+        return _system(design_matrix(sys_design), spec)
 
     @classmethod
     def over(cls, spec: CovariateSpec, core) -> "AdjustmentCache":
-        """The system over ``core``, a dense array or a kind-form operator."""
+        """The system over ``core``, a dense array or a kind-form operator, built anew."""
         xd, xdx, xdx_pinv, deficient = normal_system(spec.matrix, core)
         return cls(spec=spec, xdx=xdx, xdx_pinv=xdx_pinv, xd=xd, rank_deficient=deficient)
 
 
+def _system(owner, spec: CovariateSpec) -> AdjustmentCache:
+    """The layout's system over ``owner.core`` (a design matrix's D or a bound), kept
+    by the owner for its last layout: the same layout object or an equal matrix."""
+    system = owner.__dict__.get("_system")
+    if system is None or (
+        system.spec is not spec and not np.array_equal(system.spec.matrix, spec.matrix)
+    ):
+        system = AdjustmentCache.over(spec, owner.core)
+        owner.__dict__["_system"] = system
+    return system
+
+
 def coef_by_name(method: str, spec: CovariateSpec, observed: ObservedOutcomes,
-                 design: Design | None = None, cache: AdjustmentCache | None = None):
+                 design: Design | None = None):
     """The coefficient of ``method`` (any but ``fixed``) for one realization: the
     method table on a stack of one.  ``ols`` and ``ols_cluster_totals`` need no
-    design; ``cache`` serves 3HT and 2R.  A fit that fails raises ``LinAlgError``."""
+    design; 3HT and 2R run over the normal system that the design's matrix keeps
+    for its last layout.  A fit that fails raises ``LinAlgError``."""
     _check_method(method, spec)
     kind, runs_3ht = _METHODS[method]
     if design is None and (runs_3ht or kind != "indicator"):
         raise ValueError(f"the {method} coefficient needs the design")
-    if not runs_3ht:
-        cache = None
-    elif cache is None:
-        cache = AdjustmentCache.build(spec, design)
-    elif cache.spec is not spec and not np.array_equal(cache.spec.matrix, spec.matrix):
-        raise ValueError("cache was built for a different layout")
-    return _coef(method, spec, cache, _observe(observed, design, spec)[0])
+    system = AdjustmentCache.build(spec, design) if runs_3ht else None
+    return _coef(method, spec, system, _observe(observed, design, spec)[0])
 
 
 def _coef(method: str, spec: CovariateSpec, cache, obs: _Realizations) -> CoefficientEstimate:
@@ -674,27 +686,27 @@ def coef_wls_pi(spec: CovariateSpec, observed: ObservedOutcomes, design: Design)
     return coef_by_name("wls_pi", spec, observed, design)
 
 
-def coef_3ht(spec: CovariateSpec, observed: ObservedOutcomes, design: Design,
-             cache: AdjustmentCache | None = None) -> CoefficientEstimate:
+def coef_3ht(spec: CovariateSpec, observed: ObservedOutcomes, design: Design):
     """Unbiased optimal-coefficient estimator built from weighted indicators.
 
     Its mean over the design equals the variance-minimizing coefficient, but
     it inherits inverse-probability imprecision; prefer the two-stage
-    estimator for point estimation.
+    estimator for point estimation.  Its normal system X'DX is the one the
+    design's matrix keeps for its last layout (:func:`coef_by_name`).
     """
-    return coef_by_name("three_ht", spec, observed, design, cache)
+    return coef_by_name("three_ht", spec, observed, design)
 
 
-def coef_2r(spec: CovariateSpec, observed: ObservedOutcomes, design: Design,
-            cache: AdjustmentCache | None = None) -> CoefficientEstimate:
+def coef_2r(spec: CovariateSpec, observed: ObservedOutcomes, design: Design):
     """Two-stage optimal coefficient: regression-adjust the unbiased estimator.
 
     The first stage is reciprocal-probability weighted least squares; the
     second stage removes its estimated deviation using the same adjustment
     principle, which restores location/scale invariance of the conjugate
-    point estimate.  ``rank_deficient`` is the first stage's flag.
+    point estimate.  ``rank_deficient`` is the first stage's flag.  Its X'DX
+    is the normal system the design's matrix keeps for its last layout.
     """
-    return coef_by_name("two_r", spec, observed, design, cache)
+    return coef_by_name("two_r", spec, observed, design)
 
 
 def coef_tyranny(spec: CovariateSpec, observed: ObservedOutcomes, design: Design):

@@ -12,7 +12,6 @@ import pytest
 
 import dbexp
 from dbexp import (
-    AdjustmentCache,
     AssignmentRealization,
     ObservedOutcomes,
     StackedOutcomes,
@@ -286,14 +285,13 @@ def test_c06_two_stage_equivalence_and_invariance():
             x @ [1.0, -0.5] + rng.standard_normal(n),
             x @ [0.5, 0.5] + rng.standard_normal(n) + 1.0,
         )
-        cache = AdjustmentCache.build(spec, design)
         if draws is None:
             realizations = [r for r, _ in enumerate_assignments(design)]
         else:
             realizations = [draw(design, seed) for seed in range(draws)]
         for realization in realizations:
             obs = ObservedOutcomes.from_schedule(outcomes, realization)
-            p2 = greg(obs, design, spec, coef_2r(spec, obs, design, cache)).point
+            p2 = greg(obs, design, spec, coef_2r(spec, obs, design)).point
             pols = greg(obs, design, spec, coef_ols(spec, obs)).point
             assert abs(p2 - pols) <= 1e-8
 
@@ -318,20 +316,14 @@ def test_c06_two_stage_equivalence_and_invariance():
         tuple(f"t{j}" for j in range(spec.n_columns)),
         x=x,
     )
-    cache = AdjustmentCache.build(spec, design)
-    cache_t = AdjustmentCache.build(transformed, design)
     for seed in range(20):
         realization = draw(design, seed)
         obs = ObservedOutcomes.from_schedule(outcomes, realization)
         obs_shifted = ObservedOutcomes.from_schedule(shifted, realization)
-        p = greg(obs, design, spec, coef_2r(spec, obs, design, cache)).point
-        p_shifted = greg(
-            obs_shifted, design, spec, coef_2r(spec, obs_shifted, design, cache)
-        ).point
+        p = greg(obs, design, spec, coef_2r(spec, obs, design)).point
+        p_shifted = greg(obs_shifted, design, spec, coef_2r(spec, obs_shifted, design)).point
         assert abs(p_shifted - f * p) <= 1e-8
-        p_transformed = greg(
-            obs, design, transformed, coef_2r(transformed, obs, design, cache_t)
-        ).point
+        p_transformed = greg(obs, design, transformed, coef_2r(transformed, obs, design)).point
         assert abs(p_transformed - p) <= 1e-8
 
 
@@ -473,7 +465,6 @@ def test_c11_coverage_conservatism():
         spec = spec_II(x)
     universal = as_bound(dmat)
     clustered = cluster_bound(dmat, pop.cluster_ids)
-    acache = AdjustmentCache.build(spec, design)
     reps = 5000
     idx = pop.cluster_index
     y0, y1 = pop.outcomes.control, pop.outcomes.treated
@@ -493,7 +484,7 @@ def test_c11_coverage_conservatism():
         lo, hi, _ = interval_from_bound(point, estimate)
         cover_plain += lo <= 0.0 <= hi
         width_plain += hi - lo
-        b2 = coef_2r(spec, obs, design, acache)
+        b2 = coef_2r(spec, obs, design)
         point2 = greg(obs, design, spec, b2).point
         estimate2 = bound_estimate_2r_borrowed(clustered, design, obs, spec)
         lo2, hi2, _ = interval_from_bound(point2, estimate2)

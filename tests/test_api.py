@@ -1,5 +1,7 @@
+import gc
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -329,3 +331,35 @@ def test_impossible_assignment_warning_points_at_the_caller_of_fit():
     with pytest.warns(UserWarning, match="probability ~0") as record:
         model.fit(np.ones(4), [1, 1, 1, 0])
     assert record[0].filename == __file__
+
+
+REFCOUNT_DESIGNS = {
+    "complete": lambda: make_complete(12, 5),
+    "bernoulli": lambda: make_bernoulli(np.linspace(0.3, 0.7, 12)),
+    "cluster": lambda: make_cluster([1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6], 3),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, estimator, bound",
+    [(kind, "two_r", bound) for bound in ("borrowed-as", "as") for kind in REFCOUNT_DESIGNS]
+    + [("cluster", "ols_cluster_totals", "cluster")],
+)
+def test_a_dropped_fit_frees_its_design_and_layout_without_the_collector(kind, estimator, bound):
+    """What a fit keeps (the normal system of the last layout on a design
+    matrix and on a bound, the bound on the model) closes no reference cycle,
+    so dropping the model and the design frees both and the layout at once."""
+    design = REFCOUNT_DESIGNS[kind]()
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((design.n, 2))
+    z = draw(design, 3).assignment
+    outcome = np.where(z == 1, 1.0, 0.0) + x[:, 0] + rng.standard_normal(design.n)
+    ids = design.provenance.params["cluster_ids"] if kind == "cluster" else None
+    gc.disable()
+    try:
+        model = AteEstimator(design, estimator, bound=bound).fit(outcome, z, x, ids)
+        refs = [weakref.ref(model.spec_), weakref.ref(design)]
+        del model, design
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -42,7 +42,7 @@ from conftest import enumeration_moments
 from dense_reference import dense_iterative, dense_order_verdict
 from dbexp._linalg import block_eigvals, component_blocks, components, pinv, sym_eigvals
 from dbexp.bounds import BOUND_METHODS, _order_verdict
-from dbexp.estimators import _observe
+from dbexp.estimators import _coef, _observe
 
 CLUSTER_IDS = np.array([1, 1, 2, 3, 4])  # 4 clusters, n = 5
 
@@ -349,13 +349,13 @@ def test_borrowed_estimate_matches_the_written_out_recursion(design, methods):
             assert bound_estimate_2r_borrowed(bound, design, obs, spec) == pytest.approx(
                 reference, abs=1e-12
             )
-        # the bound keeps the normal system of the last layout it served
+        # the bound keeps the normal system of the last layout it served: a
+        # kept system gives what a freshly built one does, bit for bit
         for seed, layout in enumerate([spec_I(x), spec, spec_I(x), spec_I(x), spec]):
             obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
-            system = AdjustmentCache.over(layout, bound.core)
-            direct = bound_estimate_greg(
-                bound, design, obs, layout, coef_2r(layout, obs, design, cache=system)
-            )
+            cold = _coef("two_r", layout, AdjustmentCache.over(layout, bound.core),
+                         _observe(obs, design, layout)[0])
+            direct = bound_estimate_greg(bound, design, obs, layout, cold)
             assert bound_estimate_2r_borrowed(bound, design, obs, layout) == direct
 
 

@@ -475,6 +475,27 @@ def test_custom_design_with_a_negative_or_nan_probability_exits_2(runner, tmp_pa
     assert "error: support probabilities must be finite and nonnegative" in result.output
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [({"pi1": 0.5}, "Bernoulli probabilities must form a vector"),
+     ({"pi1": [[0.5, 0.5]]}, "Bernoulli probabilities must form a vector"),
+     ({"pi1": [0.5, 0.5, 0.5]},
+      "bernoulli design description has n = 2 but its parameters give 3 units")],
+    ids=["scalar", "matrix", "three units"],
+)
+def test_custom_bernoulli_design_of_the_wrong_shape_exits_2(runner, tmp_path, params, message):
+    spec_path = _write(tmp_path / "design.json",
+                       json.dumps({"kind": "bernoulli", "n": 2, "params": params}))
+    data = _write(tmp_path / "toy.csv", TOY_TWO_UNIT)
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", f"custom:file={spec_path}",
+         "--estimator", "ht", "--out-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+
+
 def test_bounds_compare_max_iters_below_one_exits_2(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -87,6 +87,27 @@ def test_bernoulli_rejects_tiny_and_boundary():
         make_bernoulli([0.0, 0.5])
 
 
+@pytest.mark.parametrize("pi1", [0.5, [[0.5, 0.5]], [[0.5], [0.5]]],
+                         ids=["scalar", "row", "column"])
+def test_bernoulli_probabilities_that_are_not_a_vector_raise(pi1):
+    with pytest.raises(DesignError, match="Bernoulli probabilities must form a vector"):
+        make_bernoulli(pi1)
+
+
+@pytest.mark.parametrize(
+    "data, counts",
+    [({"kind": "bernoulli", "n": 3, "params": {"pi1": [0.5, 0.4]}}, "n = 3 .* 2 units"),
+     ({"kind": "cluster", "n": 3, "params": {"cluster_ids": [1, 1, 2, 2, 3, 3, 4, 4], "m1": 2}},
+      "n = 3 .* 8 units")],
+    ids=["bernoulli", "cluster"],
+)
+def test_a_description_whose_n_disagrees_with_its_parameters_raises(data, counts):
+    with pytest.raises(DesignError, match=counts):
+        design_module.design_from_dict(data)
+    sized = {**data, "n": len(next(iter(data["params"].values())))}
+    assert design_module.design_from_dict(sized).n == sized["n"]
+
+
 def test_cluster_same_cluster_entries_and_enumeration():
     with pytest.warns(UserWarning):
         design = make_cluster([1, 1, 2, 2], 1)
@@ -139,11 +160,8 @@ def test_cluster_level_design_is_built_once(monkeypatch):
 
     monkeypatch.setattr(design_module, "make_complete", counting)
     design = make_cluster([1, 1, 2, 2, 3, 3, 4], 2)
-    first, second = cluster_level_design(design), cluster_level_design(design)
-    assert first[0] is second[0] and first[1] is second[1]
+    assert cluster_level_design(design) is cluster_level_design(design)
     assert calls == [(4, 2)]
-    assert not first[1].flags.writeable
-    np.testing.assert_array_equal(first[1], [0, 0, 1, 1, 2, 2, 3])
 
 
 def test_sampler_enumerate_matches_complete():

@@ -12,6 +12,7 @@ from dbexp import (
     AdjustmentCache,
     AssignmentRealization,
     AteEstimator,
+    CovariateSpec,
     batch_points,
     ObservedOutcomes,
     StackedOutcomes,
@@ -46,9 +47,11 @@ from conftest import enumeration_moments, enumeration_vector_mean
 from dbexp._group import Groups, unit_groups
 from dbexp._linalg import CERTIFIED_COND, PINV_RCOND, _svd_solve, component_blocks, pinv_solve
 from dbexp.design import cluster_level_design
+from dbexp import estimators
 from dbexp.estimators import (
     _Realizations,
     _adjustment,
+    _coef,
     _gram,
     _ht,
     _rows,
@@ -615,13 +618,53 @@ BATCH_IDS = np.array([1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 6, 6])
 RELABELLED_IDS = 7 - BATCH_IDS  # BATCH_IDS' clusters in the reverse id order
 SHUFFLED_SINGLETONS = np.array([9, 4, 11, 0, 7, 2, 10, 5, 1, 8, 3, 6])
 SINGLE = {
-    "ols": lambda spec, obs, design, cache: coef_ols(spec, obs),
-    "wls_pi": lambda spec, obs, design, cache: coef_wls_pi(spec, obs, design),
-    "three_ht": lambda spec, obs, design, cache: coef_3ht(spec, obs, design, cache),
-    "two_r": lambda spec, obs, design, cache: coef_2r(spec, obs, design, cache),
-    "tyranny": lambda spec, obs, design, cache: coef_tyranny(spec, obs, design),
-    "ols_cluster_totals": lambda spec, obs, design, cache: coef_ols_cluster_totals(spec, obs),
+    "ols": lambda spec, obs, design: coef_ols(spec, obs),
+    "wls_pi": coef_wls_pi,
+    "three_ht": coef_3ht,
+    "two_r": coef_2r,
+    "tyranny": coef_tyranny,
+    "ols_cluster_totals": lambda spec, obs, design: coef_ols_cluster_totals(spec, obs),
 }
+
+
+def test_design_matrix_keeps_the_system_of_its_last_layout():
+    """The design's matrix keeps the normal system of the last layout fitted on
+    it, found again for that layout or an equal matrix; fits on alternating
+    layouts give what a freshly built system does, bit for bit."""
+    rng = np.random.default_rng(12)
+    x = zero_center(rng.standard_normal((12, 2)))
+    outcomes = StackedOutcomes.from_arms(*rng.standard_normal((2, 12)))
+    cluster = make_cluster(BATCH_IDS, 3)
+    cases = [(make_complete(12, 5), spec_I(x), spec_II(x)),
+             (make_bernoulli(rng.uniform(0.2, 0.8, 12)), spec_I(x), spec_II(x)),
+             (cluster, spec_I(x), spec_II(x)),
+             (cluster, spec_cluster(x, BATCH_IDS, "I"), spec_cluster(x, BATCH_IDS, "II"))]
+    for design, a, b in cases:
+        for seed, layout in enumerate([a, b, a, a, b]):
+            obs = ObservedOutcomes.from_schedule(outcomes, draw(design, seed))
+            level = cluster_level_design(design) if layout.level == "cluster" else design
+            fresh = AdjustmentCache.over(layout, design_matrix(level).core)
+            at_level = estimators._observe(obs, design, layout)[0]
+            for method, fit in (("three_ht", coef_3ht), ("two_r", coef_2r)):
+                cold = _coef(method, layout, fresh, at_level)
+                assert fit(layout, obs, design).values.tobytes() == cold.values.tobytes()
+        system = AdjustmentCache.build(a, design)
+        assert AdjustmentCache.build(a, design) is system
+        equal = CovariateSpec(a.matrix.copy(), a.kind, a.labels, a.cluster_ids)
+        assert AdjustmentCache.build(equal, design) is system
+        assert AdjustmentCache.build(b, design) is not system
+        assert AdjustmentCache.build(a, design) is not system
+    # a unit-level layout on the collapsed design with a cluster-total layout's
+    # matrix: the kept system serves both, each at its own level's product form
+    collapsed, totals = cluster_level_design(cluster), spec_cluster(x, BATCH_IDS, "II")
+    unit = CovariateSpec(totals.matrix.copy(), "custom", totals.labels)
+    for seed in range(8):
+        obs = ObservedOutcomes.from_schedule(outcomes, draw(cluster, seed))
+        _, _, collapsed_obs, _ = estimators._observe(obs, cluster, totals)
+        coef_2r(unit, collapsed_obs, collapsed)
+        fresh = AdjustmentCache.over(totals, design_matrix(collapsed).core)
+        cold = _coef("two_r", totals, fresh, estimators._observe(obs, cluster, totals)[0])
+        assert coef_2r(totals, obs, cluster).values.tobytes() == cold.values.tobytes()
 
 
 def _batch_case(kind):
@@ -678,12 +721,11 @@ def test_batch_points_equal_single_realization_estimates(kind):
             grouped = batch_points(design, outcomes, by_cluster, specs, methods)
             for name in ("points", "rank_deficient", "certified", "failed"):
                 assert getattr(grouped, name).tobytes() == getattr(batch, name).tobytes(), name
-        caches = [AdjustmentCache.build(spec, design) for spec in specs]
-        for r, z in enumerate(treated):
-            obs = _observe(outcomes, z)
-            for m, method in enumerate(methods):
-                for s, (spec, cache) in enumerate(zip(specs, caches)):
-                    coef = SINGLE[method](spec, obs, design, cache)
+        for s, spec in enumerate(specs):  # layout by layout, so its design keeps its system
+            for r, z in enumerate(treated):
+                obs = _observe(outcomes, z)
+                for m, method in enumerate(methods):
+                    coef = SINGLE[method](spec, obs, design)
                     assert batch.points[r, m, s] == greg(obs, design, spec, coef).point
                     assert batch.rank_deficient[r, m, s] == coef.rank_deficient
         if kind == "cluster" and "ols" in methods:  # 3 rows, 4 columns per arm
@@ -702,7 +744,7 @@ def _cluster_total_results(ids, x, y0, y1, z):
         out += [model.ate_, model.variance_bound_]
     spec = spec_cluster(x, ids, "II")
     outcomes = StackedOutcomes.from_arms(y0, y1)
-    dmat = design_matrix(cluster_level_design(design)[0])
+    dmat = design_matrix(cluster_level_design(design))
     b = b_opt(spec, dmat, outcomes).values
     return np.array(out + [fixed_coef_variance(outcomes, spec, b, dmat)])
 
@@ -793,7 +835,7 @@ def _grouped_products(spec, cache, obs, divisor, b_wls):
         "gram": _gram(spec._sums, obs.groups, w, x, x),
         "rhs": _rows(w * obs.scale, obs.outcome_rows(x)),
         "three_ht": _three_ht(cache, obs),
-        "two_r": _two_r(cache, obs, np.zeros_like(b_wls), b_wls),
+        "two_r": _two_r(spec, cache, obs, np.zeros_like(b_wls), b_wls),
     }
 
 

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dbexp import (
@@ -34,7 +34,7 @@ from dense_reference import (
     dense_weighted,
 )
 from dbexp.bounds import _observed_quadratic
-from dbexp.design import _cluster_groups, cluster_level_design, in_support
+from dbexp.design import _cluster_groups, _validate_joint, in_support
 
 
 def _quiet(make, *args):
@@ -87,12 +87,12 @@ def _assert_operator_matches(op, dense, rng):
     _close(op.frobenius(), np.linalg.norm(dense), 0.0)
 
 
-@pytest.mark.parametrize("name, factory, reference, ids", CASES, ids=IDS)
-def test_kind_form_equals_the_dense_path(name, factory, reference, ids):
-    rng = np.random.default_rng(21)
-    design = factory()
-    joint, marginals = reference()
+def _assert_kind_form_equals_the_dense_path(design, joint, marginals, ids, rng):
+    """The design's joint, D, the AS and cluster bounds (over the clusters
+    ``ids``) and their weighted forms in kind form against their dense
+    copies; the dense scan accepts the full joint."""
     assert design.joint.tobytes() == joint.tobytes()
+    _validate_joint(design.n, design.joint, design.marginals)
     values, mask = dense_design_matrix(joint, marginals)
     dmat = design_matrix(design)
     assert dmat.certificate == "closed_form"
@@ -125,6 +125,46 @@ def test_kind_form_equals_the_dense_path(name, factory, reference, ids):
             if method != "D":
                 got = _observed_quadratic(bounds[method], design, vector, indicator, 1)
                 _close(got, masked @ dense @ masked, scale)
+
+
+@pytest.mark.parametrize("name, factory, reference, ids", CASES, ids=IDS)
+def test_kind_form_equals_the_dense_path(name, factory, reference, ids):
+    _assert_kind_form_equals_the_dense_path(factory(), *reference(), ids,
+                                            np.random.default_rng(21))
+
+
+@st.composite
+def group_designs(draw):
+    """A complete, Bernoulli or cluster design of n <= 8 units with its dense
+    joint and marginals, and ids that name its clusters (its units, unless it
+    is a cluster design) under other labels.  Cluster ids come in any order
+    and the clusters in unequal sizes."""
+    kind = draw(st.sampled_from(["complete", "bernoulli", "cluster"]))
+    n = draw(st.integers(2, 8))
+    if kind == "bernoulli":
+        pi1 = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+        design, reference, index = make_bernoulli(pi1), dense_bernoulli(pi1), np.arange(n)
+    else:
+        ids = (np.arange(n) if kind == "complete"
+               else np.array(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))))
+        index = np.unique(ids, return_inverse=True)[1]
+        m = int(index.max()) + 1
+        assume(m >= 2)
+        m1 = draw(st.integers(1, m - 1))
+        design = (_quiet(make_complete, n, m1) if kind == "complete"
+                  else _quiet(make_cluster, ids, m1))
+        reference = dense_group_design(ids, m1)
+    m = int(index.max()) + 1
+    labels = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m, unique=True))
+    return design, reference, np.array(labels)[index], draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(group_designs())
+def test_kind_form_equals_the_dense_path_on_random_designs(case):
+    design, (joint, marginals), ids, seed = case
+    _assert_kind_form_equals_the_dense_path(design, joint, marginals, ids,
+                                            np.random.default_rng(seed))
 
 
 def test_unidentified_cluster_bound_in_kind_form():
@@ -338,4 +378,3 @@ def test_cluster_ids_in_any_order_make_one_partition(ids, seed):
         assert in_support(design, z)
         assert np.array_equal(z, z[groups.first][groups.index])  # constant within clusters
         assert z[groups.first].sum() == m1
-    assert np.array_equal(cluster_level_design(design)[1], groups.index)

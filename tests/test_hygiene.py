@@ -1,7 +1,8 @@
 """Static checks: no unused imports in the library and its tests, no import
 beyond the standard library and the declared dependencies, no blanket
-excepts in the library, one owner for decompositions and for the unit ->
-cluster map, no random generator built inside a loop, no function that
+excepts in the library, one owner for decompositions, for the unit ->
+cluster map and for building a normal system, no random generator built
+inside a loop, no function that
 takes both a design and its design matrix, every layer of the benchmark's
 tracer names a function the library defines, the benchmark's simulate
 arguments parse, and the package's version is pyproject.toml's."""
@@ -154,6 +155,35 @@ def test_cluster_totals_go_through_groups(path):
         f"{path.name} maps units to clusters outside dbexp._group and dbexp.design: "
         + ", ".join(calls)
     )
+
+
+def _callers(name: str) -> set[str]:
+    """The library functions, as ``module.function`` or ``module.Class.method``,
+    that call ``name`` by that name or as an attribute."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) == name:
+                found.add(where)
+            visit(child, where)
+
+    for path in MODULES:
+        visit(_tree(path), path.stem)
+    return found
+
+
+def test_one_path_to_a_normal_system():
+    """``X'(core)X`` is built by ``AdjustmentCache.over``, or by the population
+    oracles' own solve, and a system over a design's D or a bound is kept by
+    its owner through ``estimators._system``: a second builder would be a
+    second cache, free to go stale or to differ in its cutoff."""
+    assert _callers("normal_system") == {"estimators.AdjustmentCache.over",
+                                         "optimal._solve_normal"}
+    assert _callers("over") == {"estimators._system"}
 
 
 #: Calls that build a random generator or its seed.  Building one per

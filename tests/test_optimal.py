@@ -256,7 +256,7 @@ def test_b_sep_on_a_cluster_total_layout_uses_the_cluster_level_matrix():
     rng = np.random.default_rng(1)
     spec = spec_cluster(zero_center(rng.standard_normal((12, 1))), ids, "II")
     outcomes = StackedOutcomes.from_arms(rng.standard_normal(12), rng.standard_normal(12))
-    dmat = design_matrix(cluster_level_design(design)[0])
+    dmat = design_matrix(cluster_level_design(design))
     totals = stack_clusters(outcomes, ids)
     vsep = fixed_coef_variance(totals, spec, b_sep(spec, outcomes, design).values, dmat)
     vopt = fixed_coef_variance(totals, spec, b_opt(spec, dmat, outcomes).values, dmat)

@@ -8,7 +8,6 @@ import pytest
 
 from dbexp import _linalg, estimators, simulation
 from dbexp import (
-    AdjustmentCache,
     AssignmentRealization,
     ObservedOutcomes,
     SimConfig,
@@ -88,7 +87,6 @@ def _library_estimates(result, set_id, replications):
         warnings.simplefilter("ignore")  # uncentered cluster means and sizes
         spec = spec_separate_slopes(x)
         spec_c = spec_cluster(x, pop.cluster_ids, "II")
-    cache = AdjustmentCache.build(spec, design)
     picked = simulation._treated_clusters(config.seed, pop.m, config.m1, replications)
     out = []
     for treated in picked:
@@ -96,8 +94,8 @@ def _library_estimates(result, set_id, replications):
         obs = ObservedOutcomes.from_schedule(pop.outcomes, AssignmentRealization(z))
         fits = {
             "wls_ols": (spec, coef_wls_pi(spec, obs, design)),
-            "three_ht": (spec, coef_3ht(spec, obs, design, cache)),
-            "two_r": (spec, coef_2r(spec, obs, design, cache)),
+            "three_ht": (spec, coef_3ht(spec, obs, design)),
+            "two_r": (spec, coef_2r(spec, obs, design)),
             "ols_cluster_totals": (spec_c, coef_ols_cluster_totals(spec_c, obs)),
         }
         out.append([greg(obs, design, *fits[name]).point for name in config.estimators])
