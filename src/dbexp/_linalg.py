@@ -229,8 +229,8 @@ def components(pattern: np.ndarray) -> np.ndarray:
     Labels run from 0 in the order of each component's first slot.  A matrix
     that is zero outside a pattern is block-diagonal over its components.
     """
-    rows, cols = np.nonzero(pattern)
-    parent = np.arange(np.shape(pattern)[0])
+    rows, cols = np.divmod(np.flatnonzero(pattern), len(pattern))  # np.nonzero's order, faster
+    parent = np.arange(len(pattern))
     while True:
         # Every slot points at the smallest slot of its tree (its root); an
         # entry joining two trees hooks the larger root under the smaller one.

@@ -102,8 +102,7 @@ class BoundMatrix(_KindForm):
         n = self.design_matrix.n
         if values.shape != (2 * n, 2 * n):
             raise ValueError(f"bound values must be {2 * n} x {2 * n}, like its design matrix")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def _form(self):

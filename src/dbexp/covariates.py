@@ -19,7 +19,7 @@ import numpy as np
 
 from ._group import Groups
 from ._linalg import PINV_RCOND, component_blocks
-from .design import Design, _cluster_groups
+from .design import Design, _cluster_groups, _frozen
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class CovariateSpec:
         matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
         if matrix.ndim != 2 or matrix.shape[0] % 2:
             raise ValueError("covariate layout must be a 2r x l matrix")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _frozen(matrix))
         if len(self.labels) != matrix.shape[1]:
             raise ValueError("one label per column required")
 
@@ -107,13 +106,8 @@ def _column_structure(control: bytes, treated: bytes, l: int) -> ColumnStructure
     every fit of a new layout of one shape would derive it again."""
     control, treated = (np.frombuffer(p, dtype=bool).reshape(l, l) for p in (control, treated))
 
-    def frozen(*arrays):
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
-
     def by_arm(i, j, in_control, in_treated):
-        return tuple((arm, *frozen(i[rows], j[rows]))
+        return tuple((arm, _frozen(i[rows]), _frozen(j[rows]))
                      for arm, rows in ((0, in_control & ~in_treated), (1, in_treated & ~in_control),
                                        (None, in_control & in_treated))
                      if rows.any())
@@ -122,7 +116,8 @@ def _column_structure(control: bytes, treated: bytes, l: int) -> ColumnStructure
     gram_pairs = by_arm(i, j, control[i, j], treated[i, j])
     i, j = np.indices((l, l)).reshape(2, -1)  # a dense A: the arms of X's column j
     cross_pairs = by_arm(i, j, control.diagonal()[j], treated.diagonal()[j])
-    return ColumnStructure(frozen(*component_blocks(control | treated)), gram_pairs, cross_pairs)
+    blocks = tuple(_frozen(block) for block in component_blocks(control | treated))
+    return ColumnStructure(blocks, gram_pairs, cross_pairs)
 
 
 def zero_center(x: np.ndarray) -> np.ndarray:

@@ -127,22 +127,34 @@ def _parse_float(cell: str, row_number: int, column: str) -> float:
 # -- design descriptors --------------------------------------------------------
 
 
+#: The keys each descriptor kind accepts, each at most once.
+_DESCRIPTOR_KEYS = {"complete": ("n1", "n"), "bernoulli": ("file",), "cluster": ("m1",),
+                    "custom": ("file",)}
+
+
 def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = None) -> Design:
     """Build a design from a compact descriptor string.
 
-    Forms: ``complete:n1=K``, ``bernoulli:file=PATH``, ``cluster:m1=K``
+    Forms: ``complete:n1=K[,n=N]``, ``bernoulli:file=PATH``, ``cluster:m1=K``
     (cluster ids come from the data CSV), ``custom:file=PATH`` (enumerated
-    support JSON with keys n, assignments, probabilities).
+    support JSON with keys n, assignments, probabilities).  Any other key,
+    or a key given twice, is an error.
     """
     kind, _, rest = descriptor.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed design descriptor item {item!r}")
-            params[key.strip()] = value.strip()
+    if kind not in _DESCRIPTOR_KEYS:
+        raise ValueError(f"unknown design kind {kind!r}")
     what = f"{kind} design descriptor"
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value:
+            raise ValueError(f"malformed design descriptor item {item!r}")
+        if key not in _DESCRIPTOR_KEYS[kind]:
+            raise ValueError(f"{what} has an unknown key {key!r}; choose from "
+                             + ", ".join(_DESCRIPTOR_KEYS[kind]))
+        if key in params:
+            raise ValueError(f"{what} gives the key {key!r} twice")
+        params[key] = value
     if kind == "complete":
         if table is None and "n" not in params:
             raise ValueError("complete design needs the data table or an explicit n")
@@ -154,15 +166,13 @@ def parse_design_descriptor(descriptor: str, table: ExperimentTable | None = Non
         if table is None or table.cluster_ids is None:
             raise ValueError("cluster design needs a cluster_id column in the data CSV")
         return make_cluster(table.cluster_ids, int(_key(params, "m1", what)))
-    if kind == "custom":
-        with open(_key(params, "file", what)) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{what} file must hold a JSON object, not a {type(payload).__name__}")
-        if "kind" not in payload:  # a bare enumerated support
-            payload = {**payload, "kind": "enumerated", "params": payload}
-        return design_from_dict(payload)
-    raise ValueError(f"unknown design kind {kind!r}")
+    with open(_key(params, "file", what)) as fh:  # custom
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} file must hold a JSON object, not a {type(payload).__name__}")
+    if "kind" not in payload:  # a bare enumerated support
+        payload = {**payload, "kind": "enumerated", "params": payload}
+    return design_from_dict(payload)
 
 
 def load_numeric_vector(path) -> np.ndarray:

@@ -67,9 +67,7 @@ class StackedOutcomes:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] != 2 * self.n:
             raise ValueError(f"expected a vector of length {2 * self.n}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values.copy()))
 
     @classmethod
     def from_arms(cls, y_control: Sequence[float], y_treated: Sequence[float]) -> "StackedOutcomes":
@@ -108,9 +106,7 @@ class AssignmentRealization:
         z = np.asarray(self.assignment)
         if z.ndim != 1 or not _zero_one(z):
             raise ValueError("assignment must be a 0/1 vector")
-        z = z.astype(np.int8)
-        z.flags.writeable = False
-        object.__setattr__(self, "assignment", z)
+        object.__setattr__(self, "assignment", _frozen(z.astype(np.int8)))
 
     @property
     def n(self) -> int:
@@ -163,7 +159,7 @@ class _KindForm:
 
     @classmethod
     def _lazy(cls, **fields):
-        """An instance holding ``fields``, which give it a kind form, and no dense array."""
+        """An instance holding ``fields``, unchecked: a kind form or valid frozen arrays."""
         obj = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(obj, name, value)
@@ -214,10 +210,7 @@ class DesignMatrix(_KindForm):
 
     def __post_init__(self):
         for name in ("values", "mask", "joint"):
-            arr = getattr(self, name)
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.ascontiguousarray(getattr(self, name))))
 
     @property
     def core(self) -> np.ndarray | GroupOperator:
@@ -241,17 +234,21 @@ class Design(_KindForm):
     holds both-control probabilities, the (1,1) block both-treated, and the
     off blocks mixed-arm probabilities.  ``marginals`` is its diagonal.
 
-    A design built directly, by ``make_from_sampler`` or from a serialized
-    Monte-Carlo joint copies its joint and is validated by the dense scan of
-    ``_validate_joint``.  ``make_complete``, ``make_bernoulli`` and
-    ``make_cluster`` validate from their parameters instead and keep the
-    design in kind form (``_form``); its ``joint`` is built on first read.
+    A design built directly or from a serialized Monte-Carlo joint copies its
+    joint and is validated by the dense scan of ``_validate_joint``.
+    ``make_complete``, ``make_bernoulli`` and ``make_cluster`` validate from
+    their parameters instead and keep the design in kind form (``_form``);
+    its ``joint`` is built on first read.
 
-    ``make_from_sampler`` also marks its designs ``_from_support``: their
-    joint is, by construction, that of a probability vector over a support,
-    which proves D PSD (see ``_design_matrix``).  A joint given directly, or
-    read back from a Monte-Carlo file, carries no such construction and is
-    certified by an eigendecomposition.
+    ``make_from_sampler`` builds its designs through ``_lazy``, with no copy,
+    and sets ``_from_support``: the joint of a law over a support proves D
+    PSD (see ``_design_matrix``).  A counted joint (Monte-Carlo draws, a
+    uniform support) needs no scan either: each entry is an integer count
+    over the row count S, correctly rounded, so the blocks are exact
+    transposes, entries lie in [0, 1], the diagonal is the marginals, c/S and
+    (S - c)/S sum to 1 within rounding, no row observes a unit in both arms,
+    and a pair's count is at most either unit's, which monotone rounding
+    keeps.  A weighted support's float sums run the scan.
     """
 
     n: int
@@ -308,15 +305,13 @@ class Design(_KindForm):
         randomization) that is an eigenvalue near -2n (s - 1), about -6e-7 at
         n = 300, against a tolerance of about 2e-8.  So ``make_from_sampler``
         builds the joint from the probabilities divided by their sum.  What
-        is left is rounding.  Monte-Carlo draws, and supports whose
-        normalized probabilities are all equal (rerandomization, an
-        enumerated complete design), are counted: q is the empirical law of
-        the rows, and each stored entry is its exact value, an integer count
-        over the number of rows, rounded once.  A weighted support keeps the
-        arm blocks, whose entries are float sums of its probabilities, each
-        within a few ulps per row of its exact value, and those
-        probabilities sum to 1 to a few ulps.  Either way the computed D is
-        within rounding of a PSD matrix, as for the kind-form spectra above.
+        is left is rounding.  A counted joint (see ``Design``) has q the
+        empirical law of the rows and stores each entry's exact value
+        rounded once.  A weighted support's arm blocks are float sums of its
+        probabilities, each within a few ulps per row of its exact value, and
+        those probabilities sum to 1 to a few ulps.  Either way the computed
+        D is within rounding of a PSD matrix, as for the kind-form spectra
+        above.
 
         Any other design, or a kind form whose kernels are not finite, is
         certified by a dense eigendecomposition.
@@ -366,12 +361,12 @@ def _same_joint(a, b) -> bool:
 def _validate_joint(n: int, joint: np.ndarray, marginals: np.ndarray) -> None:
     """Check a joint and its marginals entry by entry: the dense scan.
 
-    Every ``Design`` built directly runs it on its full joint.  The analytic
-    constructors do not: group designs run it on a 3-unit joint that holds
-    every distinct entry of theirs (``_group_design``), and Bernoulli designs
-    need only their parameter checks (``make_bernoulli``).  Each rule below
-    is a condition on one entry, or on an entry and its transpose, which is
-    what makes the small joint a proof for the full one.
+    Directly built designs and weighted supports run it on their full joint,
+    group designs on a 3-unit joint that holds every distinct entry of theirs
+    (``_group_design``); counted joints (see ``Design``) and checked Bernoulli
+    parameters (``make_bernoulli``) hold its rules by construction.  Each
+    rule below is a condition on one entry, or on an entry and its
+    transpose, which is what makes the small joint a proof for the full one.
     """
     if joint.shape != (2 * n, 2 * n):
         raise DesignError(f"joint probability matrix must be {2 * n} x {2 * n}")
@@ -687,17 +682,17 @@ def make_from_sampler(
     sampler is a callable ``sampler(rng) -> assignment`` and the joint matrix
     is the empirical frequency over ``draws`` draws (deterministic given
     ``seed``), each entry an integer count divided by ``draws``.  Both counts
-    come from ``_co_treated``.  Either way D is certified PSD by the
-    multinomial proof of ``Design._design_matrix``, not by an
-    eigendecomposition.
+    come from ``_co_treated`` and are valid by construction (see ``Design``);
+    a weighted support runs the dense scan.  D is certified PSD by the
+    multinomial proof of ``Design._design_matrix``, with no eigendecomposition.
     """
+    counted = True
     if mode == "enumerate":
         support, probs = _collect_support(sampler, n)
         law = probs / probs.sum()
-        if (law == law[0]).all():
-            joint = _joint_from_counts(_co_treated(support), len(support))
-        else:
-            joint = _joint_from_support(support, law)
+        counted = bool((law == law[0]).all())
+        joint = (_joint_from_counts(_co_treated(support), len(support)) if counted
+                 else _joint_from_support(support, law))
         prov = EnumeratedProvenance(assignments=support, probabilities=probs)
     elif mode == "monte_carlo":
         if draws <= 0:
@@ -725,9 +720,10 @@ def make_from_sampler(
             "estimated treatment probability is 0 or 1 for units: "
             + ", ".join(str(int(i)) for i in bad)
         )
-    design = Design(n, joint, marginals, prov)
-    object.__setattr__(design, "_from_support", True)
-    return design
+    if not counted:
+        _validate_joint(n, joint, marginals)
+    return Design._lazy(n=n, joint=_frozen(joint), marginals=_frozen(marginals), provenance=prov,
+                        _from_support=True)
 
 
 def _collect_support(pairs: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -912,11 +908,8 @@ def design_to_dict(design: Design) -> dict:
     prov = design.provenance
     out: dict = {"n": design.n, "kind": prov.kind}
     if isinstance(prov, AnalyticProvenance):
-        params = dict(prov.params)
-        for key, val in params.items():
-            if isinstance(val, np.ndarray):
-                params[key] = val.tolist()
-        out["params"] = params
+        out["params"] = {key: val.tolist() if isinstance(val, np.ndarray) else val
+                         for key, val in prov.params.items()}
     elif isinstance(prov, EnumeratedProvenance):
         out["params"] = {
             "assignments": prov.assignments.tolist(),
@@ -961,7 +954,11 @@ def design_from_dict(data: dict) -> Design:
             ((np.asarray(z, dtype=np.int8), p) for z, p in pairs), n, mode="enumerate"
         )
     if kind == "monte_carlo":
-        joint = np.asarray(_key(data, "p", what), dtype=float).reshape(2 * n, 2 * n)
+        joint = np.asarray(_key(data, "p", what), dtype=float)
+        if joint.size != 4 * n * n:
+            raise DesignError(f"{what} description has n = {n}, so 4n^2 = {4 * n * n} "
+                              f"joint entries, but its 'p' holds {joint.size}")
+        joint = joint.reshape(2 * n, 2 * n)
         draws, seed = int(_key(params, "draws", what)), int(_key(params, "seed", what))
         prov = MonteCarloProvenance(draws=draws, seed=seed)
         return Design(n, joint, np.diag(joint).copy(), prov)

@@ -48,6 +48,7 @@ from .design import (
     StackedOutcomes,
     _check_clusters,
     _cluster_groups,
+    _frozen,
     _zero_one,
     cluster_level_design,
     design_matrix,
@@ -80,9 +81,7 @@ class ObservedOutcomes:
             raise ValueError(
                 "missing observed outcome for units: " + ", ".join(str(int(i)) for i in bad)
             )
-        y = y.copy()
-        y.flags.writeable = False
-        object.__setattr__(self, "outcomes", y)
+        object.__setattr__(self, "outcomes", _frozen(y.copy()))
 
     @classmethod
     def from_schedule(

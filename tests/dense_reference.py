@@ -138,3 +138,22 @@ def dense_order_verdict(diff):
     else:
         verdict = "incomparable"
     return verdict, lo, hi, float(vals.sum())
+
+
+def dense_components(pattern):
+    """Connected-component labels of a symmetric boolean pattern, by a search
+    over the (row, col) entries of the 2-D ``np.nonzero``; components are
+    labelled from 0 in the order of their first slot."""
+    neighbours = [[] for _ in range(len(pattern))]
+    for i, j in zip(*np.nonzero(pattern)):
+        neighbours[i].append(j)
+    labels = np.full(len(pattern), -1)
+    for start in range(len(pattern)):
+        if labels[start] < 0:
+            labels[start], todo = labels.max() + 1, [start]
+            while todo:
+                for j in neighbours[todo.pop()]:
+                    if labels[j] < 0:
+                        labels[j] = labels[start]
+                        todo.append(j)
+    return labels

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbexp import (
     AdjustmentCache,
@@ -39,7 +41,7 @@ from dbexp import (
     zero_center,
 )
 from conftest import enumeration_moments
-from dense_reference import dense_iterative, dense_order_verdict
+from dense_reference import dense_components, dense_iterative, dense_order_verdict
 from dbexp._linalg import block_eigvals, component_blocks, components, pinv, sym_eigvals
 from dbexp.bounds import BOUND_METHODS, _order_verdict
 from dbexp.estimators import _coef, _observe
@@ -578,3 +580,21 @@ def test_block_eigvals_is_the_full_spectrum():
     np.testing.assert_allclose(block_eigvals(a), sym_eigvals(a), rtol=0.0, atol=1e-12)
     assert components(a != 0.0).tolist() == [0, 1, 2, 3, 0, 2, 4, 0, 5]
     assert _order_verdict(a)[0] == dense_order_verdict(a)[0]
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """Symmetric boolean patterns of order <= 12 with up to 2n links, some on
+    the diagonal, in C or Fortran memory order."""
+    n = draw(st.integers(1, 12))
+    pattern = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        pattern[i, j] = pattern[j, i] = True
+    return np.asfortranarray(pattern) if draw(st.booleans()) else pattern
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric_patterns())
+def test_components_label_as_a_search_over_the_2d_nonzero_entries(pattern):
+    np.testing.assert_array_equal(components(pattern), dense_components(pattern))

@@ -496,6 +496,21 @@ def test_custom_bernoulli_design_of_the_wrong_shape_exits_2(runner, tmp_path, pa
     assert f"error: {message}" in result.output
 
 
+def test_custom_monte_carlo_design_with_the_wrong_number_of_entries_exits_2(runner, tmp_path):
+    description = {"kind": "monte_carlo", "n": 2, "params": {"draws": 10, "seed": 0},
+                   "p": [0.5, 0.5]}
+    spec_path = _write(tmp_path / "design.json", json.dumps(description))
+    data = _write(tmp_path / "toy.csv", TOY_TWO_UNIT)
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", f"custom:file={spec_path}",
+         "--estimator", "ht", "--out-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert ("error: monte_carlo design description has n = 2, so 4n^2 = 16 joint entries, "
+            "but its 'p' holds 2") in result.output
+
+
 def test_bounds_compare_max_iters_below_one_exits_2(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -566,7 +581,7 @@ def test_estimate_non_positive_or_non_finite_z_exits_2(runner, tmp_path, z):
         ("complete:n=4", None, "n1"),
         ("bernoulli", None, "file"),
         ("custom", None, "file"),
-        ("cluster:n=4", None, "m1"),
+        ("cluster", None, "m1"),
         ("custom:file={path}", {"n": 4, "probabilities": [1.0]}, "assignments"),
         ("custom:file={path}", {"kind": "complete", "n": 4}, "n1"),
     ],
@@ -660,6 +675,14 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
          "cluster design needs a cluster_id column in the data CSV"),
         (["estimate", "--data", "{toy}", "--design", "stratified:n1=1"],
          "unknown design kind 'stratified'"),
+        (["estimate", "--data", "{toy}", "--design", "complete:n1=1,foo=3"],
+         "complete design descriptor has an unknown key 'foo'; choose from n1, n"),
+        (["estimate", "--data", "{toy}", "--design", "complete:n1=1,n1=1"],
+         "complete design descriptor gives the key 'n1' twice"),
+        (["estimate", "--data", "{toy}", "--design", "cluster:m1=1,n=2"],
+         "cluster design descriptor has an unknown key 'n'; choose from m1"),
+        (["estimate", "--data", "{toy}", "--design", "bernoulli:file={empty},file={empty}"],
+         "bernoulli design descriptor gives the key 'file' twice"),
         (["estimate", "--data", "{toy}", "--design", "bernoulli:file={empty}"],
          "empty.txt: empty vector file"),
         (["precision-test", "--data", "{toy}", "--design", "complete:n1=1",
@@ -682,6 +705,7 @@ _STUDY_FLAGS = [("--n-units", "60"), ("--n-clusters", "12"), ("--m1", "5"), ("--
            f"--defaults cannot be combined with {option}") for option, value in _STUDY_FLAGS),
     ],
     ids=["malformed item", "complete without n", "cluster without ids", "unknown kind",
+         "unknown key", "repeated key", "key of another kind", "repeated file",
          "empty vector", "per-line vector", "NaN vector", "inf vector", "nested vector",
          "spec-sets parse", "spec-sets value", "estimators value", "defaults and config",
          "defaults and empty config",

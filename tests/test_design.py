@@ -108,6 +108,17 @@ def test_a_description_whose_n_disagrees_with_its_parameters_raises(data, counts
     assert design_module.design_from_dict(sized).n == sized["n"]
 
 
+def test_a_monte_carlo_description_with_the_wrong_number_of_entries_raises():
+    short = {"kind": "monte_carlo", "n": 2, "params": {"draws": 10, "seed": 0}, "p": [0.5, 0.5]}
+    with pytest.raises(DesignError, match=r"n = 2, so 4n\^2 = 16 joint entries, but its 'p' holds 2"):
+        design_module.design_from_dict(short)
+    design = make_from_sampler(lambda rng: rng.permutation([0, 1]), 2, draws=10, mode="monte_carlo")
+    data = design_module.design_to_dict(design)
+    np.testing.assert_array_equal(design_module.design_from_dict(data).joint, design.joint)
+    with pytest.raises(DesignError, match=r"n = 3, so 4n\^2 = 36 joint entries, but its 'p' holds 16"):
+        design_module.design_from_dict({**data, "n": 3})
+
+
 def test_cluster_same_cluster_entries_and_enumeration():
     with pytest.warns(UserWarning):
         design = make_cluster([1, 1, 2, 2], 1)
@@ -642,28 +653,47 @@ def test_group_designs_validate_once_per_group_count_and_treated_count(dense_sca
     assert dense_scans == [3, 3]
 
 
-def test_every_other_design_runs_one_dense_scan(dense_scans):
+def _sampler_builds():
+    """Builds of complete(4, 2) from its support and by Monte-Carlo draws: the
+    counted ones, and those whose joint is a float sum or comes from outside."""
     n = 4
     complete = make_complete(n, 2)
     support = [(z.assignment, p) for z, p in enumerate_assignments(complete)]
+    weighted = [(z, p * (1.0 + (i % 2 - 0.5) / 2)) for i, (z, p) in enumerate(support)]
 
     def sampler(rng):
         return rng.permutation([0, 0, 1, 1])
 
     monte_carlo = make_from_sampler(sampler, n, draws=200, seed=3, mode="monte_carlo")
     descriptor = design_module.design_to_dict(monte_carlo)
-    builds = [
+    counted = [
         lambda: make_from_sampler(iter(support), n, mode="enumerate"),
         lambda: make_from_sampler(sampler, n, draws=200, seed=3, mode="monte_carlo"),
+    ]
+    scanned = [
+        lambda: make_from_sampler(iter(weighted), n, mode="enumerate"),
         lambda: design_module.design_from_dict(descriptor),
         lambda: design_module.Design(
             n, complete.joint, complete.marginals, complete.provenance
         ),
     ]
-    for build in builds:
+    return counted, scanned
+
+
+def test_counted_sampler_designs_run_no_dense_scan(dense_scans):
+    counted, _ = _sampler_builds()
+    for build in counted:
+        dense_scans.clear()
+        assert build()._from_support
+        assert dense_scans == []
+
+
+def test_every_other_design_runs_one_dense_scan(dense_scans):
+    _, scanned = _sampler_builds()
+    for build in scanned:
         dense_scans.clear()
         build()
-        assert dense_scans == [n]
+        assert dense_scans == [4]
 
 
 @pytest.mark.parametrize(
@@ -770,6 +800,58 @@ def test_a_joint_breaking_one_rule_is_rejected_by_that_rule(rule, error, message
         design_module.Design(n, joint, marginals, make_complete(4, 2).provenance)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+#: A new group-level probability: non-finite, out of range or anything between.
+_PROBABILITY = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-0.5, 1.5))
+
+
+@st.composite
+def perturbed_group_probabilities(draw):
+    """Groups of n <= 8 units under shuffled integer ids, at least two of them,
+    mostly of unequal sizes, with the arm marginals ``pi`` and different-group
+    joint ``pairs`` of complete randomization of some of them, changed one to
+    three times: ``pi`` to (1 - v, v), both mixed-arm entries of ``pairs`` to
+    v, or any one entry alone to v or nudged (a mixed-arm one alone makes
+    ``pairs`` asymmetric)."""
+    n = draw(st.integers(2, 8))
+    ids = draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)
+               .filter(lambda ids: len(set(ids)) >= 2))
+    groups = design_module._cluster_groups(ids)
+    pi, pairs = design_module._group_pairs(groups.m, draw(st.integers(1, groups.m - 1)))
+    entries = np.concatenate([pi, pairs.ravel()])
+    for where in draw(st.lists(st.sampled_from(["pi", "mixed", *range(6)]), min_size=1,
+                               max_size=3)):
+        if where == "pi":
+            value = draw(_PROBABILITY)
+            entries[:2] = 1.0 - value, value
+        elif where == "mixed":
+            entries[3:5] = draw(_PROBABILITY)
+        elif draw(st.booleans()):  # across the scan's 1e-9 tolerance
+            entries[where] += draw(st.sampled_from([-1e-8, -1e-10, 1e-10, 1e-8]))
+        else:
+            entries[where] = draw(_PROBABILITY)
+    return groups, entries[:2], entries[2:].reshape(2, 2)
+
+
+def _rejection(form):
+    """The type of error the dense scan raises on a kind form's joint, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            design_module._validate_joint(form.n, form.dense_joint, form.marginals)
+    except DesignError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(perturbed_group_probabilities())
+def test_the_3_unit_validation_rejects_what_the_full_scan_rejects(case):
+    groups, pi, pairs = case
+    with np.errstate(all="ignore"):
+        full = design_module._group_form(groups, pi, pairs)
+        small = design_module._group_form(design_module._ALL_ENTRY_KINDS, pi, pairs)
+    assert _rejection(small) is _rejection(full)
 
 
 def test_draw_on_an_enumerated_design_picks_a_support_row():

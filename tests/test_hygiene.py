@@ -1,7 +1,8 @@
 """Static checks: no unused imports in the library and its tests, no import
 beyond the standard library and the declared dependencies, no blanket
 excepts in the library, one owner for decompositions, for the unit ->
-cluster map and for building a normal system, no random generator built
+cluster map and for building a normal system, the dense scan of a joint only
+where no construction proves it, no random generator built
 inside a loop, no function that
 takes both a design and its design matrix, every layer of the benchmark's
 tracer names a function the library defines, the benchmark's simulate
@@ -184,6 +185,26 @@ def test_one_path_to_a_normal_system():
     assert _callers("normal_system") == {"estimators.AdjustmentCache.over",
                                          "optimal._solve_normal"}
     assert _callers("over") == {"estimators._system"}
+
+
+def test_the_dense_scan_runs_only_where_no_construction_proves_a_joint():
+    """A directly built ``Design`` (a deserialized Monte-Carlo joint included)
+    scans its joint, a group design its 3-unit joint, and ``make_from_sampler``
+    a weighted support's; counted joints and the analytic kind forms are valid
+    by construction.  The support proof (``_from_support``) is set only when a
+    design is built, never afterwards."""
+    assert _callers("_validate_joint") == {"design.Design.__post_init__",
+                                           "design._validate_group_joint",
+                                           "design.make_from_sampler"}
+    late = [
+        f"{path.name} (line {node.lineno})"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _called_name(node) in ("__setattr__", "setattr")
+        and any(isinstance(arg, ast.Constant) and arg.value == "_from_support"
+                for arg in node.args)
+    ]
+    assert not late, f"_from_support set after construction at {', '.join(late)}"
 
 
 #: Calls that build a random generator or its seed.  Building one per

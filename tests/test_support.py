@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dbexp import design_matrix, make_from_sampler
 from dbexp import design as design_module
 from dbexp._linalg import min_max_eig
-from dbexp.design import _co_treated, _joint_from_counts, _joint_from_support, _validate_joint
+from dbexp.design import Design, _co_treated, _joint_from_counts, _joint_from_support, _validate_joint
 from dense_reference import counted_joint, dense_support_joint
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -62,6 +62,19 @@ def test_monte_carlo_joint_is_the_counted_joint(half):
     design = make_from_sampler(lambda rng: next(stream), n, draws=len(draws), mode="monte_carlo")
     np.testing.assert_array_equal(design.joint, counted_joint(draws, n))
     np.testing.assert_array_equal(design.joint, design.joint.T)
+    _assert_valid_by_construction(design)
+
+
+def _assert_valid_by_construction(design):
+    """A counted design, built with no dense scan, passes it, is frozen, holds
+    the joint a directly built design copies, and keeps the multinomial proof."""
+    joint, marginals = design.joint, design.marginals
+    _validate_joint(design.n, joint, marginals)
+    assert not joint.flags.writeable and not marginals.flags.writeable
+    direct = Design(design.n, joint, marginals, design.provenance)
+    assert direct.joint.tobytes() == joint.tobytes()
+    assert direct.marginals.tobytes() == marginals.tobytes()
+    assert design_matrix(design).certificate == "closed_form"
 
 
 @PROPERTY
@@ -125,7 +138,9 @@ def test_uniform_law_joint_is_the_row_count_over_the_rows(support):
     over S exactly, within 4 S eps of the arm blocks with their zero pattern,
     and a valid joint."""
     size, n = support.shape
-    joint = make_from_sampler(((z, 1.0 / size) for z in support), n, mode="enumerate").joint
+    design = make_from_sampler(((z, 1.0 / size) for z in support), n, mode="enumerate")
+    _assert_valid_by_construction(design)
+    joint = design.joint
     counted = counted_joint(support, n)
     np.testing.assert_array_equal(joint, counted)
     np.testing.assert_array_equal(_joint_from_counts(_co_treated(support), size), counted)
