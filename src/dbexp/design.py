@@ -825,7 +825,7 @@ def draw(design: Design, seed: int) -> AssignmentRealization:
     else:
         if prov.sampler is None:
             raise DesignError("this Monte-Carlo design carries no sampler (deserialized?)")
-        z = np.asarray(prov.sampler(rng), dtype=np.int8)
+        z = prov.sampler(rng)
     return AssignmentRealization(z)
 
 
@@ -950,9 +950,7 @@ def design_from_dict(data: dict) -> Design:
         return make_cluster(ids, int(_key(params, "m1", what)))
     if kind == "enumerated":
         pairs = zip(_key(params, "assignments", what), _key(params, "probabilities", what))
-        return make_from_sampler(
-            ((np.asarray(z, dtype=np.int8), p) for z, p in pairs), n, mode="enumerate"
-        )
+        return make_from_sampler(pairs, n, mode="enumerate")
     if kind == "monte_carlo":
         joint = np.asarray(_key(data, "p", what), dtype=float)
         if joint.size != 4 * n * n:

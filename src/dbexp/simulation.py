@@ -234,7 +234,9 @@ def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
 
     Replication ``r`` treats the first ``m1`` of ``default_rng(SeedSequence(
     seed, spawn_key=(1, r))).permutation(m)``; one generator takes each
-    replication's state in turn, so none is built per replication.
+    replication's state in turn, so none is built per replication.  It
+    shuffles one buffer, reset to ``arange(m)`` each time, as ``permutation(m)``
+    shuffles a fresh ``arange(m)``, so the draws are the same bits.
     """
     if len(replications) and not (min(replications) >= 0 and max(replications) < 1 << 32):
         raise ValueError("replication indices must lie in [0, 2**32)")
@@ -242,13 +244,17 @@ def _treated_clusters(seed: int, m: int, m1: int, replications) -> np.ndarray:
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     picked = np.zeros((len(replications), m), dtype=bool)
+    units = np.arange(m)
+    order = np.empty_like(units)
     for start in range(0, len(replications), _SEEDED_AT_ONCE):
         chunk = np.array(replications[start:start + _SEEDED_AT_ONCE], dtype=np.uint32)
         treated = np.empty((len(chunk), m1), dtype=np.intp)
         for row, (state, inc) in enumerate(_replication_states(prefix, chunk)):
             bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
-            treated[row] = generator.permutation(m)[:m1]
+            order[:] = units
+            generator.shuffle(order)
+            treated[row] = order[:m1]
         np.put_along_axis(picked[start:start + len(chunk)], treated, True, axis=1)
     return picked
 

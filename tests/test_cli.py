@@ -455,6 +455,20 @@ def test_custom_design_descriptor(runner, tmp_path):
     assert float(row.split(",")[2]) == pytest.approx(-1.0)
 
 
+def test_custom_design_with_a_non_0_1_assignment_exits_2(runner, tmp_path):
+    support = {"n": 2, "assignments": [[0.5, 1], [1, 0], [0, 1]],
+               "probabilities": [0.25, 0.25, 0.5]}
+    spec_path = _write(tmp_path / "support.json", json.dumps(support))
+    data = _write(tmp_path / "toy.csv", TOY_TWO_UNIT)
+    result = runner.invoke(
+        main,
+        ["estimate", "--data", data, "--design", f"custom:file={spec_path}",
+         "--estimator", "ht", "--out-dir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: support assignments must be 0/1 vectors of length n" in result.output
+
+
 @pytest.mark.parametrize(
     "probs", ["0.3, 0.3, 0.3, 0.05, -0.05, 0.1", "0.3, 0.3, 0.3, 0.05, NaN, 0.05"],
     ids=["negative", "nan"],

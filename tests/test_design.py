@@ -228,6 +228,34 @@ def test_sampler_errors_propagate_unchanged():
         make_from_sampler(sampler, 3, draws=10, seed=0, mode="monte_carlo")
 
 
+@pytest.mark.parametrize("first", [[0.5, 1], [2, 1], [-1, 1]], ids=["half", "two", "minus one"])
+def test_a_description_with_a_non_0_1_assignment_raises(first):
+    """An enumerated description's assignments are checked as given: an int8
+    conversion would read 0.5 as 0 and load a design nobody described."""
+    data = {"kind": "enumerated", "n": 2,
+            "params": {"assignments": [first, [1, 0], [0, 1]], "probabilities": [0.25, 0.25, 0.5]}}
+    with pytest.raises(DesignError, match="support assignments must be 0/1 vectors of length n"):
+        design_module.design_from_dict(data)
+    data["params"]["assignments"][0] = [0, 1]
+    assert design_module.design_from_dict(data).n == 2
+
+
+def test_draw_rejects_a_monte_carlo_draw_that_is_not_0_1():
+    """A sampler's later draw is checked as it comes, not truncated to int8."""
+    value = [1.0]
+
+    def sampler(rng):
+        z = np.zeros(4)
+        z[rng.permutation(4)[:2]] = value[0]
+        return z
+
+    design = make_from_sampler(sampler, 4, draws=100, seed=0, mode="monte_carlo")
+    assert set(draw(design, 0).assignment.tolist()) == {0, 1}
+    value[0] = 0.5
+    with pytest.raises(ValueError, match="assignment must be a 0/1 vector"):
+        draw(design, 0)
+
+
 #: Four draws over three units, each unit drawn in both arms.
 _DRAWS = [[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
 

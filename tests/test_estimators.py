@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -800,6 +801,36 @@ def test_batch_points_rejects_bad_input():
 
 
 # -- products over (arm, group) columns --------------------------------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.integers(1, 60), st.integers(1, 300),
+       st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**16))
+@example(1, 1, 1, "C", 0)
+@example(299, 7, 300, "strided", 1)
+@example(300, 60, 2, "F", 2)
+def test_rows_round_alike_whatever_the_stack_and_the_memory_order(k, p, r, order, seed):
+    """``_rows`` on weights sliced from wider rows, as ``w[..., arm_slice]`` is:
+    each row is the product of that row alone, bit for bit; C-ordered,
+    F-ordered and strided copies of ``m`` give the same bits; and each entry
+    lies within k * eps times the sum of its terms' sizes of the correctly
+    rounded sum (``math.fsum``)."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((r, 2 * k + 3))
+    a = wide[:, k + 1:2 * k + 1]
+    m = rng.standard_normal((k, p))
+    m = {"C": m, "F": np.asfortranarray(m),
+         "strided": np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, ::3]}[order]
+    got = _rows(a, m)
+    assert got.shape == (r, p)
+    for copy in (np.ascontiguousarray(m), np.asfortranarray(m)):
+        assert np.array_equal(_rows(a, copy), got)
+    for i in range(r):
+        assert np.array_equal(_rows(a[i:i + 1].copy(), m)[0], got[i])
+    magnitude = np.abs(a) @ np.abs(m)
+    for i in sorted({0, r // 2, r - 1}):
+        exact = [math.fsum(a[i] * m[:, j]) for j in range(p)]
+        assert np.all(np.abs(got[i] - exact) <= k * np.finfo(float).eps * magnitude[i])
 
 
 def outer_rows(a, b):

@@ -2,7 +2,8 @@
 beyond the standard library and the declared dependencies, no blanket
 excepts in the library, one owner for decompositions, for the unit ->
 cluster map and for building a normal system, the dense scan of a joint only
-where no construction proves it, no random generator built
+where no construction proves it, matrix products of the estimators only
+in their row-wise helper and the oracles, no random generator built
 inside a loop, no function that
 takes both a design and its design matrix, every layer of the benchmark's
 tracer names a function the library defines, the benchmark's simulate
@@ -117,6 +118,36 @@ def test_decompositions_go_through_the_linalg_helpers(path):
     ]
     assert not calls + imports, (
         f"{path.name} uses numpy.linalg outside dbexp._linalg: {', '.join(calls + imports)}"
+    )
+
+
+#: The functions of ``estimators.py`` that may form a matrix product.  A product
+#: on a stack of realizations goes through ``_rows`` (or ``_gram``'s row-wise
+#: products), so that a row of a stack rounds as that realization alone; the
+#: full-schedule oracles take no stack.
+ESTIMATOR_PRODUCTS = {"_rows", "_gram", "greg_forms", "fixed_coef_variance"}
+PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def test_estimator_products_go_through_the_row_helper():
+    products = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if where is None else where)
+                continue
+            product = (isinstance(child, (ast.BinOp, ast.AugAssign))
+                       and isinstance(child.op, ast.MatMult)
+                       or isinstance(child, ast.Call) and _called_name(child) in PRODUCT_CALLS)
+            if product and where not in ESTIMATOR_PRODUCTS:
+                products.append(f"{where or 'module level'} (line {child.lineno})")
+            visit(child, where)
+
+    visit(_tree(ROOT / "src" / "dbexp" / "estimators.py"), None)
+    assert not products, (
+        "estimators.py forms a matrix product outside _rows, _gram and the oracles: "
+        + ", ".join(products)
     )
 
 
